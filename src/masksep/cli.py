@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import align, metrics, pipeline, rl, separator, synthdata
+from .embed import MODALITIES
 from .errors import ConfigError, DivergenceError, NonFiniteGradientError
 from .spectral import StftConfig
 from .wavio import read_wav, write_wav
@@ -314,7 +315,20 @@ def _load_query(args, dataset) -> np.ndarray:
     if spec.startswith("store:"):
         if dataset is None:
             raise ConfigError("store queries need --dataset")
-        _, modality, item_id = spec.split(":", 2)
+        parts = spec.split(":", 2)
+        if len(parts) != 3:
+            raise ConfigError(f"query {spec!r} must read store:<modality>:<id>")
+        _, modality, item_id = parts
+        if modality not in MODALITIES:
+            raise ConfigError(
+                f"query {spec!r}: unknown modality {modality!r}, expected "
+                f"one of {', '.join(MODALITIES)}"
+            )
+        if (modality, item_id) not in dataset.store:
+            raise ConfigError(
+                f"query {spec!r}: the store has no {modality} embedding "
+                f"with id {item_id!r}"
+            )
         return dataset.store.get(modality, item_id)
     data = json.loads(Path(spec).read_text())
     vector = data["vector"] if isinstance(data, dict) else data

@@ -98,31 +98,40 @@ def save_store(store: EmbeddingStore, path) -> None:
             fh.write(vec.astype("<f4", copy=False).tobytes())
 
 
+def _take(data: bytes, offset: int, size: int, path, what: str):
+    """(data[offset:offset + size], offset + size); ValueError naming the
+    path and ``what`` when the file ends first."""
+    end = offset + size
+    if end > len(data):
+        raise ValueError(
+            f"{path}: truncated in {what} (needs {end} bytes, has {len(data)})"
+        )
+    return data[offset:end], end
+
+
 def load_store(path) -> EmbeddingStore:
     data = Path(path).read_bytes()
     if data[:4] != STORE_MAGIC:
         raise ValueError(f"{path}: bad magic, not an embedding store")
-    version, dim, count = struct.unpack_from("<HIQ", data, 4)
+    header, offset = _take(data, 4, struct.calcsize("<HIQ"), path, "the header")
+    version, dim, count = struct.unpack("<HIQ", header)
     if version != STORE_VERSION:
         raise ValueError(f"{path}: unsupported store version {version}")
     store = EmbeddingStore(dim)
-    offset = 4 + struct.calcsize("<HIQ")
-    for _ in range(count):
-        (code,) = struct.unpack_from("<B", data, offset)
-        offset += 1
+    for index in range(count):
+        record = f"record {index}"
+        head, offset = _take(data, offset, 3, path, f"{record} header")
+        code, id_len = struct.unpack("<BH", head)
         if code >= len(MODALITIES):
             raise ValueError(f"{path}: unknown modality code {code}")
-        (id_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        item_id = data[offset : offset + id_len].decode("utf-8")
-        offset += id_len
-        (label_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        label = data[offset : offset + label_len].decode("utf-8")
-        offset += label_len
-        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
-        offset += 4 * dim
-        store.add(MODALITIES[code], item_id, label, vec)
+        raw_id, offset = _take(data, offset, id_len, path, f"{record} id")
+        head, offset = _take(data, offset, 2, path, f"{record} class length")
+        (label_len,) = struct.unpack("<H", head)
+        raw_label, offset = _take(data, offset, label_len, path,
+                                  f"{record} class")
+        raw_vec, offset = _take(data, offset, 4 * dim, path, f"{record} vector")
+        store.add(MODALITIES[code], raw_id.decode("utf-8"),
+                  raw_label.decode("utf-8"), np.frombuffer(raw_vec, dtype="<f4"))
     if offset != len(data):
         raise ValueError(f"{path}: trailing bytes after {count} records")
     return store
@@ -209,12 +218,6 @@ class OracleEmbedder:
             raise ValueError(f"unknown modality {modality!r}")
         if not 0 <= class_id < self.num_classes:
             raise ValueError(f"unknown class {class_id}")
-
-
-def oracle_embed(
-    embedder: OracleEmbedder, modality: str, class_id: int, instance_seed: int = 0
-) -> np.ndarray:
-    return embedder.embed(modality, class_id, instance_seed)
 
 
 @dataclass
@@ -334,10 +337,6 @@ class AudioFeatureEmbedder:
             fmin=float(hparams["fmin"]),
             projection=arrays["projection"],
         )
-
-
-def embed_audio_waveform(embedder: AudioFeatureEmbedder, w: Waveform) -> np.ndarray:
-    return embedder.embed(w)
 
 
 @dataclass

@@ -15,19 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import digamma, log_beta, log_gamma, trigamma
+from .special import digamma, log_gamma, trigamma
 
 SAMPLE_CLAMP = 1e-5
 
 
 @dataclass(frozen=True)
 class BetaPolicyParams:
-    """Per-bin (alpha, beta) shape tensors; kappa records the concentration
-    scale the parameters were built with (0 when constructed directly)."""
+    """Per-bin (alpha, beta) shape tensors."""
 
     alpha: np.ndarray
     beta: np.ndarray
-    kappa: float = 0.0
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=np.float64)
@@ -60,7 +58,7 @@ class PolicySample:
 
 class PolicyMath:
     """Lazily cached digamma/trigamma/log-normalizer tables for one
-    parameter set, shared across log-density, entropy and gradient
+    parameter set, shared across log-density, entropy, KL and gradient
     evaluations of the same policy (they all consume the same tables).
 
     Each family is evaluated in one vectorized call over the stacked
@@ -126,7 +124,7 @@ def params_from_proposal(p: np.ndarray, kappa: float) -> BetaPolicyParams:
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
     return BetaPolicyParams(
-        alpha=1.0 + kappa * p, beta=1.0 + kappa * (1.0 - p), kappa=float(kappa)
+        alpha=1.0 + kappa * p, beta=1.0 + kappa * (1.0 - p)
     )
 
 
@@ -198,19 +196,30 @@ def entropy(params: BetaPolicyParams) -> float:
     return entropy_math(PolicyMath(params))
 
 
-def kl_divergence(p: BetaPolicyParams, q: BetaPolicyParams) -> float:
-    """KL(p || q), summed over bins. Always >= 0."""
+def _check_same_shape(p: BetaPolicyParams, q: BetaPolicyParams) -> None:
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    ap, bp, aq, bq = p.alpha, p.beta, q.alpha, q.beta
+
+
+def kl_divergence_math(p: PolicyMath, q: PolicyMath) -> float:
+    """kl_divergence using shared table sets (p's digamma and both
+    log-normalizers); exactly 0 when p and q are the same tables."""
+    _check_same_shape(p.params, q.params)
+    ap, bp = p.params.alpha, p.params.beta
+    aq, bq = q.params.alpha, q.params.beta
     terms = (
-        log_beta(aq, bq)
-        - log_beta(ap, bp)
-        + (ap - aq) * digamma(ap)
-        + (bp - bq) * digamma(bp)
-        + (aq - ap + bq - bp) * digamma(ap + bp)
+        q.log_norm
+        - p.log_norm
+        + (ap - aq) * p.psi_a
+        + (bp - bq) * p.psi_b
+        + (aq - ap + bq - bp) * p.psi_ab
     )
     return float(np.sum(terms))
+
+
+def kl_divergence(p: BetaPolicyParams, q: BetaPolicyParams) -> float:
+    """KL(p || q), summed over bins. Always >= 0."""
+    return kl_divergence_math(PolicyMath(p), PolicyMath(q))
 
 
 def log_prob_grad_math(math: PolicyMath, mask: np.ndarray):
@@ -243,15 +252,20 @@ def entropy_grad(params: BetaPolicyParams):
     return entropy_grad_math(PolicyMath(params))
 
 
+def kl_divergence_grad_math(p: PolicyMath, q: PolicyMath):
+    """kl_divergence_grad using p's shared trigamma tables."""
+    _check_same_shape(p.params, q.params)
+    ap, bp = p.params.alpha, p.params.beta
+    aq, bq = q.params.alpha, q.params.beta
+    cross = (aq - ap + bq - bp) * p.tri_ab
+    d_alpha = (ap - aq) * p.tri_a + cross
+    d_beta = (bp - bq) * p.tri_b + cross
+    return d_alpha, d_beta
+
+
 def kl_divergence_grad(p: BetaPolicyParams, q: BetaPolicyParams):
     """Per-bin gradients of KL(p || q) w.r.t. p's (alpha, beta)."""
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    ap, bp, aq, bq = p.alpha, p.beta, q.alpha, q.beta
-    cross = (aq - ap + bq - bp) * trigamma(ap + bp)
-    d_alpha = (ap - aq) * trigamma(ap) + cross
-    d_beta = (bp - bq) * trigamma(bp) + cross
-    return d_alpha, d_beta
+    return kl_divergence_grad_math(PolicyMath(p), PolicyMath(q))
 
 
 def beta_log_pdf(alpha, beta, m):

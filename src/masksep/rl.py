@@ -1,11 +1,15 @@
 """Clipped trust-region policy optimization over the Beta mask policy.
 
-Each step samples masks from a frozen snapshot of the separator, scores
+Each step samples masks from the live separator's Beta policy, scores
 the reconstructions with embedding rewards, normalizes advantages against
 an EMA baseline (and group-relative scaling within the batch), then takes
-one gradient step on the clipped surrogate with entropy and KL terms. The
-snapshot is refreshed after every step (single-pass updates), so the first
-gradient evaluation after a snapshot always sits at ratio exactly 1.
+one gradient step on the clipped surrogate with entropy and KL terms.
+
+The frozen old policy is what sampling recorded: the Beta parameters and
+the log-densities of the drawn masks. Updates are single-pass, so at the
+gradient step the live policy still equals the old one: the ratio is
+exactly 1, the clip cannot bind and the KL term is 0. The post-update
+``kl_post`` probe is what shows the trust region's effect.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from .policy import (
     entropy_math,
     kappa_schedule,
     kl_divergence,
-    kl_divergence_grad,
+    kl_divergence_grad_math,
+    kl_divergence_math,
     log_prob_grad_math,
     log_prob_math,
     params_from_proposal,
@@ -38,9 +43,7 @@ from .separator import (
     apply_adamw_step,
     backward,
     forward,
-    params_equal,
     save_model,
-    snapshot,
 )
 from .spectral import Mask, Spectrogram, apply_mask_reconstruct
 
@@ -194,20 +197,23 @@ class SampledItem:
     """One item's sampled masks with their old-policy scores and
     (normalized) advantages.
 
-    When the old policy coincided with the live model at sampling time,
-    ``proposal``/``cache`` carry that forward pass so the gradient step can
-    reuse it: the new policy then equals the old one bin for bin, making
-    every ratio exactly 1 and the KL term exactly 0."""
+    ``params_old``, ``math`` (its tables, built on first use when not
+    given) and ``logp_old`` are the frozen old policy. ``cache`` is the
+    live-model forward pass that produced ``params_old``, when the sampler
+    carries it; the gradient step then reuses it instead of forwarding the
+    model again, and backward() rejects it if the model has changed since."""
 
     item: TrainItem
     params_old: BetaPolicyParams
     masks: list
     logp_old: list
-    rewards: list
     advantages: list = field(default_factory=list)
-    proposal: np.ndarray | None = None
     cache: object | None = None
     math: PolicyMath | None = None
+
+    def __post_init__(self):
+        if self.math is None:
+            self.math = PolicyMath(self.params_old)
 
 
 @dataclass
@@ -221,24 +227,6 @@ class ObjectiveResult:
     frac_clipped: float
 
 
-def rl_objective(ratios, advantages, entropies, kls, clip_epsilon: float,
-                 entropy_coef: float, kl_coef: float):
-    """Scalar objective from per-sample surrogate terms and per-item
-    entropy/KL terms. Returns (J, per-sample d(surrogate)/d(logp_new))."""
-    values = []
-    grads = []
-    for r, a in zip(ratios, advantages):
-        v, branch = clipped_surrogate(r, a, clip_epsilon)
-        values.append(v)
-        grads.append(r * a if branch == "unclipped" else 0.0)
-    j = (
-        float(np.mean(values))
-        + entropy_coef * float(np.mean(entropies))
-        - kl_coef * float(np.mean(kls))
-    )
-    return j, values, grads
-
-
 def objective_and_grads(
     model: SeparatorModel,
     batch: list[SampledItem],
@@ -248,10 +236,9 @@ def objective_and_grads(
     """Objective J for a sampled batch and the gradients of -J w.r.t. the
     live model's parameters (Beta-shape chain rule through the proposal).
 
-    Items carrying a live-model forward cache take the parameter-equality
-    shortcut: ratios are exactly 1 (ties count as unclipped) and the KL
-    term is exactly 0 with zero gradient, which is what the closed forms
-    yield at that point."""
+    An item carrying the sampler's forward cache has the live policy equal
+    to its old one, so both share one table set; other items forward the
+    live model here."""
     n_items = len(batch)
     n_samples = sum(len(s.masks) for s in batch)
     total = None
@@ -260,22 +247,19 @@ def objective_and_grads(
 
     for sampled in batch:
         item = sampled.item
-        shared = sampled.cache is not None and sampled.cache.matches(model)
-        if shared:
-            cache = sampled.cache
-            params_new = sampled.params_old
-            math_new = sampled.math or PolicyMath(params_new)
-        else:
+        math_old = sampled.math
+        if sampled.cache is None:
             proposal, cache = forward(model, item.log_mag, item.query)
-            params_new = params_from_proposal(proposal, kappa)
-            math_new = PolicyMath(params_new)
+            math_new = PolicyMath(params_from_proposal(proposal, kappa))
+        else:
+            cache, math_new = sampled.cache, math_old
 
-        d_alpha = np.zeros(params_new.shape)
-        d_beta = np.zeros(params_new.shape)
+        d_alpha = np.zeros(math_new.params.shape)
+        d_beta = np.zeros(math_new.params.shape)
         for mask, logp_old, adv in zip(
             sampled.masks, sampled.logp_old, sampled.advantages
         ):
-            logp_new = logp_old if shared else log_prob_math(math_new, mask)
+            logp_new = log_prob_math(math_new, mask)
             log_diff = logp_new - logp_old
             ratio = importance_ratio(logp_new, logp_old)
             value, branch = clipped_surrogate(ratio, adv, cfg.clip_epsilon)
@@ -290,13 +274,13 @@ def objective_and_grads(
                 d_beta += (coeff / n_samples) * g_b
 
         entropies.append(entropy_math(math_new))
-        kls.append(0.0 if shared else kl_divergence(params_new, sampled.params_old))
+        kls.append(kl_divergence_math(math_new, math_old))
         if cfg.entropy_coef != 0.0:
             h_a, h_b = entropy_grad_math(math_new)
             d_alpha += (cfg.entropy_coef / n_items) * h_a
             d_beta += (cfg.entropy_coef / n_items) * h_b
-        if cfg.kl_coef != 0.0 and not shared:
-            k_a, k_b = kl_divergence_grad(params_new, sampled.params_old)
+        if cfg.kl_coef != 0.0:
+            k_a, k_b = kl_divergence_grad_math(math_new, math_old)
             d_alpha -= (cfg.kl_coef / n_items) * k_a
             d_beta -= (cfg.kl_coef / n_items) * k_b
 
@@ -350,63 +334,44 @@ class TrainStepReport:
                 )
 
 
-@dataclass
-class TrainStepResult:
-    report: TrainStepReport
-    baseline: float
-    snapshot: SeparatorModel
-
-
 def train_step(
     model: SeparatorModel,
-    old_snapshot: SeparatorModel,
+    opt_state: AdamWState,
     items: list[TrainItem],
     cfg: RlConfig,
     rng: np.random.Generator,
     reward_ctx: RewardContext,
     step_index: int = 0,
     baseline: float = 0.0,
-    opt_state: AdamWState | None = None,
-) -> TrainStepResult:
-    """One full update: sample from the old policy, score reconstructions,
-    normalize advantages, step the live model, refresh the snapshot."""
-    if opt_state is None:
-        opt_state = AdamWState()
+) -> TrainStepReport:
+    """One full update: sample from the live policy, score
+    reconstructions, normalize advantages, step the live model. The
+    report's ``baseline`` is the updated EMA baseline."""
     kappa = cfg.kappa_at(step_index)
-    same_params = params_equal(model, old_snapshot)
 
     sampled_batch = []
     rewards_flat = []
     for item in items:
-        if same_params:
-            # the old policy coincides with the live model: one forward
-            # serves sampling now and the gradient pass later
-            proposal_old, cache = forward(model, item.log_mag, item.query)
-        else:
-            proposal_old, _ = forward(old_snapshot, item.log_mag, item.query)
-            cache = None
+        # one forward serves sampling now and the gradient pass later
+        proposal_old, cache = forward(model, item.log_mag, item.query)
         params_old = params_from_proposal(proposal_old, kappa)
         math_old = PolicyMath(params_old)
-        masks, logps, rewards = [], [], []
+        masks, logps = [], []
         for _ in range(cfg.mc_samples):
             ps = sample(params_old, rng, clamp_eps=cfg.sample_clamp,
                         with_entropy=False, math=math_old)
             wav = apply_mask_reconstruct(item.mix_spec, Mask(ps.mask[:, :, 0]))
-            r = reward_ctx.reward(item, wav)
             masks.append(ps.mask)
             logps.append(ps.log_prob)
-            rewards.append(r)
-            rewards_flat.append(r)
+            rewards_flat.append(reward_ctx.reward(item, wav))
         sampled_batch.append(
             SampledItem(
                 item=item,
                 params_old=params_old,
                 masks=masks,
                 logp_old=logps,
-                rewards=rewards,
-                proposal=proposal_old if same_params else None,
                 cache=cache,
-                math=math_old if same_params else None,
+                math=math_old,
             )
         )
 
@@ -437,13 +402,10 @@ def train_step(
 
     # trust-region telemetry after the update, measured on the leading
     # batch item (a full-batch measurement would double the forward cost)
-    kl_probe = sampled_batch[:1]
-    kl_post = 0.0
-    for sampled in kl_probe:
-        proposal_post, _ = forward(model, sampled.item.log_mag, sampled.item.query)
-        params_post = params_from_proposal(proposal_post, kappa)
-        kl_post += kl_divergence(params_post, sampled.params_old)
-    kl_post /= len(kl_probe)
+    lead = sampled_batch[0]
+    proposal_post, _ = forward(model, lead.item.log_mag, lead.item.query)
+    kl_post = kl_divergence(params_from_proposal(proposal_post, kappa),
+                            lead.params_old)
 
     report = TrainStepReport(
         step=step_index,
@@ -459,11 +421,7 @@ def train_step(
         kl_post=kl_post,
     )
     report.validate_finite()
-    return TrainStepResult(
-        report=report,
-        baseline=new_baseline,
-        snapshot=snapshot(model, step=step_index + 1),
-    )
+    return report
 
 
 def proposal_mask(model: SeparatorModel, item: TrainItem) -> Mask:
@@ -551,7 +509,6 @@ def train_loop(
     rng = np.random.default_rng(cfg.seed)
     if cfg.warm_start and cfg.warm_start_steps > 0:
         warm_start(model, train_items, cfg, rng)
-    old = snapshot(model, 0)
     opt_state = AdamWState()
     baseline = 0.0
 
@@ -578,20 +535,18 @@ def train_loop(
             size = min(cfg.batch_size, len(train_items))
             idx = rng.choice(len(train_items), size=size, replace=False)
             batch = [train_items[i] for i in idx]
-            result = train_step(
+            report = train_step(
                 model,
-                old,
+                opt_state,
                 batch,
                 cfg,
                 rng,
                 reward_ctx,
                 step_index=step,
                 baseline=baseline,
-                opt_state=opt_state,
             )
-            old = result.snapshot
-            baseline = result.baseline
-            log.write(json.dumps(result.report.to_dict(), sort_keys=True) + "\n")
+            baseline = report.baseline
+            log.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
             steps_run = step + 1
 
             if val_items and (step + 1) % cfg.val_interval == 0:

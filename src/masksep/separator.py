@@ -29,8 +29,7 @@ class SeparatorModel:
     """Weights plus architecture hyperparameters.
 
     ``version`` counts parameter mutations (used to invalidate stale
-    forward caches); ``frozen_at`` is set on snapshots, which refuse
-    optimizer updates.
+    forward caches).
     """
 
     w1: np.ndarray
@@ -42,7 +41,6 @@ class SeparatorModel:
     query_dim: int
     k_sources: int = 1
     version: int = 0
-    frozen_at: int | None = None
 
     @property
     def input_dim(self) -> int:
@@ -205,37 +203,6 @@ def backward(
     return ParamGrads(w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2)
 
 
-def snapshot(model: SeparatorModel, step: int = 0) -> SeparatorModel:
-    """Deep copy frozen at the given step index; later updates to the live
-    model never affect it."""
-    snap = SeparatorModel(
-        w1=model.w1.copy(),
-        b1=model.b1.copy(),
-        w2=model.w2.copy(),
-        b2=model.b2.copy(),
-        context=model.context,
-        hidden_width=model.hidden_width,
-        query_dim=model.query_dim,
-        k_sources=model.k_sources,
-        version=0,
-        frozen_at=step,
-    )
-    return snap
-
-
-def clone(model: SeparatorModel) -> SeparatorModel:
-    """Mutable deep copy (snapshot without the frozen marker)."""
-    out = snapshot(model)
-    out.frozen_at = None
-    return out
-
-
-def params_equal(a: SeparatorModel, b: SeparatorModel) -> bool:
-    return all(
-        np.array_equal(getattr(a, name), getattr(b, name)) for name in PARAM_NAMES
-    )
-
-
 def apply_adamw_step(
     model: SeparatorModel,
     grads: ParamGrads,
@@ -245,8 +212,6 @@ def apply_adamw_step(
     clip_norm: float = 1.0,
 ) -> float:
     """Clip by global norm, then AdamW in place. Returns the pre-clip norm."""
-    if model.frozen_at is not None:
-        raise ValueError("refusing to update a frozen snapshot")
     norm = adamw_step(
         model.params(),
         grads.as_dict(),

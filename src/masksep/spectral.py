@@ -117,12 +117,6 @@ class Spectrogram:
     def shape(self):
         return self.bins.shape
 
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.bins)
-
-    def phase(self) -> np.ndarray:
-        return np.angle(self.bins)
-
 
 @dataclass(frozen=True)
 class Mask:

@@ -29,7 +29,7 @@ from .embed import (
     save_store,
     write_store_manifest,
 )
-from .spectral import StftConfig, Waveform, ideal_ratio_mask, stft
+from .spectral import Waveform
 from .wavio import write_wav
 
 PEAK_LEVEL = 0.5
@@ -74,12 +74,6 @@ class MixtureItem:
     references: list
     class_ids: list
     snr_offsets: list
-
-    def ideal_masks(self, cfg: StftConfig):
-        mix_spec = stft(self.mixture, cfg)
-        return [
-            ideal_ratio_mask(stft(ref, cfg), mix_spec) for ref in self.references
-        ]
 
 
 def draw_source_spec(cls: ClassSpec, rng: np.random.Generator,

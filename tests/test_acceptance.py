@@ -5,6 +5,7 @@ synthetic dataset (200 items, 65535 samples, 16 kHz); expect the full
 module to take several minutes of CPU.
 """
 
+import copy
 import itertools
 import json
 import time
@@ -204,12 +205,11 @@ def test_criterion_2_gradient_fidelity():
     from masksep.policy import PolicyMath, sample
     from masksep.reward import RewardTargets
     from masksep.rl import RlConfig, SampledItem, TrainItem, objective_and_grads
-    from masksep.separator import snapshot
 
     cfg = RlConfig(entropy_coef=0.1, kl_coef=0.01)
     model = init_model(np.random.default_rng(7), context=1, hidden_width=3,
                        query_dim=2)
-    old = snapshot(model)
+    old = copy.deepcopy(model)
     for name in ("w1", "b1", "w2", "b2"):
         getattr(old, name)[...] += 0.05 * rng.standard_normal(
             getattr(old, name).shape
@@ -225,7 +225,6 @@ def test_criterion_2_gradient_fidelity():
                     with_entropy=False, math=PolicyMath(params_old))
         batch.append(SampledItem(item=item, params_old=params_old,
                                  masks=[ps.mask], logp_old=[ps.log_prob],
-                                 rewards=[0.0],
                                  advantages=[float(rng.normal())]))
     result = objective_and_grads(model, batch, cfg, 9.0)
     worst = 0.0
@@ -257,7 +256,8 @@ def test_criterion_3_ppo_mechanics():
         surrogate_logp_grad,
         train_step,
     )
-    from masksep.separator import init_model, snapshot
+    from masksep.optim import AdamWState
+    from masksep.separator import init_model
     from masksep.spectral import log_compress
 
     rng = np.random.default_rng(3)
@@ -279,16 +279,16 @@ def test_criterion_3_ppo_mechanics():
         def reward(self, item, wav):
             return self.values.pop(0)
 
-    # ratio exactly 1 and zero clipping on the first evaluation after a
-    # snapshot
+    # ratio exactly 1 and zero clipping at a single-pass gradient step,
+    # where the live policy still equals the sampled one
     model = init_model(np.random.default_rng(4), context=3, hidden_width=8,
                        query_dim=4)
     cfg = RlConfig(batch_size=4, steps=10)
-    result = train_step(model, snapshot(model), items, cfg,
+    result = train_step(model, AdamWState(), items, cfg,
                         np.random.default_rng(5),
                         FixedReward([0.1, 0.5, -0.2, 0.9]))
-    assert result.report.ratio_mean == 1.0
-    assert result.report.frac_clipped == 0.0
+    assert result.ratio_mean == 1.0
+    assert result.frac_clipped == 0.0
 
     # clipped branch -> exactly zero ratio-gradient where the clip binds
     assert surrogate_logp_grad(1.5, 1.0, 0.2, float(np.log(1.5))) == 0.0
@@ -308,15 +308,15 @@ def test_criterion_3_ppo_mechanics():
     before = {n: getattr(model2, n).copy() for n in ("w1", "b1", "w2", "b2")}
     cfg2 = RlConfig(batch_size=4, steps=10, entropy_coef=0.0, kl_coef=0.0,
                     weight_decay=0.0)
-    result = train_step(model2, snapshot(model2), items, cfg2,
+    result = train_step(model2, AdamWState(), items, cfg2,
                         np.random.default_rng(8),
                         FixedReward([0.5, 0.5, 0.5, 0.5]))
-    assert result.report.grad_norm == 0.0
+    assert result.grad_norm == 0.0
     for name, arr in before.items():
         assert np.array_equal(getattr(model2, name), arr)
     flat = normalize_advantages(np.array([0.5, 0.5, 0.5, 0.5]), 1e-6)
     assert np.all(flat == 0.0)
-    announce(3, "ratio=1/no-clip after snapshot, zero bound gradient, "
+    announce(3, "ratio=1/no-clip at the single-pass step, zero bound gradient, "
                 "GRPO moments, zero-variance neutrality")
 
 

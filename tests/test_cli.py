@@ -1,6 +1,8 @@
 """Command-line contracts: flags, exit codes, artifacts, reproducibility."""
 
 import json
+import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +157,47 @@ class TestSeparate:
                      str(trained_run / "checkpoints" / "best.json"),
                      "--mixture", str(small_dataset / rec["mixture"]),
                      "--out", str(tmp_path / "x.wav")]) == 2
+
+    @pytest.mark.parametrize(
+        "query", ["store:text:nope", "store:bogus:item_0000", "store:text"]
+    )
+    def test_bad_store_query_is_config_error(self, small_dataset, trained_run,
+                                             tmp_path, capsys, query):
+        rec = json.loads(
+            (small_dataset / "manifest.jsonl").read_text().splitlines()[0]
+        )
+        code = main(["separate", "--checkpoint",
+                     str(trained_run / "checkpoints" / "best.json"),
+                     "--dataset", str(small_dataset),
+                     "--mixture", str(small_dataset / rec["mixture"]),
+                     "--query", query, "--out", str(tmp_path / "x.wav")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert query in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("where", ["file header", "record header", "id",
+                                       "vector"])
+    def test_truncated_store_is_config_error(self, small_dataset, trained_run,
+                                             tmp_path, capsys, where):
+        data = (small_dataset / "embeddings.embd").read_bytes()
+        # magic (4) + version, dimension, count (14), then the first record:
+        # modality (1), id length (2), id
+        (id_len,) = struct.unpack_from("<H", data, 19)
+        cut = {"file header": 10, "record header": 20,
+               "id": 21 + id_len // 2, "vector": len(data) - 6}[where]
+        dataset = tmp_path / "cut"
+        dataset.mkdir()
+        for name in ("manifest.jsonl", "audio_embedder.json", "dataset.json"):
+            shutil.copy(small_dataset / name, dataset / name)
+        (dataset / "embeddings.embd").write_bytes(data[:cut])
+        code = main(["separate", "--checkpoint",
+                     str(trained_run / "checkpoints" / "best.json"),
+                     "--dataset", str(dataset), "--out", str(tmp_path / "sep")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert "embeddings.embd" in err and len(err.splitlines()) == 1
 
     def test_identity_like_checkpoint_on_all_ones_proposal(self, small_dataset,
                                                            tmp_path):

@@ -183,6 +183,12 @@ class TestStore:
         path.write_bytes(data + b"\x00")
         with pytest.raises(ValueError, match="trailing"):
             load_store(path)
+        # every cut, from inside the magic to inside the last vector, is a
+        # ValueError that names the file
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match="store.embd"):
+                load_store(path)
 
     def test_manifest_round_trip(self, tmp_path):
         store = self.make_store(n=3)

@@ -250,12 +250,16 @@ class TestPolicyMath:
             PolicyMath,
             entropy_grad_math,
             entropy_math,
+            kl_divergence_grad_math,
+            kl_divergence_math,
             log_prob_grad_math,
             log_prob_math,
         )
+        from masksep.special import digamma, log_beta, trigamma
 
         rng = np.random.default_rng(13)
         params = params_from_proposal(rng.uniform(size=(7, 5)), 9.0)
+        other = params_from_proposal(rng.uniform(size=(7, 5)), 4.0)
         mask = rng.uniform(0.05, 0.95, size=(7, 5))
         math = PolicyMath(params)
         assert log_prob_math(math, mask) == log_prob(params, mask)
@@ -266,6 +270,25 @@ class TestPolicyMath:
             assert np.array_equal(shared, standalone)
         for shared, standalone in zip(entropy_grad_math(math), entropy_grad(params)):
             assert np.array_equal(shared, standalone)
+        other_math = PolicyMath(other)
+        assert kl_divergence_math(math, other_math) == kl_divergence(params, other)
+        for shared, standalone in zip(
+            kl_divergence_grad_math(math, other_math),
+            kl_divergence_grad(params, other),
+        ):
+            assert np.array_equal(shared, standalone)
+
+        # the stacked tables reproduce separate special-function calls
+        ap, bp, aq, bq = params.alpha, params.beta, other.alpha, other.beta
+        assert kl_divergence(params, other) == float(np.sum(
+            log_beta(aq, bq) - log_beta(ap, bp)
+            + (ap - aq) * digamma(ap) + (bp - bq) * digamma(bp)
+            + (aq - ap + bq - bp) * digamma(ap + bp)
+        ))
+        cross = (aq - ap + bq - bp) * trigamma(ap + bp)
+        g_a, g_b = kl_divergence_grad(params, other)
+        assert np.array_equal(g_a, (ap - aq) * trigamma(ap) + cross)
+        assert np.array_equal(g_b, (bp - bq) * trigamma(bp) + cross)
 
     def test_sampling_can_skip_entropy(self):
         params = params_from_proposal(np.full(8, 0.4), 9.0)

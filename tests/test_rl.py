@@ -1,13 +1,15 @@
 """Trust-region update mechanics: advantage handling, ratio and surrogate
 contracts, the end-to-end gradient check, and loop behavior."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
 
 from masksep.errors import DivergenceError
-from masksep.policy import params_from_proposal, sample
+from masksep.optim import AdamWState
+from masksep.policy import PolicyMath, params_from_proposal, sample
 from masksep.rl import (
     RewardContext,
     RlConfig,
@@ -18,20 +20,13 @@ from masksep.rl import (
     importance_ratio,
     normalize_advantages,
     objective_and_grads,
-    rl_objective,
     surrogate_logp_grad,
     train_loop,
     train_step,
     update_baseline,
 )
 from masksep.reward import RewardTargets
-from masksep.separator import (
-    forward,
-    init_model,
-    load_model,
-    params_equal,
-    snapshot,
-)
+from masksep.separator import forward, init_model, load_model
 from masksep.spectral import StftConfig, Waveform, log_compress, stft
 from masksep.synthdata import DEFAULT_CLASSES, build_embedder
 
@@ -166,26 +161,12 @@ class TestClippedSurrogate:
         assert surrogate_logp_grad(1.5, -1.0, 0.2, np.log(1.5)) == pytest.approx(-1.5)
 
 
-class TestRlObjective:
-    def test_single_sample_ratio_one(self):
-        j, values, grads = rl_objective([1.0], [0.7], [0.0], [0.0], 0.2, 0.0, 0.0)
-        assert j == pytest.approx(0.7)
-        assert values == [0.7]
-        assert grads == [0.7]
+def toy_sampled_batch(model, old, kappa, cfg, seed=0, carry_forward=False):
+    """Sample masks/advantages for a 4-bin toy through the real machinery.
 
-    def test_entropy_only_regime(self):
-        j, _, grads = rl_objective([1.0, 1.0], [0.0, 0.0], [2.0, 4.0],
-                                   [0.0, 0.0], 0.2, 0.1, 0.0)
-        assert j == pytest.approx(0.1 * 3.0)
-        assert grads == [0.0, 0.0]
-
-    def test_kl_subtracted(self):
-        j, _, _ = rl_objective([1.0], [0.0], [0.0], [5.0], 0.2, 0.0, 0.01)
-        assert j == pytest.approx(-0.05)
-
-
-def toy_sampled_batch(model, old, kappa, cfg, seed=0):
-    """Sample masks/advantages for a 4-bin toy through the real machinery."""
+    With ``carry_forward`` the items keep the old model's forward cache and
+    tables, as the training step's sampler does (``old`` must then be the
+    live model)."""
     rng = np.random.default_rng(seed)
     items = []
     for i in range(2):
@@ -200,20 +181,55 @@ def toy_sampled_batch(model, old, kappa, cfg, seed=0):
         items.append(item)
     batch = []
     for item in items:
-        proposal_old, _ = forward(old, item.log_mag, item.query)
+        proposal_old, cache = forward(old, item.log_mag, item.query)
         params_old = params_from_proposal(proposal_old, kappa)
-        ps = sample(params_old, rng)
+        math = PolicyMath(params_old)
+        ps = sample(params_old, rng, math=math)
         batch.append(
             SampledItem(
                 item=item,
                 params_old=params_old,
                 masks=[ps.mask],
                 logp_old=[ps.log_prob],
-                rewards=[0.0],
                 advantages=[float(rng.normal())],
+                cache=cache if carry_forward else None,
+                math=math if carry_forward else None,
             )
         )
     return batch
+
+
+class TestRlObjective:
+    """How objective_and_grads assembles J from its surrogate, entropy and
+    KL terms."""
+
+    @staticmethod
+    def toy(cfg, advantage, old_shift=0.0):
+        model = init_model(np.random.default_rng(20), context=1, hidden_width=3,
+                           query_dim=2)
+        old = copy.deepcopy(model)
+        old.b2 += old_shift
+        batch = toy_sampled_batch(model, old, 9.0, cfg, seed=21)
+        for sampled in batch:
+            sampled.advantages = [advantage]
+        return objective_and_grads(model, batch, cfg, 9.0)
+
+    def test_single_sample_ratio_one(self):
+        result = self.toy(RlConfig(entropy_coef=0.0, kl_coef=0.0), 0.7)
+        assert result.ratio_mean == 1.0
+        assert result.surrogate == pytest.approx(0.7)
+        assert result.objective == pytest.approx(0.7)
+
+    def test_entropy_only_regime(self):
+        result = self.toy(RlConfig(entropy_coef=0.1, kl_coef=0.0), 0.0)
+        assert result.surrogate == 0.0
+        assert result.objective == pytest.approx(0.1 * result.entropy)
+
+    def test_kl_subtracted(self):
+        result = self.toy(RlConfig(entropy_coef=0.0, kl_coef=0.01), 0.0,
+                          old_shift=0.5)
+        assert result.kl > 0.0
+        assert result.objective == pytest.approx(-0.01 * result.kl)
 
 
 class TestEndToEndGradient:
@@ -225,7 +241,7 @@ class TestEndToEndGradient:
         kappa = 9.0
         model = init_model(np.random.default_rng(4), context=1, hidden_width=3,
                            query_dim=2)
-        old = snapshot(model)
+        old = copy.deepcopy(model)
         for name in ("w1", "b1", "w2", "b2"):
             arr = getattr(old, name)
             arr += 0.05 * np.random.default_rng(5).standard_normal(arr.shape)
@@ -255,7 +271,7 @@ class TestEndToEndGradient:
         cfg = RlConfig(entropy_coef=0.0, kl_coef=0.0)
         model = init_model(np.random.default_rng(7), context=1, hidden_width=3,
                            query_dim=2)
-        old = snapshot(model)
+        old = copy.deepcopy(model)
         batch = toy_sampled_batch(model, old, 9.0, cfg, seed=8)
         for s in batch:
             s.advantages = [0.0]
@@ -268,7 +284,7 @@ class TestEndToEndGradient:
         # change the objective or the update direction at that point
         model = init_model(np.random.default_rng(9), context=1, hidden_width=3,
                            query_dim=2)
-        old = snapshot(model)
+        old = copy.deepcopy(model)
         base_cfg = RlConfig(entropy_coef=0.1, kl_coef=0.0)
         kl_cfg = RlConfig(entropy_coef=0.1, kl_coef=0.5)
         batch = toy_sampled_batch(model, old, 9.0, base_cfg, seed=10)
@@ -278,6 +294,25 @@ class TestEndToEndGradient:
         for name in ("w1", "b1", "w2", "b2"):
             assert np.allclose(getattr(a.grads, name), getattr(b.grads, name),
                                atol=1e-12)
+
+    def test_carried_forward_matches_fresh_forward_bitwise(self):
+        # at old == live, reusing the sampler's forward and tables is the
+        # same computation as forwarding the live model again
+        cfg = RlConfig(entropy_coef=0.1, kl_coef=0.5)
+        model = init_model(np.random.default_rng(11), context=1, hidden_width=3,
+                           query_dim=2)
+        carried = toy_sampled_batch(model, model, 9.0, cfg, seed=12,
+                                    carry_forward=True)
+        fresh = toy_sampled_batch(model, model, 9.0, cfg, seed=12)
+        a = objective_and_grads(model, carried, cfg, 9.0)
+        b = objective_and_grads(model, fresh, cfg, 9.0)
+        assert a.objective == b.objective
+        for result in (a, b):
+            assert result.ratio_mean == 1.0
+            assert result.kl == 0.0
+            assert result.frac_clipped == 0.0
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(a.grads, name), getattr(b.grads, name))
 
 
 class _ConstantReward:
@@ -291,78 +326,60 @@ class _ConstantReward:
 class TestTrainStep:
     def test_ratio_one_and_no_clipping_after_snapshot(self, toy_world):
         items, reward_ctx, model = toy_world
-        model = snapshot(model)
-        model.frozen_at = None
+        model = copy.deepcopy(model)
         cfg = RlConfig(batch_size=4, steps=10)
         result = train_step(
-            model, snapshot(model), items[:4], cfg,
+            model, AdamWState(), items[:4], cfg,
             np.random.default_rng(0), reward_ctx,
         )
-        assert result.report.ratio_mean == 1.0
-        assert result.report.frac_clipped == 0.0
-
-    def test_snapshot_refreshed_to_updated_model(self, toy_world):
-        items, reward_ctx, model = toy_world
-        model = snapshot(model)
-        model.frozen_at = None
-        cfg = RlConfig(batch_size=4, steps=10, lr=1e-2)
-        result = train_step(
-            model, snapshot(model), items[:4], cfg,
-            np.random.default_rng(1), reward_ctx,
-        )
-        assert params_equal(result.snapshot, model)
-        assert result.snapshot.frozen_at == 1
+        assert result.ratio_mean == 1.0
+        assert result.frac_clipped == 0.0
 
     def test_constant_rewards_freeze_surrogate(self, toy_world):
         items, _, model = toy_world
-        model = snapshot(model)
-        model.frozen_at = None
+        model = copy.deepcopy(model)
         before = {n: getattr(model, n).copy() for n in ("w1", "b1", "w2", "b2")}
         cfg = RlConfig(batch_size=4, steps=10, entropy_coef=0.0, kl_coef=0.0,
                        weight_decay=0.0)
         result = train_step(
-            model, snapshot(model), items[:4], cfg,
+            model, AdamWState(), items[:4], cfg,
             np.random.default_rng(2), _ConstantReward(),
         )
-        assert result.report.grad_norm == 0.0
+        assert result.grad_norm == 0.0
         for name, arr in before.items():
             assert np.array_equal(getattr(model, name), arr)
 
     def test_entropy_still_moves_parameters_with_flat_rewards(self, toy_world):
         items, _, model = toy_world
-        model = snapshot(model)
-        model.frozen_at = None
+        model = copy.deepcopy(model)
         before = model.w1.copy()
         cfg = RlConfig(batch_size=4, steps=10, entropy_coef=0.1, kl_coef=0.0)
-        train_step(model, snapshot(model), items[:4], cfg,
+        train_step(model, AdamWState(), items[:4], cfg,
                    np.random.default_rng(3), _ConstantReward())
         assert not np.array_equal(model.w1, before)
 
     def test_nonfinite_reward_raises_divergence(self, toy_world):
         items, _, model = toy_world
-        model = snapshot(model)
-        model.frozen_at = None
+        model = copy.deepcopy(model)
         cfg = RlConfig(batch_size=4, steps=10)
         with pytest.raises(DivergenceError):
-            train_step(model, snapshot(model), items[:4], cfg,
+            train_step(model, AdamWState(), items[:4], cfg,
                        np.random.default_rng(4), _ConstantReward(np.nan))
 
     def test_report_fields_finite(self, toy_world):
         items, reward_ctx, model = toy_world
-        model = snapshot(model)
-        model.frozen_at = None
+        model = copy.deepcopy(model)
         cfg = RlConfig(batch_size=4, steps=10)
-        result = train_step(model, snapshot(model), items[:4], cfg,
+        result = train_step(model, AdamWState(), items[:4], cfg,
                             np.random.default_rng(5), reward_ctx)
-        for value in result.report.to_dict().values():
+        for value in result.to_dict().values():
             assert np.isfinite(value)
 
 
 class TestTrainLoop:
     def run(self, tmp_path, steps, seed=0, name="run", **cfg_kw):
         items, reward_ctx, model = TestTrainLoop._world
-        model = snapshot(model)
-        model.frozen_at = None
+        model = copy.deepcopy(model)
         cfg_kw.setdefault("warm_start_steps", 5)
         cfg = RlConfig(batch_size=3, steps=steps, seed=seed, val_interval=5,
                        **cfg_kw)

@@ -1,5 +1,7 @@
-"""Mask-proposal network: forward contracts, exact gradients, snapshots,
-optimizer behavior and checkpoint round trips."""
+"""Mask-proposal network: forward contracts, exact gradients, model
+copies, optimizer behavior and checkpoint round trips."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -10,13 +12,10 @@ from masksep.separator import (
     ParamGrads,
     apply_adamw_step,
     backward,
-    clone,
     forward,
     init_model,
     load_model,
-    params_equal,
     save_model,
-    snapshot,
     warm_start_supervised,
 )
 
@@ -144,19 +143,23 @@ class TestBackward:
             backward(model, cache, np.ones((*log_mag.shape, 1)))
 
 
+def params_equal(a, b):
+    return all(np.array_equal(getattr(a, n), getattr(b, n))
+               for n in ("w1", "b1", "w2", "b2"))
+
+
 class TestSnapshot:
     def test_snapshot_matches_at_capture(self):
         model = small_model(seed=11)
-        snap = snapshot(model, step=3)
+        snap = copy.deepcopy(model)
         log_mag, query = rand_input(11)
         a, _ = forward(model, log_mag, query)
         b, _ = forward(snap, log_mag, query)
         assert np.array_equal(a, b)
-        assert snap.frozen_at == 3
 
     def test_update_diverges_from_snapshot(self):
         model = small_model(seed=12)
-        snap = snapshot(model)
+        snap = copy.deepcopy(model)
         log_mag, query = rand_input(12)
         _, cache = forward(model, log_mag, query)
         grads = backward(model, cache, np.ones((*log_mag.shape, 1)))
@@ -168,26 +171,10 @@ class TestSnapshot:
 
     def test_snapshot_isolated_from_mutation(self):
         model = small_model(seed=13)
-        snap = snapshot(model)
+        snap = copy.deepcopy(model)
         before = snap.w1.copy()
         model.w1[:] += 1.0
         assert np.array_equal(snap.w1, before)
-
-    def test_snapshot_of_snapshot_idempotent(self):
-        model = small_model(seed=14)
-        s1 = snapshot(model, step=5)
-        s2 = snapshot(s1, step=5)
-        assert params_equal(s1, s2)
-        assert s2.frozen_at == 5
-
-    def test_frozen_snapshot_refuses_updates(self):
-        snap = snapshot(small_model(seed=15))
-        zero = ParamGrads(
-            w1=np.zeros_like(snap.w1), b1=np.zeros_like(snap.b1),
-            w2=np.zeros_like(snap.w2), b2=np.zeros_like(snap.b2),
-        )
-        with pytest.raises(ValueError, match="frozen"):
-            apply_adamw_step(snap, zero, AdamWState())
 
 
 class TestAdamW:
@@ -272,5 +259,5 @@ def test_warm_start_reduces_weighted_bce():
     weight = rng.uniform(0.5, 1.5, size=(6, 5, 1))
     weight /= weight.sum()
     batches = [[(log_mag, query, target, weight)]] * 60
-    losses = warm_start_supervised(clone(model), batches, AdamWState(), lr=1e-2)
+    losses = warm_start_supervised(copy.deepcopy(model), batches, AdamWState(), lr=1e-2)
     assert losses[-1] < losses[0]
