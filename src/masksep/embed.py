@@ -109,6 +109,18 @@ def _take(data: bytes, offset: int, size: int, path, what: str):
     return data[offset:end], end
 
 
+def _take_text(data: bytes, offset: int, size: int, path, what: str):
+    """_take, decoded as UTF-8; ValueError naming the path and ``what``
+    when the bytes are not UTF-8."""
+    raw, end = _take(data, offset, size, path, what)
+    try:
+        return raw.decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{path}: {what} is not UTF-8 (byte {offset + exc.start})"
+        ) from None
+
+
 def load_store(path) -> EmbeddingStore:
     data = Path(path).read_bytes()
     if data[:4] != STORE_MAGIC:
@@ -124,14 +136,14 @@ def load_store(path) -> EmbeddingStore:
         code, id_len = struct.unpack("<BH", head)
         if code >= len(MODALITIES):
             raise ValueError(f"{path}: unknown modality code {code}")
-        raw_id, offset = _take(data, offset, id_len, path, f"{record} id")
+        item_id, offset = _take_text(data, offset, id_len, path, f"{record} id")
         head, offset = _take(data, offset, 2, path, f"{record} class length")
         (label_len,) = struct.unpack("<H", head)
-        raw_label, offset = _take(data, offset, label_len, path,
-                                  f"{record} class")
+        label, offset = _take_text(data, offset, label_len, path,
+                                   f"{record} class")
         raw_vec, offset = _take(data, offset, 4 * dim, path, f"{record} vector")
-        store.add(MODALITIES[code], raw_id.decode("utf-8"),
-                  raw_label.decode("utf-8"), np.frombuffer(raw_vec, dtype="<f4"))
+        store.add(MODALITIES[code], item_id, label,
+                  np.frombuffer(raw_vec, dtype="<f4"))
     if offset != len(data):
         raise ValueError(f"{path}: trailing bytes after {count} records")
     return store

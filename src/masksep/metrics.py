@@ -52,13 +52,9 @@ def _db_ratio(num: float, den: float, floor: float = 0.0) -> float:
 def si_sdr(est, ref) -> float:
     """Scale-invariant SDR in dB. No temporal delay search."""
     e, r = _prep(est, ref)
-    ref_energy = float(np.dot(r, r))
-    if ref_energy == 0.0:
+    if float(np.dot(r, r)) == 0.0:
         raise ValueError("reference has zero energy; guard upstream")
-    alpha = float(np.dot(e, r)) / ref_energy
-    target = alpha * r
-    noise = e - target
-    return _db_ratio(float(np.dot(target, target)), float(np.dot(noise, noise)))
+    return _si_sdr_prepped(e, r)
 
 
 def optimal_assignment(score_matrix: np.ndarray) -> tuple:

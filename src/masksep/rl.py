@@ -24,15 +24,13 @@ from .errors import ConfigError, DivergenceError
 from .optim import AdamWState
 from .policy import (
     BetaPolicyParams,
-    PolicyMath,
-    entropy_grad_math,
-    entropy_math,
+    entropy,
+    entropy_grad,
     kappa_schedule,
     kl_divergence,
-    kl_divergence_grad_math,
-    kl_divergence_math,
-    log_prob_grad_math,
-    log_prob_math,
+    kl_divergence_grad,
+    log_prob,
+    log_prob_grad,
     params_from_proposal,
     sample,
 )
@@ -197,11 +195,11 @@ class SampledItem:
     """One item's sampled masks with their old-policy scores and
     (normalized) advantages.
 
-    ``params_old``, ``math`` (its tables, built on first use when not
-    given) and ``logp_old`` are the frozen old policy. ``cache`` is the
-    live-model forward pass that produced ``params_old``, when the sampler
-    carries it; the gradient step then reuses it instead of forwarding the
-    model again, and backward() rejects it if the model has changed since."""
+    ``params_old`` (with the tables sampling built on it) and ``logp_old``
+    are the frozen old policy. ``cache`` is the live-model forward pass that
+    produced ``params_old``, when the sampler carries it; the gradient step
+    then reuses it instead of forwarding the model again, and backward()
+    rejects it if the model has changed since."""
 
     item: TrainItem
     params_old: BetaPolicyParams
@@ -209,11 +207,6 @@ class SampledItem:
     logp_old: list
     advantages: list = field(default_factory=list)
     cache: object | None = None
-    math: PolicyMath | None = None
-
-    def __post_init__(self):
-        if self.math is None:
-            self.math = PolicyMath(self.params_old)
 
 
 @dataclass
@@ -237,8 +230,8 @@ def objective_and_grads(
     live model's parameters (Beta-shape chain rule through the proposal).
 
     An item carrying the sampler's forward cache has the live policy equal
-    to its old one, so both share one table set; other items forward the
-    live model here."""
+    to its old one, so both are ``params_old`` and share its tables; other
+    items forward the live model here."""
     n_items = len(batch)
     n_samples = sum(len(s.masks) for s in batch)
     total = None
@@ -247,19 +240,19 @@ def objective_and_grads(
 
     for sampled in batch:
         item = sampled.item
-        math_old = sampled.math
+        old = sampled.params_old
         if sampled.cache is None:
             proposal, cache = forward(model, item.log_mag, item.query)
-            math_new = PolicyMath(params_from_proposal(proposal, kappa))
+            new = params_from_proposal(proposal, kappa)
         else:
-            cache, math_new = sampled.cache, math_old
+            cache, new = sampled.cache, old
 
-        d_alpha = np.zeros(math_new.params.shape)
-        d_beta = np.zeros(math_new.params.shape)
+        d_alpha = np.zeros(new.shape)
+        d_beta = np.zeros(new.shape)
         for mask, logp_old, adv in zip(
             sampled.masks, sampled.logp_old, sampled.advantages
         ):
-            logp_new = log_prob_math(math_new, mask)
+            logp_new = log_prob(new, mask)
             log_diff = logp_new - logp_old
             ratio = importance_ratio(logp_new, logp_old)
             value, branch = clipped_surrogate(ratio, adv, cfg.clip_epsilon)
@@ -269,18 +262,18 @@ def objective_and_grads(
             ratios_all.append(ratio)
             values_all.append(value)
             if coeff != 0.0:
-                g_a, g_b = log_prob_grad_math(math_new, mask)
+                g_a, g_b = log_prob_grad(new, mask)
                 d_alpha += (coeff / n_samples) * g_a
                 d_beta += (coeff / n_samples) * g_b
 
-        entropies.append(entropy_math(math_new))
-        kls.append(kl_divergence_math(math_new, math_old))
+        entropies.append(entropy(new))
+        kls.append(kl_divergence(new, old))
         if cfg.entropy_coef != 0.0:
-            h_a, h_b = entropy_grad_math(math_new)
+            h_a, h_b = entropy_grad(new)
             d_alpha += (cfg.entropy_coef / n_items) * h_a
             d_beta += (cfg.entropy_coef / n_items) * h_b
         if cfg.kl_coef != 0.0:
-            k_a, k_b = kl_divergence_grad_math(math_new, math_old)
+            k_a, k_b = kl_divergence_grad(new, old)
             d_alpha -= (cfg.kl_coef / n_items) * k_a
             d_beta -= (cfg.kl_coef / n_items) * k_b
 
@@ -355,11 +348,9 @@ def train_step(
         # one forward serves sampling now and the gradient pass later
         proposal_old, cache = forward(model, item.log_mag, item.query)
         params_old = params_from_proposal(proposal_old, kappa)
-        math_old = PolicyMath(params_old)
         masks, logps = [], []
         for _ in range(cfg.mc_samples):
-            ps = sample(params_old, rng, clamp_eps=cfg.sample_clamp,
-                        with_entropy=False, math=math_old)
+            ps = sample(params_old, rng, clamp_eps=cfg.sample_clamp)
             wav = apply_mask_reconstruct(item.mix_spec, Mask(ps.mask[:, :, 0]))
             masks.append(ps.mask)
             logps.append(ps.log_prob)
@@ -371,7 +362,6 @@ def train_step(
                 masks=masks,
                 logp_old=logps,
                 cache=cache,
-                math=math_old,
             )
         )
 

@@ -239,19 +239,34 @@ def save_model(path, model: SeparatorModel) -> None:
 
 
 def load_model(path) -> SeparatorModel:
+    """Load a separator checkpoint; ValueError naming the path and the
+    hparam or array when one is missing or an array's shape disagrees with
+    the hparams."""
     kind, hparams, arrays = checkpoint.load_checkpoint(path)
     if kind != "separator":
         raise ValueError(f"{path} holds a {kind!r} checkpoint, not a separator")
-    return SeparatorModel(
-        w1=arrays["w1"],
-        b1=arrays["b1"],
-        w2=arrays["w2"],
-        b2=arrays["b2"],
-        context=int(hparams["context"]),
-        hidden_width=int(hparams["hidden_width"]),
-        query_dim=int(hparams["query_dim"]),
-        k_sources=int(hparams["k_sources"]),
-    )
+    try:
+        dims = {key: int(hparams[key])
+                for key in ("context", "hidden_width", "query_dim", "k_sources")}
+    except KeyError as exc:
+        raise ValueError(
+            f"{path}: separator checkpoint has no hparam {exc.args[0]}"
+        ) from None
+    model = SeparatorModel(**{name: arrays.get(name) for name in PARAM_NAMES},
+                           **dims)
+    hidden, k = model.hidden_width, model.k_sources
+    expected = {"w1": (model.input_dim, hidden), "b1": (hidden,),
+                "w2": (hidden, k), "b2": (k,)}
+    for name, shape in expected.items():
+        arr = getattr(model, name)
+        if arr is None:
+            raise ValueError(f"{path}: separator checkpoint has no array {name}")
+        if arr.shape != shape:
+            raise ValueError(
+                f"{path}: array {name} has shape {arr.shape}, but the hparams "
+                f"give {shape}"
+            )
+    return model
 
 
 def warm_start_supervised(

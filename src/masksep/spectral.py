@@ -32,7 +32,6 @@ class StftConfig:
     fft_size: int = 1024
     hop: int = 256
     window_size: int = 1024
-    window: str = "hann"
 
     def __post_init__(self):
         if self.hop <= 0 or self.window_size <= 0 or self.fft_size <= 0:
@@ -42,8 +41,6 @@ class StftConfig:
                 f"need hop <= window_size <= fft_size, got "
                 f"({self.fft_size}, {self.hop}, {self.window_size})"
             )
-        if self.window != "hann":
-            raise ConfigError(f"unsupported window kind: {self.window!r}")
         # Overlap-add of the squared window must never vanish inside a
         # frame span, otherwise synthesis cannot invert analysis.
         w2 = self.window_array() ** 2
@@ -53,7 +50,7 @@ class StftConfig:
         interior = envelope[self.window_size - self.hop : self.window_size]
         if interior.min() < _NOLA_EPS:
             raise ConfigError(
-                f"window {self.window!r} at hop {self.hop} has a vanishing "
+                f"Hann window at hop {self.hop} has a vanishing "
                 "overlap-add envelope; pick hop <= window_size // 2"
             )
 
@@ -63,11 +60,6 @@ class StftConfig:
     @property
     def num_bins(self) -> int:
         return self.fft_size // 2 + 1
-
-    def num_frames(self, n_samples: int) -> int:
-        """Frame count for centered analysis of n_samples."""
-        pad = self.window_size // 2
-        return (n_samples + 2 * pad - self.window_size) // self.hop + 1
 
 
 @dataclass(frozen=True)
@@ -133,14 +125,6 @@ class Mask:
         if values.min() < 0.0 or values.max() > 1.0:
             raise ValueError("mask entries must lie in [0, 1]")
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def ones(cls, shape) -> "Mask":
-        return cls(np.ones(shape))
-
-    @classmethod
-    def zeros(cls, shape) -> "Mask":
-        return cls(np.zeros(shape))
 
 
 def stft(w: Waveform, cfg: StftConfig) -> Spectrogram:

@@ -202,7 +202,7 @@ def test_criterion_2_gradient_fidelity():
     assert worst <= 1e-3
 
     # end-to-end policy-step gradient on a 4-bin toy, <= 1e-3
-    from masksep.policy import PolicyMath, sample
+    from masksep.policy import sample
     from masksep.reward import RewardTargets
     from masksep.rl import RlConfig, SampledItem, TrainItem, objective_and_grads
 
@@ -221,8 +221,7 @@ def test_criterion_2_gradient_fidelity():
                          query=rng.standard_normal(2), targets=RewardTargets())
         proposal_old, _ = forward(old, item.log_mag, item.query)
         params_old = params_from_proposal(proposal_old, 9.0)
-        ps = sample(params_old, np.random.default_rng(10 + i),
-                    with_entropy=False, math=PolicyMath(params_old))
+        ps = sample(params_old, np.random.default_rng(10 + i))
         batch.append(SampledItem(item=item, params_old=params_old,
                                  masks=[ps.mask], logp_old=[ps.log_prob],
                                  advantages=[float(rng.normal())]))

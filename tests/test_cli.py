@@ -199,6 +199,34 @@ class TestSeparate:
         assert "Traceback" not in err
         assert "embeddings.embd" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("hparams", "context", 3, "array w1"),
+        ("hparams", "query_dim", 8, "array w1"),
+        ("hparams", "hidden_width", 4, "array w1"),
+        ("hparams", "k_sources", 2, "array w2"),
+        ("arrays", "b2", None, "array b2"),
+        ("hparams", "context", None, "hparam context"),
+    ])
+    def test_checkpoint_disagreeing_with_hparams_is_config_error(
+            self, small_dataset, trained_run, tmp_path, capsys, section, key,
+            value, named):
+        payload = json.loads(
+            (trained_run / "checkpoints" / "best.json").read_text()
+        )
+        if value is None:
+            del payload[section][key]
+        else:
+            payload[section][key] = value
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_text(json.dumps(payload))
+        code = main(["separate", "--checkpoint", str(ckpt),
+                     "--dataset", str(small_dataset), "--out",
+                     str(tmp_path / "sep")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert str(ckpt) in err and named in err
+
     def test_identity_like_checkpoint_on_all_ones_proposal(self, small_dataset,
                                                            tmp_path):
         # saturate the output bias so the proposal is ~1 everywhere: the

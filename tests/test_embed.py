@@ -1,6 +1,8 @@
 """Embedding providers: oracle separability, waveform-feature calibration,
 store round trips and projection-head gradients."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,16 @@ class TestStore:
         for cut in range(len(data)):
             path.write_bytes(data[:cut])
             with pytest.raises(ValueError, match="store.embd"):
+                load_store(path)
+        # a byte that is not UTF-8 in an id or a class label names the file
+        # and the field (the first id starts after the 18-byte file header
+        # and the 3-byte record header)
+        id_len = struct.unpack_from("<H", data, 19)[0]
+        for pos, what in ((21, "record 0 id"), (23 + id_len, "record 0 class")):
+            flipped = bytearray(data)
+            flipped[pos] = 0xFF
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(ValueError, match=f"store.embd: {what} "):
                 load_store(path)
 
     def test_manifest_round_trip(self, tmp_path):

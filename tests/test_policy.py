@@ -244,39 +244,31 @@ class TestGradients:
             assert g_b[0] == pytest.approx(fd_b, rel=1e-4, abs=1e-8)
 
 
-class TestPolicyMath:
-    def test_shared_tables_match_standalone_ops_bitwise(self):
-        from masksep.policy import (
-            PolicyMath,
-            entropy_grad_math,
-            entropy_math,
-            kl_divergence_grad_math,
-            kl_divergence_math,
-            log_prob_grad_math,
-            log_prob_math,
-        )
+class TestSharedTables:
+    def test_shared_tables_match_standalone_ops_bitwise(self, monkeypatch):
+        from masksep import policy
         from masksep.special import digamma, log_beta, trigamma
 
         rng = np.random.default_rng(13)
         params = params_from_proposal(rng.uniform(size=(7, 5)), 9.0)
         other = params_from_proposal(rng.uniform(size=(7, 5)), 4.0)
         mask = rng.uniform(0.05, 0.95, size=(7, 5))
-        math = PolicyMath(params)
-        assert log_prob_math(math, mask) == log_prob(params, mask)
-        assert entropy_math(math) == entropy(params)
-        for shared, standalone in zip(
-            log_prob_grad_math(math, mask), log_prob_grad(params, mask)
-        ):
-            assert np.array_equal(shared, standalone)
-        for shared, standalone in zip(entropy_grad_math(math), entropy_grad(params)):
-            assert np.array_equal(shared, standalone)
-        other_math = PolicyMath(other)
-        assert kl_divergence_math(math, other_math) == kl_divergence(params, other)
-        for shared, standalone in zip(
-            kl_divergence_grad_math(math, other_math),
-            kl_divergence_grad(params, other),
-        ):
-            assert np.array_equal(shared, standalone)
+
+        def evaluate():
+            return [
+                log_prob(params, mask), entropy(params),
+                *log_prob_grad(params, mask), *entropy_grad(params),
+                kl_divergence(params, other), *kl_divergence_grad(params, other),
+            ]
+
+        first = evaluate()
+        # the second pass reads the cached tables: no special function runs
+        for name in ("digamma", "trigamma", "log_gamma"):
+            monkeypatch.setattr(policy, name, None)
+        second = evaluate()
+        monkeypatch.undo()
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
 
         # the stacked tables reproduce separate special-function calls
         ap, bp, aq, bq = params.alpha, params.beta, other.alpha, other.beta
@@ -289,12 +281,6 @@ class TestPolicyMath:
         g_a, g_b = kl_divergence_grad(params, other)
         assert np.array_equal(g_a, (ap - aq) * trigamma(ap) + cross)
         assert np.array_equal(g_b, (bp - bq) * trigamma(bp) + cross)
-
-    def test_sampling_can_skip_entropy(self):
-        params = params_from_proposal(np.full(8, 0.4), 9.0)
-        ps = sample(params, np.random.default_rng(1), with_entropy=False)
-        assert ps.entropy is None
-        assert np.isfinite(ps.log_prob)
 
 
 class TestKappaSchedule:

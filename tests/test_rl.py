@@ -9,7 +9,7 @@ import pytest
 
 from masksep.errors import DivergenceError
 from masksep.optim import AdamWState
-from masksep.policy import PolicyMath, params_from_proposal, sample
+from masksep.policy import params_from_proposal, sample
 from masksep.rl import (
     RewardContext,
     RlConfig,
@@ -164,8 +164,8 @@ class TestClippedSurrogate:
 def toy_sampled_batch(model, old, kappa, cfg, seed=0, carry_forward=False):
     """Sample masks/advantages for a 4-bin toy through the real machinery.
 
-    With ``carry_forward`` the items keep the old model's forward cache and
-    tables, as the training step's sampler does (``old`` must then be the
+    With ``carry_forward`` the items keep the old model's forward cache,
+    as the training step's sampler does (``old`` must then be the
     live model)."""
     rng = np.random.default_rng(seed)
     items = []
@@ -183,8 +183,7 @@ def toy_sampled_batch(model, old, kappa, cfg, seed=0, carry_forward=False):
     for item in items:
         proposal_old, cache = forward(old, item.log_mag, item.query)
         params_old = params_from_proposal(proposal_old, kappa)
-        math = PolicyMath(params_old)
-        ps = sample(params_old, rng, math=math)
+        ps = sample(params_old, rng)
         batch.append(
             SampledItem(
                 item=item,
@@ -193,7 +192,6 @@ def toy_sampled_batch(model, old, kappa, cfg, seed=0, carry_forward=False):
                 logp_old=[ps.log_prob],
                 advantages=[float(rng.normal())],
                 cache=cache if carry_forward else None,
-                math=math if carry_forward else None,
             )
         )
     return batch
@@ -365,6 +363,25 @@ class TestTrainStep:
         with pytest.raises(DivergenceError):
             train_step(model, AdamWState(), items[:4], cfg,
                        np.random.default_rng(4), _ConstantReward(np.nan))
+
+    def test_one_table_set_per_item_plus_probe(self, toy_world, monkeypatch):
+        # each item's tables serve its sampling, objective, KL and their
+        # gradients; the kl_post probe builds one more set and reuses the
+        # lead item's log-normalizer
+        from masksep import policy
+
+        items, reward_ctx, model = toy_world
+        model = copy.deepcopy(model)
+        calls = {}
+        for name in ("log_gamma", "digamma", "trigamma"):
+            def counted(x, _fn=getattr(policy, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(x)
+            monkeypatch.setattr(policy, name, counted)
+        b = 4
+        train_step(model, AdamWState(), items[:b], RlConfig(batch_size=b),
+                   np.random.default_rng(6), reward_ctx)
+        assert calls == {"log_gamma": b + 1, "digamma": b + 1, "trigamma": b}
 
     def test_report_fields_finite(self, toy_world):
         items, reward_ctx, model = toy_world

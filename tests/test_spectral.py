@@ -112,13 +112,13 @@ class TestMasking:
     def test_identity_mask_returns_mixture(self):
         w = _rand_wave(16384, 7)
         s = stft(w, CFG)
-        rec = apply_mask_reconstruct(s, Mask.ones(s.shape))
+        rec = apply_mask_reconstruct(s, Mask(np.ones(s.shape)))
         err = np.linalg.norm(rec.samples - w.samples) / np.linalg.norm(w.samples)
         assert err <= 1e-6
 
     def test_zero_mask_returns_silence(self):
         s = stft(_rand_wave(16384, 8), CFG)
-        assert np.all(apply_mask_reconstruct(s, Mask.zeros(s.shape)).samples == 0)
+        assert np.all(apply_mask_reconstruct(s, Mask(np.zeros(s.shape))).samples == 0)
 
     def test_shape_mismatch_rejected(self):
         s = stft(_rand_wave(16384, 9), CFG)
