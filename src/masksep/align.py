@@ -30,6 +30,8 @@ from .errors import ConfigError, DivergenceError
 from .optim import AdamWState, adamw_step
 
 STAGE_TRAINABLE_HEADS = {1: ("audio", "text"), 2: ("audio",), 3: ("audio", "vision")}
+# store modality -> the HeadSet head that projects it
+HEAD_OF_MODALITY = {"audio": "audio", "text": "text", "video": "vision"}
 
 
 @dataclass
@@ -48,7 +50,6 @@ class StageConfig:
     mu2: float = 1.0
     mu3: float = 0.25
     mu4: float = 0.25
-    val_fraction: float = 0.1
     weight_decay: float = 0.0
     clip_norm: float = 1.0
 
@@ -63,6 +64,14 @@ class StageConfig:
             raise ConfigError("margin must be >= 0")
         if not 0.0 <= self.replay_fraction <= 1.0:
             raise ConfigError("replay_fraction must lie in [0, 1]")
+
+    @classmethod
+    def from_dict(cls, stage: int, d: dict) -> "StageConfig":
+        """Stage ``stage`` with the config-file overrides ``d``."""
+        unknown = set(d) - (set(cls.__dataclass_fields__) - {"stage"})
+        if unknown:
+            raise ConfigError(f"stage {stage}: unknown config keys: {sorted(unknown)}")
+        return cls(stage=stage, **d)
 
 
 @dataclass
@@ -336,44 +345,6 @@ class HeadSet:
             temperature=self.temperature.copy(),
         )
 
-    def head(self, modality: str) -> ProjectionHead:
-        return {"audio": self.audio, "text": self.text, "video": self.vision}[
-            modality
-        ]
-
-
-class _BatchProjector:
-    """Projects store vectors through heads and routes gradients back."""
-
-    def __init__(self, store: EmbeddingStore, heads: HeadSet):
-        self.store = store
-        self.heads = heads
-        self.grad_w: dict[str, np.ndarray] = {}
-        self.grad_b: dict[str, np.ndarray] = {}
-        self._entries: list = []
-
-    def project_batch(self, refs) -> np.ndarray:
-        rows = []
-        entry = []
-        for modality, item_id in refs:
-            raw = self.store.get(modality, item_id)
-            rows.append(project(self.heads.head(modality), raw))
-            entry.append((modality, raw))
-        self._entries.append(entry)
-        return np.asarray(rows)
-
-    def backprop(self, batch_index: int, upstream: np.ndarray) -> None:
-        entry = self._entries[batch_index]
-        for (modality, raw), up_row in zip(entry, upstream):
-            head_name = "vision" if modality == "video" else modality
-            head = self.heads.head(modality)
-            dw, db = project_backward(head, raw, up_row)
-            if head_name not in self.grad_w:
-                self.grad_w[head_name] = np.zeros_like(head.weight)
-                self.grad_b[head_name] = np.zeros_like(head.bias)
-            self.grad_w[head_name] += dw
-            self.grad_b[head_name] += db
-
 
 @dataclass
 class StageReport:
@@ -392,54 +363,59 @@ class CurriculumState:
 
 
 def _stage_batch_loss(store, heads, batch: PairBatch, cfg: StageConfig,
-                      rng, projector=None, replay_ids=None):
-    """Loss (and, when projector is given, head gradients) for one batch."""
-    own = projector or _BatchProjector(store, heads)
+                      rng, replay_ids=None, backward=False):
+    """(loss, d loss / d log_tau, head gradients) for one batch.
+
+    Each ref list holds one modality and is projected as one block, named
+    after the loss input it feeds. With ``backward``, the head gradients
+    map each head name to its (weight, bias) gradients summed over every
+    block it projected; without it they are None."""
+    blocks = {}
+
+    def proj(name, refs):
+        (modality,) = {m for m, _ in refs}
+        raw = np.array([store.get(modality, item_id) for _, item_id in refs])
+        head_name = HEAD_OF_MODALITY[modality]
+        blocks[name] = (head_name, raw)
+        return project(getattr(heads, head_name), raw)
+
     if batch.stage == 1:
-        za = own.project_batch(batch.anchors)
-        zt = own.project_batch(batch.positives)
-        res = info_nce_symmetric(za, zt, heads.temperature)
-        grads = {0: res.d_a, 1: res.d_b}
-        loss, d_log_tau = res.loss, res.d_log_tau
+        res = info_nce_symmetric(proj("za", batch.anchors),
+                                 proj("zt", batch.positives), heads.temperature)
+        d_inputs = {"za": res.d_a, "zt": res.d_b}
     elif batch.stage == 2:
-        z1 = own.project_batch(batch.anchors)
-        z2 = own.project_batch(batch.positives)
-        zn = own.project_batch(batch.negatives)
-        res = stage2_loss(z1, z2, zn, heads.temperature, cfg)
-        grads = {0: res.d_inputs["z1"], 1: res.d_inputs["z2"],
-                 2: res.d_inputs["zn"]}
-        loss, d_log_tau = res.loss, res.d_log_tau
+        res = stage2_loss(proj("z1", batch.anchors), proj("z2", batch.positives),
+                          proj("zn", batch.negatives), heads.temperature, cfg)
+        d_inputs = res.d_inputs
     else:
-        za = own.project_batch(batch.anchors)
-        zv_pos = own.project_batch(batch.positives)
-        zv_neg = own.project_batch(batch.negatives)
+        za = proj("za", batch.anchors)
+        zv_pos = proj("zv_pos", batch.positives)
+        zv_neg = proj("zv_neg", batch.negatives)
         replay_n = max(2, int(round(cfg.replay_fraction * cfg.batch_size)))
         replay_s1 = replay_s2 = None
         if cfg.mu3 > 0.0:
             b1 = build_pairs(store, 1, rng, replay_n, ids=replay_ids)
-            replay_s1 = (own.project_batch(b1.anchors),
-                         own.project_batch(b1.positives))
+            replay_s1 = (proj("replay_audio", b1.anchors),
+                         proj("replay_text", b1.positives))
         if cfg.mu4 > 0.0:
             b2 = build_pairs(store, 2, rng, replay_n, ids=replay_ids)
-            replay_s2 = (own.project_batch(b2.anchors),
-                         own.project_batch(b2.positives),
-                         own.project_batch(b2.negatives))
+            replay_s2 = (proj("replay_z1", b2.anchors),
+                         proj("replay_z2", b2.positives),
+                         proj("replay_zn", b2.negatives))
         res = stage3_loss(za, zv_pos, zv_neg, heads.temperature, cfg,
                           replay_s1=replay_s1, replay_s2=replay_s2)
-        grads = {0: res.d_inputs["za"], 1: res.d_inputs["zv_pos"],
-                 2: res.d_inputs["zv_neg"]}
-        next_idx = 3
-        for key in ("replay_audio", "replay_text", "replay_z1", "replay_z2",
-                    "replay_zn"):
-            if key in res.d_inputs:
-                grads[next_idx] = res.d_inputs[key]
-                next_idx += 1
-        loss, d_log_tau = res.loss, res.d_log_tau
+        d_inputs = res.d_inputs
 
-    if projector is not None:
-        for idx, upstream in grads.items():
-            projector.backprop(idx, upstream)
-    return loss, d_log_tau
+    head_grads = None
+    if backward:
+        head_grads = {}
+        for name, (head_name, raw) in blocks.items():
+            dw, db = project_backward(getattr(heads, head_name), raw,
+                                      d_inputs[name])
+            prev = head_grads.get(head_name)
+            head_grads[head_name] = (dw, db) if prev is None else (
+                prev[0] + dw, prev[1] + db)
+    return res.loss, res.d_log_tau, head_grads
 
 
 def run_curriculum(
@@ -483,10 +459,9 @@ def run_curriculum(
                     eff_stage = 1
                 batch = build_pairs(store, eff_stage, rng, cfg.batch_size,
                                     ids=train_ids)
-                projector = _BatchProjector(store, heads)
-                loss, d_log_tau = _stage_batch_loss(
-                    store, heads, batch, cfg, rng, projector=projector,
-                    replay_ids=train_ids,
+                loss, d_log_tau, head_grads = _stage_batch_loss(
+                    store, heads, batch, cfg, rng, replay_ids=train_ids,
+                    backward=True,
                 )
                 if not np.isfinite(loss):
                     raise DivergenceError(
@@ -494,12 +469,12 @@ def run_curriculum(
                     )
                 params, grads = {}, {}
                 for head_name in STAGE_TRAINABLE_HEADS[stage]:
-                    head = getattr(heads, head_name)
-                    if head_name in projector.grad_w:
+                    if head_name in head_grads:
+                        head = getattr(heads, head_name)
                         params[f"{head_name}_weight"] = head.weight
                         params[f"{head_name}_bias"] = head.bias
-                        grads[f"{head_name}_weight"] = projector.grad_w[head_name]
-                        grads[f"{head_name}_bias"] = projector.grad_b[head_name]
+                        (grads[f"{head_name}_weight"],
+                         grads[f"{head_name}_bias"]) = head_grads[head_name]
                 log_tau_arr = np.array([heads.temperature.log_tau])
                 params["log_tau"] = log_tau_arr
                 grads["log_tau"] = np.array([d_log_tau])
@@ -537,9 +512,9 @@ def _validation_loss(store, heads, cfg, stage, val_ids, train_ids) -> float:
         # validation split too small for this stage's pair constraints
         batch = build_pairs(store, stage, val_rng,
                             n_pairs=max(4, cfg.batch_size), ids=None)
-    loss, _ = _stage_batch_loss(store, heads, batch, cfg,
-                                np.random.default_rng((0xF00D, stage)),
-                                projector=None, replay_ids=train_ids)
+    loss, _, _ = _stage_batch_loss(store, heads, batch, cfg,
+                                   np.random.default_rng((0xF00D, stage)),
+                                   replay_ids=train_ids)
     return loss
 
 
@@ -593,11 +568,9 @@ def discrimination_gap(entries, audio_embedder, heads: HeadSet) -> GapResult:
     """Mean of sim(text, target) - sim(text, mixture) over evaluation items."""
     if not entries:
         raise ValueError("need at least one evaluation item")
-    gaps = []
-    for entry in entries:
-        zt = project(heads.text, np.asarray(entry.text_vector, dtype=np.float64))
-        z_target = project(heads.audio, audio_embedder.embed(entry.target))
-        z_mix = project(heads.audio, audio_embedder.embed(entry.mixture))
-        gaps.append(float(np.dot(zt, z_target) - np.dot(zt, z_mix)))
-    arr = np.asarray(gaps)
-    return GapResult(mean=float(arr.mean()), std=float(arr.std()), per_item=gaps)
+    zt = project(heads.text, [e.text_vector for e in entries])
+    z_target = project(heads.audio, [audio_embedder.embed(e.target) for e in entries])
+    z_mix = project(heads.audio, [audio_embedder.embed(e.mixture) for e in entries])
+    gaps = np.einsum("ij,ij->i", zt, z_target) - np.einsum("ij,ij->i", zt, z_mix)
+    return GapResult(mean=float(gaps.mean()), std=float(gaps.std()),
+                     per_item=gaps.tolist())

@@ -209,14 +209,20 @@ def cmd_train_align(args) -> int:
     (run_dir / "checkpoints").mkdir(exist_ok=True)
     (run_dir / "reports").mkdir(exist_ok=True)
 
+    stages = cfg["stages"]
+    if not isinstance(stages, dict) or set(stages) - {"1", "2", "3"}:
+        raise ConfigError(
+            "'stages' must be a JSON object keyed by \"1\", \"2\" or \"3\""
+        )
+    shared = {key: int(cfg[key]) for key in ("epochs", "steps_per_epoch")
+              if cfg[key] is not None}
     stage_configs = []
     for stage in (1, 2, 3):
-        overrides = dict(cfg["stages"].get(str(stage), {}))
-        if cfg["epochs"] is not None:
-            overrides.setdefault("epochs", int(cfg["epochs"]))
-        if cfg["steps_per_epoch"] is not None:
-            overrides.setdefault("steps_per_epoch", int(cfg["steps_per_epoch"]))
-        stage_configs.append(align.StageConfig(stage=stage, **overrides))
+        overrides = stages.get(str(stage), {})
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"stage {stage}: overrides must be a JSON object")
+        overrides = {**shared, **overrides}
+        stage_configs.append(align.StageConfig.from_dict(stage, overrides))
 
     dataset = pipeline.load_dataset(cfg["dataset"])
     entries = pipeline.gap_entries(dataset, cfg["gap_split"],
@@ -310,8 +316,10 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _load_query(args, dataset) -> np.ndarray:
-    spec = args.query
+def _load_query(spec, dataset) -> np.ndarray:
+    if not isinstance(spec, str):
+        raise ConfigError(f"query {spec!r} must be a string: "
+                          f"store:<modality>:<id> or a JSON file")
     if spec.startswith("store:"):
         if dataset is None:
             raise ConfigError("store queries need --dataset")
@@ -331,8 +339,17 @@ def _load_query(args, dataset) -> np.ndarray:
             )
         return dataset.store.get(modality, item_id)
     data = json.loads(Path(spec).read_text())
-    vector = data["vector"] if isinstance(data, dict) else data
-    return np.asarray(vector, dtype=np.float64)
+    vector = data.get("vector") if isinstance(data, dict) else data
+    try:
+        vector = np.asarray(vector, dtype=np.float64)
+    except (TypeError, ValueError):
+        vector = np.empty(0)
+    if vector.ndim != 1 or vector.size == 0 or not np.all(np.isfinite(vector)):
+        raise ConfigError(
+            f"{spec}: the query must be a finite 1-D list of numbers, "
+            f"alone or under \"vector\""
+        )
+    return vector
 
 
 def cmd_separate(args) -> int:
@@ -375,7 +392,7 @@ def cmd_separate(args) -> int:
             pipeline.load_dataset(cfg["dataset"]) if cfg["dataset"] else None
         )
         mix = read_wav(cfg["mixture"], rate_policy=cfg["rate_policy"])
-        query = _load_query(args, dataset)
+        query = _load_query(cfg["query"], dataset)
         est = pipeline.separate_waveform(model, mix, query, stft_cfg)
         out_path = Path(cfg["out"])
         out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -73,9 +73,6 @@ class EmbeddingStore:
     def ids(self, modality: str) -> list[str]:
         return [i for (m, i) in self._vectors if m == modality]
 
-    def classes(self) -> list[str]:
-        return sorted(set(self.labels.values()))
-
     def items(self):
         for (modality, item_id), vec in self._vectors.items():
             yield modality, item_id, self.labels[(modality, item_id)], vec
@@ -379,26 +376,35 @@ class ProjectionHead:
         return {"weight": self.weight, "bias": self.bias}
 
 
-def project(head: ProjectionHead, e) -> np.ndarray:
-    """unit_normalize(W e + b)."""
+def _affine_rows(head: ProjectionHead, e):
+    """(e, e @ W.T + b, row norms) for an N x D block ``e``."""
     e = np.asarray(e, dtype=np.float64)
-    if e.shape != (head.bias.shape[0],):
+    d = head.bias.shape[0]
+    if e.ndim != 2 or e.shape[1] != d:
         raise ValueError(
-            f"embedding dimension {e.shape} does not match head "
-            f"dimension {head.bias.shape[0]}"
+            f"embedding block shape {e.shape} does not match head "
+            f"dimension {d} (expected N x {d})"
         )
-    return unit_normalize(head.weight @ e + head.bias)
+    y = e @ head.weight.T + head.bias
+    return e, y, np.linalg.norm(y, axis=1, keepdims=True)
+
+
+def project(head: ProjectionHead, e) -> np.ndarray:
+    """unit_normalize(W e_i + b) for every row e_i of an N x D block."""
+    _, y, norm = _affine_rows(head, e)
+    if np.any(norm == 0.0):
+        raise ValueError("cannot normalize a zero vector")
+    return y / norm
 
 
 def project_backward(head: ProjectionHead, e, upstream):
-    """Gradients of sum(upstream * project(head, e)) w.r.t. (weight, bias)."""
-    e = np.asarray(e, dtype=np.float64)
+    """Gradients of sum(upstream * project(head, e)) w.r.t. (weight, bias),
+    summed over the rows of the block."""
+    e, y, norm = _affine_rows(head, e)
     upstream = np.asarray(upstream, dtype=np.float64)
-    y = head.weight @ e + head.bias
-    norm = np.linalg.norm(y)
     z = y / norm
-    d_y = (upstream - z * np.dot(z, upstream)) / norm
-    return np.outer(d_y, e), d_y
+    d_y = (upstream - z * np.einsum("ij,ij->i", z, upstream)[:, None]) / norm
+    return d_y.T @ e, d_y.sum(axis=0)
 
 
 TAU_MIN = 1e-3

@@ -206,10 +206,13 @@ def evaluate_manifest(manifest_path, with_bss: bool = False) -> list[UtteranceEv
     """Score every record of an evaluation manifest."""
     path = Path(manifest_path)
     utterances = []
-    for line in path.read_text().splitlines():
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
         rec = json.loads(line)
+        for key in ("references", "estimates", "mixture"):
+            if not isinstance(rec, dict) or key not in rec:
+                raise ValueError(f"{path}: line {lineno}: record has no {key!r}")
         refs = [read_wav(p, rate_policy="accept") for p in rec["references"]]
         ests = [read_wav(p, rate_policy="accept") for p in rec["estimates"]]
         mix = read_wav(rec["mixture"], rate_policy="accept")

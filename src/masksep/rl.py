@@ -74,7 +74,6 @@ class RlConfig:
     segment_samples: int = 2048
     val_interval: int = 100
     patience: int = 10
-    warm_start: bool = True
     warm_start_steps: int = 300
     warm_start_lr: float = 1e-2
 
@@ -131,16 +130,12 @@ class RewardContext:
     embedder: object  # AudioFeatureEmbedder
     mode: str = "pooled"
     mlbp: MlbpParams | None = None
-    mixup_weights: tuple = (1.0, 1.0, 1.0)
 
     def reward(self, item: TrainItem, waveform) -> float:
         if float(np.max(np.abs(waveform.samples))) == 0.0:
             return -1.0  # silent output: worst case rather than an abort
         e_sep = self.embedder.embed(waveform)
-        return composite_reward(
-            self.mode, e_sep, item.targets, mlbp=self.mlbp,
-            mixup_weights=self.mixup_weights,
-        )
+        return composite_reward(self.mode, e_sep, item.targets, mlbp=self.mlbp)
 
 
 def update_baseline(b: float, batch_mean_reward: float, ema_beta: float) -> float:
@@ -485,7 +480,7 @@ def train_loop(
     """Run cfg.steps updates with minibatch sampling, periodic validation,
     best-checkpoint retention and early stopping. Fully seeded.
 
-    When cfg.warm_start is set, the untrained initial checkpoint is written
+    When cfg.warm_start_steps > 0, the untrained initial checkpoint is written
     first, then the separator is pretrained on ideal-ratio-mask targets
     before any policy step (the paper-style supervised-then-fine-tune
     pipeline); validation step 0 refers to the warm-started model.
@@ -497,7 +492,7 @@ def train_loop(
     save_model(checkpoint_dir / "init.json", model)
 
     rng = np.random.default_rng(cfg.seed)
-    if cfg.warm_start and cfg.warm_start_steps > 0:
+    if cfg.warm_start_steps > 0:
         warm_start(model, train_items, cfg, rng)
     opt_state = AdamWState()
     baseline = 0.0

@@ -151,18 +151,19 @@ def test_criterion_2_gradient_fidelity():
     assert worst <= 1e-3
     separator_err = worst
 
-    # projection-head gradients, <= 1e-4
+    # projection-head gradients over multi-row blocks, <= 1e-4
     worst = 0.0
     for _ in range(10):
         head = ProjectionHead(weight=rng.standard_normal((5, 5)),
                               bias=rng.standard_normal(5))
-        e = rng.standard_normal(5)
-        up = rng.standard_normal(5)
+        e = rng.standard_normal((4, 5))
+        up = rng.standard_normal((4, 5))
         d_w, d_b = project_backward(head, e, up)
         for idx in [(0, 0), (2, 3), (4, 4)]:
             plus = head.copy(); plus.weight[idx] += h
             minus = head.copy(); minus.weight[idx] -= h
-            fd = (np.dot(up, project(plus, e)) - np.dot(up, project(minus, e))) / (2 * h)
+            fd = (np.sum(up * project(plus, e))
+                  - np.sum(up * project(minus, e))) / (2 * h)
             worst = max(worst, abs(d_w[idx] - fd) / max(abs(fd), 1e-8))
     assert worst <= 1e-4
 

@@ -17,6 +17,7 @@ from masksep.align import (
     stage2_loss,
     stage3_loss,
     triplet_cosine,
+    _stage_batch_loss,
 )
 from masksep.embed import EmbeddingStore, OracleEmbedder, Temperature
 
@@ -299,6 +300,66 @@ class TestBuildPairs:
         a = build_pairs(store, 2, np.random.default_rng(7), 16)
         b = build_pairs(store, 2, np.random.default_rng(7), 16)
         assert a.anchors == b.anchors and a.negatives == b.negatives
+
+
+class TestStageBatchLoss:
+    """Head gradients that a curriculum step feeds to the optimizer,
+    against central differences of the same batch loss."""
+
+    @staticmethod
+    def random_heads(dim, seed):
+        rng = np.random.default_rng(seed)
+        heads = HeadSet.identity(dim, tau_init=0.4)
+        for name in ("audio", "text", "vision"):
+            head = getattr(heads, name)
+            head.weight += 0.3 * rng.standard_normal((dim, dim))
+            head.bias += 0.1 * rng.standard_normal(dim)
+        return heads
+
+    @pytest.mark.parametrize("stage,trained", [
+        (1, {"audio", "text"}),
+        (2, {"audio"}),
+        (3, {"audio", "text", "vision"}),  # stage 3 replays stage-1 text
+    ])
+    def test_head_gradients_match_finite_differences(self, stage, trained):
+        store = toy_store(n_items=12, dim=6)
+        heads = self.random_heads(6, seed=stage)
+        cfg = StageConfig(stage=stage, batch_size=6)
+        batch = build_pairs(store, stage, np.random.default_rng(20 + stage), 6)
+
+        def run(hs, backward=False):
+            # a fresh rng per evaluation: stage 3 replays the same pairs
+            return _stage_batch_loss(store, hs, batch, cfg,
+                                     np.random.default_rng(99),
+                                     backward=backward)
+
+        _, d_log_tau, grads = run(heads, backward=True)
+        assert set(grads) == trained
+        h = 1e-6
+        for name in trained:
+            for param, grad in zip(("weight", "bias"), grads[name]):
+                for idx in np.ndindex(grad.shape):
+                    plus, minus = heads.copy(), heads.copy()
+                    getattr(getattr(plus, name), param)[idx] += h
+                    getattr(getattr(minus, name), param)[idx] -= h
+                    fd = (run(plus)[0] - run(minus)[0]) / (2 * h)
+                    assert grad[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+        plus, minus = heads.copy(), heads.copy()
+        plus.temperature.log_tau += h
+        minus.temperature.log_tau -= h
+        fd = (run(plus)[0] - run(minus)[0]) / (2 * h)
+        assert d_log_tau == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+    def test_loss_without_backward_is_the_same(self):
+        store = toy_store(n_items=12, dim=6)
+        heads = self.random_heads(6, seed=4)
+        cfg = StageConfig(stage=3, batch_size=6)
+        batch = build_pairs(store, 3, np.random.default_rng(5), 6)
+        loss, d_log_tau, grads = _stage_batch_loss(
+            store, heads, batch, cfg, np.random.default_rng(6), backward=True)
+        again = _stage_batch_loss(store, heads, batch, cfg,
+                                  np.random.default_rng(6))
+        assert again == (loss, d_log_tau, None)
 
 
 class TestCurriculum:

@@ -158,6 +158,61 @@ class TestSeparate:
                      "--mixture", str(small_dataset / rec["mixture"]),
                      "--out", str(tmp_path / "x.wav")]) == 2
 
+    def test_query_from_config_file(self, small_dataset, trained_run,
+                                    tmp_path, capsys):
+        rec = json.loads(
+            (small_dataset / "manifest.jsonl").read_text().splitlines()[0]
+        )
+        config = tmp_path / "q.json"
+        config.write_text(json.dumps({"query": f"store:text:{rec['item_id']}"}))
+        out = tmp_path / "from_config.wav"
+        code = main(["separate", "--checkpoint",
+                     str(trained_run / "checkpoints" / "best.json"),
+                     "--dataset", str(small_dataset),
+                     "--mixture", str(small_dataset / rec["mixture"]),
+                     "--config", str(config), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert out.exists()
+
+    def test_non_string_query_in_config_is_config_error(
+            self, small_dataset, trained_run, tmp_path, capsys):
+        rec = json.loads(
+            (small_dataset / "manifest.jsonl").read_text().splitlines()[0]
+        )
+        config = tmp_path / "q.json"
+        config.write_text(json.dumps({"query": 5}))
+        code = main(["separate", "--checkpoint",
+                     str(trained_run / "checkpoints" / "best.json"),
+                     "--mixture", str(small_dataset / rec["mixture"]),
+                     "--config", str(config), "--out", str(tmp_path / "x.wav")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("payload", [
+        {"vec": [0.25] * 16},
+        {"vector": [[0.25] * 16]},
+        {"vector": [0.25, "x"]},
+        {"vector": [0.25, None]},
+        {"vector": []},
+        "not a vector",
+    ])
+    def test_bad_query_file_is_config_error(self, small_dataset, trained_run,
+                                            tmp_path, capsys, payload):
+        rec = json.loads(
+            (small_dataset / "manifest.jsonl").read_text().splitlines()[0]
+        )
+        qfile = tmp_path / "q.json"
+        qfile.write_text(json.dumps(payload))
+        code = main(["separate", "--checkpoint",
+                     str(trained_run / "checkpoints" / "best.json"),
+                     "--mixture", str(small_dataset / rec["mixture"]),
+                     "--query", str(qfile), "--out", str(tmp_path / "x.wav")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert str(qfile) in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "query", ["store:text:nope", "store:bogus:item_0000", "store:text"]
     )
@@ -302,6 +357,21 @@ class TestEval:
         assert main(["eval", "--manifest", str(manifest),
                      "--out", str(tmp_path / "out")]) == 3
 
+    @pytest.mark.parametrize("missing", ["references", "estimates", "mixture"])
+    def test_record_missing_a_key_is_config_error(self, sep_out, tmp_path,
+                                                  capsys, missing):
+        lines = (sep_out / "eval_manifest.jsonl").read_text().splitlines()
+        broken = json.loads(lines[0])
+        del broken[missing]
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text("\n".join([lines[0], json.dumps(broken)]) + "\n")
+        code = main(["eval", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert f"{manifest}: line 2" in err and repr(missing) in err
+
 
 class TestTrainAlign:
     def test_zero_epochs_returns_identity_heads(self, small_dataset, tmp_path):
@@ -314,6 +384,38 @@ class TestTrainAlign:
         assert np.array_equal(heads.audio.weight, np.eye(16))
         report = (run / "reports" / "curriculum.txt").read_text()
         assert "discrimination gap" in report
+
+    @pytest.mark.parametrize("stages, named", [
+        ({"1": {"lamda1": 2.0}}, "stage 1: unknown config keys: ['lamda1']"),
+        ({"3": {"val_fraction": 0.2}}, "stage 3: unknown config keys"),
+        ({"2": {"stage": 3}}, "stage 2: unknown config keys: ['stage']"),
+        ({"2": [1.0]}, "stage 2: overrides must be a JSON object"),
+        ({"4": {}}, "'stages' must be a JSON object"),
+        ([{"lambda1": 2.0}], "'stages' must be a JSON object"),
+    ])
+    def test_bad_stage_overrides_are_config_errors(self, small_dataset,
+                                                   tmp_path, capsys, stages,
+                                                   named):
+        config = tmp_path / "align.json"
+        config.write_text(json.dumps({"stages": stages}))
+        code = main(["train-align", "--dataset", str(small_dataset),
+                     "--run-dir", str(tmp_path / "run"), "--config",
+                     str(config), "--epochs", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert named in err
+
+    def test_stage_override_is_applied(self, small_dataset, tmp_path):
+        config = tmp_path / "align.json"
+        config.write_text(json.dumps({"stages": {"2": {"epochs": 0}}}))
+        run = tmp_path / "run"
+        assert main(["train-align", "--dataset", str(small_dataset),
+                     "--run-dir", str(run), "--config", str(config),
+                     "--epochs", "1", "--steps-per-epoch", "2"]) == 0
+        report = (run / "reports" / "curriculum.txt").read_text()
+        assert "stage 1: epochs=1 " in report
+        assert "stage 2: epochs=0 " in report
 
     def test_seed_determinism(self, small_dataset, tmp_path):
         runs = []

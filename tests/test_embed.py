@@ -214,28 +214,30 @@ class TestStore:
 class TestProjectionHead:
     def test_identity_head_normalizes(self):
         head = ProjectionHead.identity(4)
-        e = np.array([3.0, 0.0, 4.0, 0.0])
-        assert np.allclose(project(head, e), e / 5.0)
+        e = np.array([[3.0, 0.0, 4.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
+        assert np.allclose(project(head, e),
+                           [[0.6, 0.0, 0.8, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
     def test_zero_weight_nonzero_bias(self):
         head = ProjectionHead(weight=np.zeros((3, 3)), bias=np.array([0.0, 2.0, 0.0]))
-        for seed in range(3):
-            e = np.random.default_rng(seed).standard_normal(3)
-            assert np.allclose(project(head, e), [0.0, 1.0, 0.0])
+        e = np.random.default_rng(0).standard_normal((3, 3))
+        assert np.allclose(project(head, e), [[0.0, 1.0, 0.0]] * 3)
 
     def test_gradient_matches_finite_differences(self):
+        # loss = sum(up * project(head, E)) over a multi-row block, so the
+        # analytic gradients are sums over the rows
         rng = np.random.default_rng(8)
         h = 1e-6
-        for _ in range(10):
+        for n in (1, 2, 5, 1, 2, 5, 1, 2, 5, 3):
             d = 5
             head = ProjectionHead(weight=rng.standard_normal((d, d)),
                                   bias=rng.standard_normal(d))
-            e = rng.standard_normal(d)
-            up = rng.standard_normal(d)
+            e = rng.standard_normal((n, d))
+            up = rng.standard_normal((n, d))
             d_w, d_b = project_backward(head, e, up)
 
             def loss(hd):
-                return float(np.dot(up, project(hd, e)))
+                return float(np.sum(up * project(hd, e)))
 
             for idx in np.ndindex(d, d):
                 w_plus = head.copy()
@@ -253,8 +255,18 @@ class TestProjectionHead:
                 assert d_b[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            project(ProjectionHead.identity(4), np.zeros(3))
+        with pytest.raises(ValueError, match="does not match"):
+            project(ProjectionHead.identity(4), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="does not match"):
+            project(ProjectionHead.identity(4), np.zeros(4))
+        with pytest.raises(ValueError, match="does not match"):
+            project_backward(ProjectionHead.identity(4), np.ones((2, 3)),
+                             np.ones((2, 4)))
+
+    def test_zero_norm_row_rejected(self):
+        head = ProjectionHead(weight=np.eye(3), bias=np.zeros(3))
+        with pytest.raises(ValueError, match="zero vector"):
+            project(head, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 def test_temperature_clamp():
