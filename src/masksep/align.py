@@ -26,7 +26,7 @@ from .embed import (
     project,
     project_backward,
 )
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, check_field_types
 from .optim import AdamWState, adamw_step
 
 STAGE_TRAINABLE_HEADS = {1: ("audio", "text"), 2: ("audio",), 3: ("audio", "vision")}
@@ -71,6 +71,7 @@ class StageConfig:
         unknown = set(d) - (set(cls.__dataclass_fields__) - {"stage"})
         if unknown:
             raise ConfigError(f"stage {stage}: unknown config keys: {sorted(unknown)}")
+        check_field_types(cls, d, where=f"stage {stage}: ")
         return cls(stage=stage, **d)
 
 

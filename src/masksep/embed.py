@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,22 @@ class OracleEmbedder:
             raise ValueError(f"unknown class {class_id}")
 
 
+@lru_cache(maxsize=None)
+def _feature_layout(sample_rate: int, n_bands: int, fft_size: int, hop: int,
+                    fmin: float):
+    """(STFT config, bin frequencies, band index per bin) of one embedder
+    configuration, built once and shared; the arrays are read-only. Bands
+    are log-spaced from fmin to Nyquist."""
+    cfg = StftConfig(fft_size=fft_size, hop=hop, window_size=fft_size)
+    freqs = np.fft.rfftfreq(fft_size, d=1.0 / sample_rate)
+    edges = np.geomspace(fmin, sample_rate / 2.0, n_bands + 1)
+    band_idx = np.clip(np.searchsorted(edges, freqs, side="right") - 1,
+                       0, n_bands - 1)
+    freqs.flags.writeable = False
+    band_idx.flags.writeable = False
+    return cfg, freqs, band_idx
+
+
 @dataclass
 class AudioFeatureEmbedder:
     """Waveform -> embedding via normalized spectral features and a linear
@@ -253,30 +270,21 @@ class AudioFeatureEmbedder:
     def feature_dim(self) -> int:
         return self.n_bands + self.N_EXTRA
 
-    def _stft_config(self) -> StftConfig:
-        return StftConfig(fft_size=self.fft_size, hop=self.hop,
-                          window_size=self.fft_size)
-
-    def _band_edges(self) -> np.ndarray:
-        nyquist = self.sample_rate / 2.0
-        return np.geomspace(self.fmin, nyquist, self.n_bands + 1)
-
     def features(self, w: Waveform) -> np.ndarray:
         if len(w) < self.fft_size:
             raise ValueError(
                 f"waveform too short for the embedder: {len(w)} < {self.fft_size}"
             )
-        spec = stft(w, self._stft_config())
+        cfg, freqs, band_idx = _feature_layout(
+            self.sample_rate, self.n_bands, self.fft_size, self.hop, self.fmin
+        )
+        spec = stft(w, cfg)
         mag = np.abs(spec.bins)
         power = mag**2
         total = power.sum()
         if total <= 0.0:
             raise ValueError("cannot embed a zero-energy waveform")
 
-        freqs = np.fft.rfftfreq(self.fft_size, d=1.0 / self.sample_rate)
-        edges = self._band_edges()
-        band_idx = np.clip(np.searchsorted(edges, freqs, side="right") - 1,
-                           0, self.n_bands - 1)
         per_freq = power.sum(axis=1)
         bands = np.bincount(band_idx, weights=per_freq, minlength=self.n_bands)
         band_frac = bands / total

@@ -209,7 +209,13 @@ def evaluate_manifest(manifest_path, with_bss: bool = False) -> list[UtteranceEv
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        rec = json.loads(line)
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{path}: line {lineno}: not a JSON record ({exc.msg}, "
+                f"column {exc.colno})"
+            ) from None
         for key in ("references", "estimates", "mixture"):
             if not isinstance(rec, dict) or key not in rec:
                 raise ValueError(f"{path}: line {lineno}: record has no {key!r}")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, check_field_types
 from .optim import AdamWState
 from .policy import (
     BetaPolicyParams,
@@ -97,6 +97,7 @@ class RlConfig:
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        check_field_types(cls, d)
         return cls(**d)
 
     def kappa_at(self, step: int) -> float:
@@ -225,8 +226,10 @@ def objective_and_grads(
     live model's parameters (Beta-shape chain rule through the proposal).
 
     An item carrying the sampler's forward cache has the live policy equal
-    to its old one, so both are ``params_old`` and share its tables; other
-    items forward the live model here."""
+    to its old one: both are ``params_old``, each new log-density is the
+    recorded old one, and the KL term and its gradient are exactly 0, so
+    none of them is recomputed. Other items forward the live model here
+    and take the general path."""
     n_items = len(batch)
     n_samples = sum(len(s.masks) for s in batch)
     total = None
@@ -236,18 +239,19 @@ def objective_and_grads(
     for sampled in batch:
         item = sampled.item
         old = sampled.params_old
-        if sampled.cache is None:
+        reused = sampled.cache is not None
+        if reused:
+            cache, new = sampled.cache, old
+        else:
             proposal, cache = forward(model, item.log_mag, item.query)
             new = params_from_proposal(proposal, kappa)
-        else:
-            cache, new = sampled.cache, old
 
         d_alpha = np.zeros(new.shape)
         d_beta = np.zeros(new.shape)
         for mask, logp_old, adv in zip(
             sampled.masks, sampled.logp_old, sampled.advantages
         ):
-            logp_new = log_prob(new, mask)
+            logp_new = logp_old if reused else log_prob(new, mask)
             log_diff = logp_new - logp_old
             ratio = importance_ratio(logp_new, logp_old)
             value, branch = clipped_surrogate(ratio, adv, cfg.clip_epsilon)
@@ -262,12 +266,12 @@ def objective_and_grads(
                 d_beta += (coeff / n_samples) * g_b
 
         entropies.append(entropy(new))
-        kls.append(kl_divergence(new, old))
+        kls.append(0.0 if reused else kl_divergence(new, old))
         if cfg.entropy_coef != 0.0:
             h_a, h_b = entropy_grad(new)
             d_alpha += (cfg.entropy_coef / n_items) * h_a
             d_beta += (cfg.entropy_coef / n_items) * h_b
-        if cfg.kl_coef != 0.0:
+        if cfg.kl_coef != 0.0 and not reused:
             k_a, k_b = kl_divergence_grad(new, old)
             d_alpha -= (cfg.kl_coef / n_items) * k_a
             d_beta -= (cfg.kl_coef / n_items) * k_b

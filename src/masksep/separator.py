@@ -129,12 +129,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def patch_features(log_mag: np.ndarray, context: int) -> np.ndarray:
-    """Flattened context x context patches around every bin, zero-padded."""
+    """The context x context patch around every bin of the zero-padded
+    grid, as an F x T x context x context view (no copy)."""
     half = context // 2
-    padded = np.pad(log_mag, half, mode="constant")
-    view = np.lib.stride_tricks.sliding_window_view(padded, (context, context))
     f, t = log_mag.shape
-    return view.reshape(f * t, context * context)
+    padded = np.zeros((f + 2 * half, t + 2 * half), dtype=log_mag.dtype)
+    padded[half : half + f, half : half + t] = log_mag
+    return np.lib.stride_tricks.sliding_window_view(padded, (context, context))
 
 
 def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray):
@@ -153,18 +154,24 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray):
             f"query_dim {model.query_dim}"
         )
     f, t = log_mag.shape
-    n = f * t
-    n_patch = model.context * model.context
-    features = np.empty((n, model.input_dim), dtype=dtype)
-    features[:, :n_patch] = patch_features(log_mag, model.context)
-    features[:, n_patch] = np.repeat(
-        np.arange(f, dtype=dtype) / max(f - 1, 1), t
-    )
+    c = model.context
+    n_patch = c * c
+    # row (i, j): the flattened patch around bin (i, j), i / (F - 1), query
+    features = np.empty((f * t, model.input_dim), dtype=dtype)
+    grid = features.reshape(f, t, model.input_dim)
+    np.copyto(grid[:, :, :n_patch].reshape(f, t, c, c),
+              patch_features(log_mag, c))
+    grid[:, :, n_patch] = (np.arange(f, dtype=dtype) / max(f - 1, 1))[:, None]
     features[:, n_patch + 1 :] = query
 
+    # pre1 and the output sigmoid keep their temporaries: formed in place,
+    # they made separating a 513 x 257 mixture page-fault about 14 times as
+    # often (glibc gave the heap top back after every call), which cost
+    # more than the temporaries do
     pre1 = features @ model.w1 + model.b1
     hidden = _softplus(pre1)
-    pre2 = hidden @ model.w2 + model.b2
+    pre2 = hidden @ model.w2
+    pre2 += model.b2
     proposal_flat = _sigmoid(pre2)
     cache = ForwardCache(
         features=features,
@@ -196,8 +203,18 @@ def backward(
     d_pre2 = up_flat * p * (1.0 - p)
     d_w2 = cache.hidden.T @ d_pre2
     d_b2 = d_pre2.sum(axis=0)
-    d_hidden = d_pre2 @ model.w2.T
-    d_pre1 = d_hidden * _sigmoid(cache.pre1)
+    # d_hidden = d_pre2 @ w2.T, summed over the K sources without a GEMM:
+    # for K = 1 it is the rank-1 outer product, the same single product
+    # per entry a K = 1 GEMM computes, at a fraction of its overhead
+    d_hidden = np.einsum("nk,hk->nh", d_pre2, model.w2)
+    # d_pre1 = d_hidden * sigmoid(pre1), the sigmoid formed in one buffer
+    sig = np.negative(cache.pre1)
+    with np.errstate(over="ignore"):
+        np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    d_hidden *= sig
+    d_pre1 = d_hidden
     d_w1 = cache.features.T @ d_pre1
     d_b1 = d_pre1.sum(axis=0)
     return ParamGrads(w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2)

@@ -59,10 +59,20 @@ _RECURRENCE_CUTOFF = 10.0
 
 
 def _validate_positive(x: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(x)):
+    if x.size == 0:
+        return
+    # min/max propagate NaN and expose +-inf, so two reductions cover
+    # both checks without a boolean temporary per check
+    lo, hi = x.min(), x.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"{name} requires finite input")
-    if np.any(x <= 0.0):
+    if lo <= 0.0:
         raise ValueError(f"{name} is only defined here for x > 0")
+
+
+# The kernels below run in a few buffers allocated once per call, with
+# out= and in-place ufuncs, in the operation order of the plain formulas
+# in their comments; results are bitwise identical to those formulas.
 
 
 def log_gamma(x):
@@ -72,24 +82,39 @@ def log_gamma(x):
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
 
-    out = np.empty_like(x)
     small = x < 0.5
-    if np.any(small):
+    if not small.any():
+        out = _lanczos(x)
+    else:
+        out = np.empty_like(x)
         xs = x[small]
         # reflection: lnGamma(x) = ln(pi / sin(pi x)) - lnGamma(1 - x)
         out[small] = np.log(np.pi / np.sin(np.pi * xs)) - _lanczos(1.0 - xs)
-    if np.any(~small):
-        out[~small] = _lanczos(x[~small])
+        large = ~small
+        out[large] = _lanczos(x[large])
     return out[0] if scalar else out
 
 
 def _lanczos(x: np.ndarray) -> np.ndarray:
-    z = x - 1.0
+    # z = x - 1; series = c0 + sum_i c_i / (z + i); base = z + g + 0.5
+    # result = HALF_LOG_TWO_PI + (z + 0.5) * log(base) - base + log(series)
+    z = np.subtract(x, 1.0)
     series = np.full_like(z, _LANCZOS_COEF[0])
+    tmp = np.empty_like(z)
     for i in range(1, _LANCZOS_COEF.size):
-        series = series + _LANCZOS_COEF[i] / (z + i)
-    base = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * np.log(base) - base + np.log(series)
+        np.add(z, i, out=tmp)
+        np.divide(_LANCZOS_COEF[i], tmp, out=tmp)
+        series += tmp
+    base = np.add(z, _LANCZOS_G, out=tmp)
+    base += 0.5
+    log_base = np.log(base)
+    z += 0.5
+    z *= log_base
+    z += _HALF_LOG_TWO_PI
+    z -= base
+    np.log(series, out=series)
+    z += series
+    return z
 
 
 def digamma(x):
@@ -101,18 +126,24 @@ def digamma(x):
 
     # branch-free recurrence: shift every argument up by the cutoff, then
     # evaluate the asymptotic series where it is uniformly accurate
+    # acc = -sum_k 1 / (y + k);  y' = y + cutoff
+    # result = acc + log(y') - 0.5 / y' + series(1 / y'^2)
     acc = np.zeros_like(y)
+    tmp = np.empty_like(y)
     for k in range(int(_RECURRENCE_CUTOFF)):
-        acc -= 1.0 / (y + k)
-    y = y + _RECURRENCE_CUTOFF
+        np.add(y, k, out=tmp)
+        np.divide(1.0, tmp, out=tmp)
+        acc -= tmp
+    shifted = np.add(y, _RECURRENCE_CUTOFF, out=tmp)
 
-    inv = 1.0 / y
+    inv = np.divide(1.0, shifted)
     inv2 = inv * inv
-    series = np.zeros_like(y)
-    for c in _DIGAMMA_ASYMPT[::-1]:
-        series = (series + c) * inv2
-    out = acc + np.log(y) - 0.5 * inv + series
-    return out[0] if scalar else out
+    series = _asymptotic_series(_DIGAMMA_ASYMPT, inv2)
+    acc += np.log(shifted, out=shifted)
+    inv *= 0.5
+    acc -= inv
+    acc += series
+    return acc[0] if scalar else acc
 
 
 def trigamma(x):
@@ -122,19 +153,35 @@ def trigamma(x):
     scalar = x.ndim == 0
     y = np.atleast_1d(x)
 
+    # acc = sum_k 1 / ((y + k) * (y + k));  y' = y + cutoff
+    # result = acc + 1 / y' + 0.5 / y'^2 + series(1 / y'^2) / y'
     acc = np.zeros_like(y)
+    tmp = np.empty_like(y)
     for k in range(int(_RECURRENCE_CUTOFF)):
-        shifted = y + k
-        acc += 1.0 / (shifted * shifted)
-    y = y + _RECURRENCE_CUTOFF
+        np.add(y, k, out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.divide(1.0, tmp, out=tmp)
+        acc += tmp
+    inv = np.add(y, _RECURRENCE_CUTOFF, out=tmp)
+    np.divide(1.0, inv, out=inv)
 
-    inv = 1.0 / y
     inv2 = inv * inv
-    series = np.zeros_like(y)
-    for c in _TRIGAMMA_ASYMPT[::-1]:
-        series = (series + c) * inv2
-    out = acc + inv + 0.5 * inv2 + series * inv
-    return out[0] if scalar else out
+    series = _asymptotic_series(_TRIGAMMA_ASYMPT, inv2)
+    acc += inv
+    inv2 *= 0.5
+    acc += inv2
+    series *= inv
+    acc += series
+    return acc[0] if scalar else acc
+
+
+def _asymptotic_series(coef: np.ndarray, inv2: np.ndarray) -> np.ndarray:
+    # Horner from the highest order: series = (series + c) * inv2, from 0
+    series = np.zeros_like(inv2)
+    for c in coef[::-1]:
+        series += c
+        series *= inv2
+    return series
 
 
 def log_beta(a, b):

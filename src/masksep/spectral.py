@@ -5,12 +5,14 @@ both ends and a periodic Hann window. Synthesis is weighted overlap-add
 normalized by the squared-window envelope, which reconstructs the input
 exactly (up to rounding) wherever the envelope is nonzero.
 
-All functions are pure; every returned array is freshly allocated.
+All functions are pure; every returned array is freshly allocated, except
+the read-only Hann window that configurations of one window size share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +25,13 @@ def hann_window(length: int) -> np.ndarray:
     """Periodic Hann window of the given length."""
     n = np.arange(length, dtype=np.float64)
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / length)
+
+
+@lru_cache(maxsize=None)
+def _shared_window(length: int) -> np.ndarray:
+    window = hann_window(length)
+    window.flags.writeable = False
+    return window
 
 
 @dataclass(frozen=True)
@@ -55,7 +64,9 @@ class StftConfig:
             )
 
     def window_array(self) -> np.ndarray:
-        return hann_window(self.window_size)
+        """The periodic Hann window, built once per window size and shared
+        read-only by every analysis and synthesis."""
+        return _shared_window(self.window_size)
 
     @property
     def num_bins(self) -> int:

@@ -96,6 +96,24 @@ class TestTrainRl:
     def test_missing_dataset_is_config_error(self, tmp_path):
         assert main(["train-rl", "--run-dir", str(tmp_path / "r")]) == 2
 
+    @pytest.mark.parametrize("bad, named", [
+        ({"steps": "x"}, "config key 'steps' must be an integer, got 'x'"),
+        ({"batch_size": 2.5}, "config key 'batch_size' must be an integer"),
+        ({"lr": True}, "config key 'lr' must be a number, got True"),
+        ({"grpo_enabled": 1}, "config key 'grpo_enabled' must be true or false"),
+        ({"reward_mode": None}, "config key 'reward_mode' must be a string"),
+    ])
+    def test_config_value_of_wrong_type_is_config_error(
+            self, small_dataset, tmp_path, capsys, bad, named):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps(bad))
+        code = main(["train-rl", "--dataset", str(small_dataset), "--run-dir",
+                     str(tmp_path / "run"), "--config", str(cfg_file)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert named in err
+
 
 @pytest.fixture(scope="module")
 def trained_run(small_dataset, tmp_path_factory):
@@ -373,6 +391,17 @@ class TestEval:
         assert f"{manifest}: line 2" in err and repr(missing) in err
 
 
+    def test_malformed_record_is_config_error(self, tmp_path, capsys):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text('{"mixture": "a"\n')
+        code = main(["eval", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert f"{manifest}: line 1: not a JSON record" in err
+
+
 class TestTrainAlign:
     def test_zero_epochs_returns_identity_heads(self, small_dataset, tmp_path):
         run = tmp_path / "align0"
@@ -392,6 +421,9 @@ class TestTrainAlign:
         ({"2": [1.0]}, "stage 2: overrides must be a JSON object"),
         ({"4": {}}, "'stages' must be a JSON object"),
         ([{"lambda1": 2.0}], "'stages' must be a JSON object"),
+        ({"1": {"lambda1": "x"}},
+         "stage 1: config key 'lambda1' must be a number, got 'x'"),
+        ({"2": {"epochs": 1.5}}, "stage 2: config key 'epochs' must be an integer"),
     ])
     def test_bad_stage_overrides_are_config_errors(self, small_dataset,
                                                    tmp_path, capsys, stages,

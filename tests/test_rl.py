@@ -383,6 +383,34 @@ class TestTrainStep:
                    np.random.default_rng(6), reward_ctx)
         assert calls == {"log_gamma": b + 1, "digamma": b + 1, "trigamma": b}
 
+    def test_one_log_prob_per_mask_and_no_kl_gradient(self, toy_world,
+                                                      monkeypatch):
+        # the objective reuses the sampler's log-densities, and its KL term
+        # and gradient are known to be 0, so only sampling scores masks and
+        # only the kl_post probe evaluates a KL
+        from masksep import policy, rl
+
+        items, reward_ctx, model = toy_world
+        model = copy.deepcopy(model)
+        calls = {}
+
+        def counted(name):
+            fn = getattr(policy, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("log_prob", "kl_divergence", "kl_divergence_grad"):
+            wrapper = counted(name)
+            monkeypatch.setattr(policy, name, wrapper)
+            monkeypatch.setattr(rl, name, wrapper)
+        b = 4
+        train_step(model, AdamWState(), items[:b], RlConfig(batch_size=b),
+                   np.random.default_rng(7), reward_ctx)
+        assert calls == {"log_prob": b, "kl_divergence": 1}
+
     def test_report_fields_finite(self, toy_world):
         items, reward_ctx, model = toy_world
         model = copy.deepcopy(model)

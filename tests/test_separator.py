@@ -143,6 +143,83 @@ class TestBackward:
             backward(model, cache, np.ones((*log_mag.shape, 1)))
 
 
+    def test_two_sources_match_finite_differences(self):
+        # backward sums d_hidden over the sources; check K = 2 as well
+        h = 1e-4
+        model = init_model(np.random.default_rng(11), context=3,
+                           hidden_width=4, query_dim=4, k_sources=2)
+        log_mag, query = rand_input(11)
+        weights = np.random.default_rng(12).standard_normal((*log_mag.shape, 2))
+        _, grads = loss_and_grads(model, log_mag, query, weights)
+        for name in ("w1", "b1", "w2", "b2"):
+            param = getattr(model, name)
+            it = np.nditer(param, flags=["multi_index"])
+            for _ in it:
+                idx = it.multi_index
+                orig = param[idx]
+                param[idx] = orig + h
+                up, _ = loss_and_grads(model, log_mag, query, weights)
+                param[idx] = orig - h
+                down, _ = loss_and_grads(model, log_mag, query, weights)
+                param[idx] = orig
+                fd = (up - down) / (2 * h)
+                assert getattr(grads, name)[idx] == pytest.approx(
+                    fd, rel=1e-3, abs=1e-6)
+
+
+def plain_forward(model, log_mag, query):
+    """The straightforward formulas the in-place forward() must reproduce
+    bit for bit: (proposal, features, pre1, hidden)."""
+    dtype = model.w1.dtype
+    log_mag = np.asarray(log_mag, dtype=dtype)
+    f, t = log_mag.shape
+    c = model.context
+    padded = np.pad(log_mag, c // 2, mode="constant")
+    patches = np.lib.stride_tricks.sliding_window_view(padded, (c, c))
+    features = np.empty((f * t, model.input_dim), dtype=dtype)
+    features[:, : c * c] = patches.reshape(f * t, c * c)
+    features[:, c * c] = np.repeat(np.arange(f, dtype=dtype) / max(f - 1, 1), t)
+    features[:, c * c + 1 :] = np.asarray(query, dtype=dtype)
+    pre1 = features @ model.w1 + model.b1
+    hidden = np.maximum(pre1, 0.0) + np.log1p(np.exp(-np.abs(pre1)))
+    pre2 = hidden @ model.w2 + model.b2
+    proposal = 1.0 / (1.0 + np.exp(-pre2))
+    return proposal.reshape(f, t, model.k_sources), features, pre1, hidden
+
+
+def plain_backward(model, features, pre1, hidden, proposal, upstream):
+    """The straightforward gradients backward() must reproduce bit for bit."""
+    n = features.shape[0]
+    up = np.asarray(upstream, dtype=model.w1.dtype).reshape(n, model.k_sources)
+    p = proposal.reshape(n, model.k_sources)
+    d_pre2 = up * p * (1.0 - p)
+    d_hidden = d_pre2 @ model.w2.T
+    d_pre1 = d_hidden * (1.0 / (1.0 + np.exp(-pre1)))
+    return {"w1": features.T @ d_pre1, "b1": d_pre1.sum(axis=0),
+            "w2": hidden.T @ d_pre2, "b2": d_pre2.sum(axis=0)}
+
+
+class TestKernelsMatchPlainFormulas:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_and_backward_bitwise(self, dtype):
+        # one training crop: a 513 x 9 grid with the default architecture
+        model = init_model(np.random.default_rng(13), dtype=dtype)
+        rng = np.random.default_rng(14)
+        log_mag = rng.uniform(0.0, 3.0, size=(513, 9))
+        query = rng.standard_normal(model.query_dim)
+        upstream = rng.standard_normal((513, 9, 1))
+        proposal, cache = forward(model, log_mag, query)
+        ref, features, pre1, hidden = plain_forward(model, log_mag, query)
+        assert proposal.dtype == ref.dtype == dtype
+        assert np.array_equal(proposal, ref)
+        assert np.array_equal(cache.features, features)
+        grads = backward(model, cache, upstream).as_dict()
+        ref_grads = plain_backward(model, features, pre1, hidden, ref, upstream)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert grads[name].dtype == dtype
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+
 def params_equal(a, b):
     return all(np.array_equal(getattr(a, n), getattr(b, n))
                for n in ("w1", "b1", "w2", "b2"))
