@@ -131,22 +131,23 @@ def cmd_train_rl(args) -> int:
     if cfg["dataset"] is None or cfg["run_dir"] is None:
         raise ConfigError("train-rl needs --dataset and --run-dir")
 
+    # every config check comes before the run directory is written
+    rl_cfg = rl.RlConfig.from_dict(
+        {k: cfg[k] for k in rl.RlConfig.__dataclass_fields__}
+    )
+    stft_cfg = _stft_config(cfg)
+    if cfg["model_dtype"] not in ("float32", "float64"):
+        raise ConfigError("model_dtype must be 'float32' or 'float64'")
     run_dir = Path(cfg["run_dir"])
     _echo_config(run_dir, "train-rl", cfg)
     (run_dir / "logs").mkdir(exist_ok=True)
     (run_dir / "reports").mkdir(exist_ok=True)
 
-    rl_cfg = rl.RlConfig.from_dict(
-        {k: cfg[k] for k in rl.RlConfig.__dataclass_fields__}
-    )
-    stft_cfg = _stft_config(cfg)
     dataset = pipeline.load_dataset(cfg["dataset"])
     train_items = pipeline.prepare_train_items(dataset, "train", rl_cfg, stft_cfg)
     val_items = pipeline.prepare_train_items(dataset, "val", rl_cfg, stft_cfg)
     reward_ctx = pipeline.make_reward_context(dataset, rl_cfg)
 
-    if cfg["model_dtype"] not in ("float32", "float64"):
-        raise ConfigError("model_dtype must be 'float32' or 'float64'")
     model = separator.init_model(
         np.random.default_rng(rl_cfg.seed),
         query_dim=dataset.store.dimension,
@@ -204,11 +205,8 @@ def cmd_train_align(args) -> int:
     )
     if cfg["dataset"] is None or cfg["run_dir"] is None:
         raise ConfigError("train-align needs --dataset and --run-dir")
-    run_dir = Path(cfg["run_dir"])
-    _echo_config(run_dir, "train-align", cfg)
-    (run_dir / "checkpoints").mkdir(exist_ok=True)
-    (run_dir / "reports").mkdir(exist_ok=True)
 
+    # every config check comes before the run directory is written
     stages = cfg["stages"]
     if not isinstance(stages, dict) or set(stages) - {"1", "2", "3"}:
         raise ConfigError(
@@ -223,6 +221,11 @@ def cmd_train_align(args) -> int:
             raise ConfigError(f"stage {stage}: overrides must be a JSON object")
         overrides = {**shared, **overrides}
         stage_configs.append(align.StageConfig.from_dict(stage, overrides))
+
+    run_dir = Path(cfg["run_dir"])
+    _echo_config(run_dir, "train-align", cfg)
+    (run_dir / "checkpoints").mkdir(exist_ok=True)
+    (run_dir / "reports").mkdir(exist_ok=True)
 
     dataset = pipeline.load_dataset(cfg["dataset"])
     entries = pipeline.gap_entries(dataset, cfg["gap_split"],

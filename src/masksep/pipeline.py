@@ -165,7 +165,7 @@ def separate_waveform(
 ) -> Waveform:
     """Mask the mixture with the deterministic proposal and resynthesize."""
     spec = stft(mix, stft_cfg)
-    proposal, _ = forward(model, log_compress(spec), query)
+    proposal, _ = forward(model, log_compress(spec), query, keep_cache=False)
     return apply_mask_reconstruct(spec, Mask(proposal[:, :, 0]))
 
 

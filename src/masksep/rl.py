@@ -392,7 +392,8 @@ def train_step(
     # trust-region telemetry after the update, measured on the leading
     # batch item (a full-batch measurement would double the forward cost)
     lead = sampled_batch[0]
-    proposal_post, _ = forward(model, lead.item.log_mag, lead.item.query)
+    proposal_post, _ = forward(model, lead.item.log_mag, lead.item.query,
+                               keep_cache=False)
     kl_post = kl_divergence(params_from_proposal(proposal_post, kappa),
                             lead.params_old)
 
@@ -415,7 +416,7 @@ def train_step(
 
 def proposal_mask(model: SeparatorModel, item: TrainItem) -> Mask:
     """Deterministic inference mask: the proposal itself (the per-bin mode)."""
-    proposal, _ = forward(model, item.log_mag, item.query)
+    proposal, _ = forward(model, item.log_mag, item.query, keep_cache=False)
     return Mask(proposal[:, :, 0])
 
 

@@ -14,6 +14,7 @@ absolute-frequency information.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,10 @@ from . import checkpoint
 from .optim import AdamWState, adamw_step
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
+
+# bins per slab of a cache-free forward: its three row buffers stay a few
+# MB, where whole-grid buffers of a 513 x 257 mixture take over 50 MB
+SLAB_BINS = 4096
 
 
 @dataclass
@@ -111,9 +116,9 @@ def init_model(
     )
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
+def _softplus(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     # max(x, 0) + log1p(exp(-|x|)): stable for any magnitude
-    out = np.abs(x)
+    np.abs(x, out=out)
     np.negative(out, out)
     np.exp(out, out)
     np.log1p(out, out)
@@ -138,10 +143,21 @@ def patch_features(log_mag: np.ndarray, context: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, (context, context))
 
 
-def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray):
+def _slab_rows(f: int, t: int) -> int:
+    """Frequency rows per slab of a cache-free forward: whole rows, at
+    least SLAB_BINS bins, and a bin count divisible by 64."""
+    step = 64 // math.gcd(t, 64)
+    return min(f, step * -(-SLAB_BINS // (step * t)))
+
+
+def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
+            keep_cache: bool = True):
     """Proposal tensor (F, T, K) plus the cache backward() consumes.
 
-    Computation runs in the model's parameter dtype.
+    Computation runs in the model's parameter dtype. With ``keep_cache``
+    false the cache is None, and the grid runs through the network in
+    slabs of whole frequency rows that share one set of buffers; the
+    proposal is bitwise the same either way.
     """
     dtype = model.w1.dtype
     log_mag = np.asarray(log_mag, dtype=dtype)
@@ -156,23 +172,41 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray):
     f, t = log_mag.shape
     c = model.context
     n_patch = c * c
-    # row (i, j): the flattened patch around bin (i, j), i / (F - 1), query
-    features = np.empty((f * t, model.input_dim), dtype=dtype)
-    grid = features.reshape(f, t, model.input_dim)
-    np.copyto(grid[:, :, :n_patch].reshape(f, t, c, c),
-              patch_features(log_mag, c))
-    grid[:, :, n_patch] = (np.arange(f, dtype=dtype) / max(f - 1, 1))[:, None]
+    # BLAS rounds a row of a product by where the row sits in its call: a
+    # matrix-vector product rounds the last (rows mod 4) rows and a lone
+    # row its own way, and a product with a few columns also by the size
+    # of the call. So every slab but the last is a multiple of 64 bins,
+    # the last one, ending where the grid ends, takes the remainder, and
+    # the output layer is one matrix-vector product per source.
+    slab = f if keep_cache else _slab_rows(f, t)
+    bounds = list(range(0, f - slab + 1, slab)) + [f]
+    cap = (f - bounds[-2]) * t
+    # row (i, j) of a slab: the flattened patch around bin (i, j),
+    # i / (F - 1), query
+    features = np.empty((cap, model.input_dim), dtype=dtype)
     features[:, n_patch + 1 :] = query
-
-    # pre1 and the output sigmoid keep their temporaries: formed in place,
-    # they made separating a 513 x 257 mixture page-fault about 14 times as
-    # often (glibc gave the heap top back after every call), which cost
-    # more than the temporaries do
-    pre1 = features @ model.w1 + model.b1
-    hidden = _softplus(pre1)
-    pre2 = hidden @ model.w2
-    pre2 += model.b2
+    pre1 = np.empty((cap, model.hidden_width), dtype=dtype)
+    hidden = np.empty_like(pre1)
+    pre2 = np.empty((f * t, model.k_sources), dtype=dtype)
+    patches = patch_features(log_mag, c)
+    freq = np.arange(f, dtype=dtype) / max(f - 1, 1)
+    for r0, r1 in zip(bounds, bounds[1:]):
+        n = (r1 - r0) * t
+        grid = features[:n].reshape(r1 - r0, t, model.input_dim)
+        np.copyto(grid[:, :, :n_patch].reshape(r1 - r0, t, c, c),
+                  patches[r0:r1])
+        grid[:, :, n_patch] = freq[r0:r1, None]
+        np.matmul(features[:n], model.w1, out=pre1[:n])
+        pre1[:n] += model.b1
+        _softplus(pre1[:n], out=hidden[:n])
+        out = pre2[r0 * t : r1 * t]
+        for k in range(model.k_sources):
+            np.matmul(hidden[:n], model.w2[:, k], out=out[:, k])
+        out += model.b2
     proposal_flat = _sigmoid(pre2)
+    proposal = proposal_flat.reshape(f, t, model.k_sources)
+    if not keep_cache:
+        return proposal, None
     cache = ForwardCache(
         features=features,
         pre1=pre1,
@@ -182,7 +216,7 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray):
         model_ref=model,
         model_version=model.version,
     )
-    return proposal_flat.reshape(f, t, model.k_sources), cache
+    return proposal, cache
 
 
 def backward(
@@ -257,18 +291,21 @@ def save_model(path, model: SeparatorModel) -> None:
 
 def load_model(path) -> SeparatorModel:
     """Load a separator checkpoint; ValueError naming the path and the
-    hparam or array when one is missing or an array's shape disagrees with
-    the hparams."""
+    hparam or array when one is missing, an hparam is not an integer, or an
+    array's shape disagrees with the hparams, is not float32 or float64 like
+    w1, or holds a non-finite value."""
     kind, hparams, arrays = checkpoint.load_checkpoint(path)
     if kind != "separator":
         raise ValueError(f"{path} holds a {kind!r} checkpoint, not a separator")
-    try:
-        dims = {key: int(hparams[key])
-                for key in ("context", "hidden_width", "query_dim", "k_sources")}
-    except KeyError as exc:
-        raise ValueError(
-            f"{path}: separator checkpoint has no hparam {exc.args[0]}"
-        ) from None
+    dims = {}
+    for key in ("context", "hidden_width", "query_dim", "k_sources"):
+        if key not in hparams:
+            raise ValueError(f"{path}: separator checkpoint has no hparam {key}")
+        if type(hparams[key]) is not int:
+            raise ValueError(
+                f"{path}: hparam {key} is {hparams[key]!r}, not an integer"
+            )
+        dims[key] = hparams[key]
     model = SeparatorModel(**{name: arrays.get(name) for name in PARAM_NAMES},
                            **dims)
     hidden, k = model.hidden_width, model.k_sources
@@ -283,6 +320,14 @@ def load_model(path) -> SeparatorModel:
                 f"{path}: array {name} has shape {arr.shape}, but the hparams "
                 f"give {shape}"
             )
+        if arr.dtype != model.w1.dtype or arr.dtype not in (np.float32,
+                                                            np.float64):
+            raise ValueError(
+                f"{path}: array {name} has dtype {arr.dtype}, expected float32 "
+                f"or float64 like w1"
+            )
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: array {name} holds non-finite values")
     return model
 
 

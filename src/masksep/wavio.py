@@ -2,10 +2,15 @@
 
 Readers enforce a sample-rate policy: ``reject`` (default) raises on any
 rate other than the expected one, ``resample`` converts with a polyphase
-filter, ``accept`` keeps whatever the file carries.
+filter, ``accept`` keeps whatever the file carries. A truncated or garbled
+file, or one holding non-finite samples, is a ValueError naming the file.
 """
 
 from __future__ import annotations
+
+import os
+import struct
+import warnings
 
 import numpy as np
 from scipy.io import wavfile
@@ -20,9 +25,33 @@ def read_wav(path, expected_rate: int = 16000, rate_policy: str = "reject") -> W
     """Read a mono WAV file and apply the sample-rate policy."""
     if rate_policy not in RATE_POLICIES:
         raise ValueError(f"rate_policy must be one of {RATE_POLICIES}")
-    rate, data = wavfile.read(path)
+    with open(path, "rb") as fh:
+        head = fh.read(8)
+        size = os.fstat(fh.fileno()).st_size
+    # the RIFF chunk size counts every byte after its own field, so a file
+    # shorter than it was cut (scipy would return the samples it found)
+    if len(head) == 8 and head[:4] in (b"RIFF", b"RIFX"):
+        order = "little" if head[:4] == b"RIFF" else "big"
+        declared = 8 + int.from_bytes(head[4:], order)
+        if size < declared:
+            raise ValueError(
+                f"{path}: truncated WAV file: its header gives {declared} "
+                f"bytes, the file has {size}"
+            )
+    try:
+        with warnings.catch_warnings():
+            # unknown chunks are skipped; a short data chunk is caught above
+            warnings.simplefilter("ignore", wavfile.WavFileWarning)
+            rate, data = wavfile.read(path)
+    except (ValueError, TypeError, ArithmeticError, NameError,
+            struct.error) as exc:
+        # scipy's parser fails on garbled headers with any of these
+        raise ValueError(f"{path}: not a readable WAV file ({exc})") from None
     if data.ndim != 1:
         raise ValueError(f"{path}: expected mono audio, got {data.ndim} channels")
+    # checked before the cast, which warns on a signaling NaN
+    if data.dtype.kind == "f" and not np.isfinite(data).all():
+        raise ValueError(f"{path}: WAV file holds non-finite samples")
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype == np.float32:

@@ -1,5 +1,7 @@
 """Command-line contracts: flags, exit codes, artifacts, reproducibility."""
 
+import contextlib
+import io
 import json
 import shutil
 import struct
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from masksep.cli import main
 from masksep.separator import load_model
@@ -113,6 +117,7 @@ class TestTrainRl:
         assert code == 2
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert named in err
+        assert not (tmp_path / "run").exists()
 
 
 @pytest.fixture(scope="module")
@@ -329,6 +334,143 @@ class TestSeparate:
 
 
 @pytest.fixture(scope="module")
+def corrupt_case(small_dataset, trained_run, tmp_path_factory):
+    """Inputs of single-file ``separate`` on the first record, and a place
+    for corrupted copies of them."""
+    rec = json.loads(
+        (small_dataset / "manifest.jsonl").read_text().splitlines()[0]
+    )
+    return {
+        "dataset": small_dataset,
+        "query": f"store:text:{rec['item_id']}",
+        "mixture": small_dataset / rec["mixture"],
+        "checkpoint": trained_run / "checkpoints" / "best.json",
+        "dir": tmp_path_factory.mktemp("corrupt"),
+    }
+
+
+def separate_with(case, **paths):
+    """(exit code, stderr) of single-file ``separate``, with ``paths``
+    replacing the case's mixture or checkpoint."""
+    files = {"mixture": case["mixture"], "checkpoint": case["checkpoint"],
+             **paths}
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["separate", "--checkpoint", str(files["checkpoint"]),
+                     "--dataset", str(case["dataset"]),
+                     "--mixture", str(files["mixture"]),
+                     "--query", case["query"],
+                     "--out", str(case["dir"] / "out.wav")])
+    return code, err.getvalue()
+
+
+def assert_clean_or_named(code, err, path):
+    """A clean run, or exit 2 with one stderr line naming ``path``."""
+    assert "Traceback" not in err
+    if code != 0:
+        assert code == 2, err
+        assert len(err.splitlines()) == 1 and str(path) in err, err
+
+
+def corrupted(data: bytes, cut, flips) -> bytes:
+    """``data`` cut to ``cut`` bytes (None: whole), then each (position,
+    byte) of ``flips`` written, positions taken modulo the length."""
+    out = bytearray(data if cut is None else data[: cut % (len(data) + 1)])
+    for pos, value in flips:
+        if out:
+            out[pos % len(out)] = value
+    return bytes(out)
+
+
+# small, derandomized budget: under 1 s of tier-1 for both file formats;
+# positions favour the headers (WAV: the first 64 bytes; checkpoint JSON,
+# keys sorted: the hparams, kind and version in the last 400)
+FUZZ = settings(max_examples=50, derandomize=True, database=None,
+                deadline=None)
+WAV_POS = st.one_of(st.integers(0, 63), st.integers(0, 1 << 20))
+CKPT_POS = st.one_of(st.integers(-400, -1), st.integers(0, 1 << 20))
+
+
+class TestCorruptFiles:
+    @pytest.mark.parametrize("cut", [0, 20, 30, 44, 1000])
+    def test_truncated_mixture_is_named(self, corrupt_case, cut):
+        wav = corrupt_case["dir"] / f"cut{cut}.wav"
+        wav.write_bytes(corrupt_case["mixture"].read_bytes()[:cut])
+        code, err = separate_with(corrupt_case, mixture=wav)
+        assert code == 2
+        assert_clean_or_named(code, err, wav)
+
+    def test_non_finite_sample_is_named(self, corrupt_case):
+        data = bytearray(corrupt_case["mixture"].read_bytes())
+        data[-4:] = struct.pack("<f", np.inf)
+        wav = corrupt_case["dir"] / "inf.wav"
+        wav.write_bytes(bytes(data))
+        code, err = separate_with(corrupt_case, mixture=wav)
+        assert code == 2 and "non-finite" in err
+        assert_clean_or_named(code, err, wav)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda p: p.pop("kind"), "no 'kind'"),
+        (lambda p: p.pop("arrays"), "no 'arrays'"),
+        (lambda p: p["arrays"]["w1"].update(data="not base64!"), "'w1' is corrupt"),
+        (lambda p: p["arrays"]["b1"].update(dtype="<f5"), "'b1' is corrupt"),
+        (lambda p: p["arrays"]["b1"].update(dtype="<i4"), "b1 has dtype int32"),
+        (lambda p: p["arrays"]["w2"].update(shape=[-1, 1]), "'w2' is corrupt"),
+        (lambda p: p["arrays"]["w2"].update(shape=[3, 1]), "'w2' is corrupt"),
+        (lambda p: p["hparams"].update(context="5"), "hparam context is '5'"),
+    ])
+    def test_corrupt_checkpoint_is_named(self, corrupt_case, edit, named):
+        payload = json.loads(corrupt_case["checkpoint"].read_text())
+        edit(payload)
+        ckpt = corrupt_case["dir"] / "edited.json"
+        ckpt.write_text(json.dumps(payload))
+        code, err = separate_with(corrupt_case, checkpoint=ckpt)
+        assert code == 2 and named in err
+        assert_clean_or_named(code, err, ckpt)
+
+    def test_non_finite_weight_is_named(self, corrupt_case):
+        from masksep.separator import save_model
+        model = load_model(corrupt_case["checkpoint"])
+        model.b2[0] = np.nan
+        ckpt = corrupt_case["dir"] / "nan.json"
+        save_model(ckpt, model)
+        code, err = separate_with(corrupt_case, checkpoint=ckpt)
+        assert code == 2 and "array b2 holds non-finite values" in err
+        assert_clean_or_named(code, err, ckpt)
+
+    def test_truncated_checkpoint_json_is_named(self, corrupt_case):
+        ckpt = corrupt_case["dir"] / "cut.json"
+        ckpt.write_text('{"kind": "separator", ')
+        code, err = separate_with(corrupt_case, checkpoint=ckpt)
+        assert code == 2 and "malformed checkpoint JSON" in err
+        assert_clean_or_named(code, err, ckpt)
+
+    @FUZZ
+    @given(cut=st.none() | WAV_POS,
+           flips=st.lists(st.tuples(WAV_POS, st.integers(0, 255)),
+                          max_size=3))
+    def test_fuzzed_mixture(self, corrupt_case, cut, flips):
+        wav = corrupt_case["dir"] / "fuzz.wav"
+        wav.write_bytes(
+            corrupted(corrupt_case["mixture"].read_bytes(), cut, flips))
+        code, err = separate_with(corrupt_case, mixture=wav)
+        event(f"exit {code}")
+        assert_clean_or_named(code, err, wav)
+
+    @FUZZ
+    @given(cut=st.none() | CKPT_POS,
+           flips=st.lists(st.tuples(CKPT_POS, st.integers(0, 255)),
+                          max_size=3))
+    def test_fuzzed_checkpoint(self, corrupt_case, cut, flips):
+        ckpt = corrupt_case["dir"] / "fuzz.json"
+        ckpt.write_bytes(
+            corrupted(corrupt_case["checkpoint"].read_bytes(), cut, flips))
+        code, err = separate_with(corrupt_case, checkpoint=ckpt)
+        event(f"exit {code}")
+        assert_clean_or_named(code, err, ckpt)
+
+
+@pytest.fixture(scope="module")
 def sep_out(small_dataset, trained_run, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_eval") / "sep"
     assert main(["separate", "--checkpoint",
@@ -437,6 +579,7 @@ class TestTrainAlign:
         assert code == 2
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert named in err
+        assert not (tmp_path / "run").exists()
 
     def test_stage_override_is_applied(self, small_dataset, tmp_path):
         config = tmp_path / "align.json"

@@ -2,14 +2,22 @@
 copies, optimizer behavior and checkpoint round trips."""
 
 import copy
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import masksep
 from masksep.errors import NonFiniteGradientError
 from masksep.optim import AdamWState, adamw_step, clip_by_global_norm
 from masksep.separator import (
     ParamGrads,
+    _slab_rows,
     apply_adamw_step,
     backward,
     forward,
@@ -70,6 +78,79 @@ class TestForward:
         a, _ = forward(m, log_mag, query)
         b, _ = forward(m, log_mag, query)
         assert np.array_equal(a, b)
+
+
+# grid width T, then a height F that splits into two or more slabs with a
+# remainder (whole-row slabs hold 4096 bins or a little more); every grid
+# holds at least 16,400 bins, so a BLAS kernel chosen by the size of the
+# call can differ between the whole grid and a slab
+SLAB_GRIDS = [(1, 16400), (9, 2000), (65, 300), (257, 150)]
+
+_COMPARE_SLABS = """
+import json, sys
+import numpy as np
+from masksep.separator import forward, init_model
+out = {}
+for t, f, dtype, k in json.loads(sys.argv[1]):
+    model = init_model(np.random.default_rng(k), k_sources=k,
+                       dtype=np.dtype(dtype))
+    rng = np.random.default_rng(t)
+    log_mag = rng.uniform(0.0, 3.0, size=(f, t))
+    query = rng.standard_normal(model.query_dim)
+    cached, _ = forward(model, log_mag, query)
+    free, cache = forward(model, log_mag, query, keep_cache=False)
+    out[f"{t}-{dtype}-{k}"] = [cache is None, free.dtype == cached.dtype,
+                               free.tobytes() == cached.tobytes()]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def slab_comparison():
+    """Cache-free against cached forward on every SLAB_GRIDS case, float32
+    and float64, K = 1 and 2, run under one BLAS thread: a threaded BLAS
+    splits the rows of a call among its threads and rounds the rows at a
+    split as it rounds a call's last rows, so the bits would then depend on
+    the thread count as well."""
+    cases = [(t, f, dtype, k) for t, f in SLAB_GRIDS
+             for dtype in ("float32", "float64") for k in (1, 2)]
+    src = str(Path(masksep.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", _COMPARE_SLABS, json.dumps(cases)],
+        env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+class TestCacheFreeForward:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("t, f", SLAB_GRIDS)
+    def test_bitwise_equal_to_cached(self, slab_comparison, t, f, dtype, k):
+        slab = _slab_rows(f, t)
+        assert f // slab >= 2 and f % slab and (slab * t) % 64 == 0
+        no_cache, same_dtype, same_bits = slab_comparison[f"{t}-{dtype}-{k}"]
+        assert no_cache and same_dtype and same_bits
+
+    def test_peak_allocation_under_a_quarter(self):
+        # one 513 x 257 mixture grid, as separate sees it
+        model = init_model(np.random.default_rng(0), dtype=np.float32)
+        rng = np.random.default_rng(1)
+        log_mag = rng.uniform(0.0, 3.0, size=(513, 257)).astype(np.float32)
+        query = rng.standard_normal(model.query_dim)
+        peaks = {}
+        for keep_cache in (True, False):
+            tracemalloc.start()
+            try:
+                result = forward(model, log_mag, query, keep_cache=keep_cache)
+                peaks[keep_cache] = tracemalloc.get_traced_memory()[1]
+                del result
+            finally:
+                tracemalloc.stop()
+        assert peaks[False] < peaks[True] / 4
 
 
 def loss_and_grads(model, log_mag, query, weights):
