@@ -537,9 +537,16 @@ def save_heads(path, heads: HeadSet) -> None:
 
 
 def load_heads(path) -> HeadSet:
+    """Load alignment heads; ValueError naming the path and the array when
+    one is missing."""
     kind, _, arrays = checkpoint.load_checkpoint(path)
     if kind != "alignment_heads":
         raise ValueError(f"{path} holds a {kind!r} checkpoint, not alignment heads")
+    for name in ("audio_weight", "audio_bias", "text_weight", "text_bias",
+                 "vision_weight", "vision_bias", "log_tau"):
+        if name not in arrays:
+            raise ValueError(
+                f"{path}: alignment heads checkpoint has no array {name}")
     return HeadSet(
         audio=ProjectionHead(arrays["audio_weight"], arrays["audio_bias"]),
         text=ProjectionHead(arrays["text_weight"], arrays["text_bias"]),

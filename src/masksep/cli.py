@@ -25,6 +25,7 @@ import numpy as np
 from . import align, metrics, pipeline, rl, separator, synthdata
 from .embed import MODALITIES
 from .errors import ConfigError, DivergenceError, NonFiniteGradientError
+from .reward import QUERY_MODALITIES, REWARD_MODES
 from .spectral import StftConfig
 from .wavio import read_wav, write_wav
 
@@ -131,19 +132,19 @@ def cmd_train_rl(args) -> int:
     if cfg["dataset"] is None or cfg["run_dir"] is None:
         raise ConfigError("train-rl needs --dataset and --run-dir")
 
-    # every config check comes before the run directory is written
+    # config and dataset checks all come before the run directory is written
     rl_cfg = rl.RlConfig.from_dict(
         {k: cfg[k] for k in rl.RlConfig.__dataclass_fields__}
     )
     stft_cfg = _stft_config(cfg)
     if cfg["model_dtype"] not in ("float32", "float64"):
         raise ConfigError("model_dtype must be 'float32' or 'float64'")
+    dataset = pipeline.load_dataset(cfg["dataset"])
     run_dir = Path(cfg["run_dir"])
     _echo_config(run_dir, "train-rl", cfg)
     (run_dir / "logs").mkdir(exist_ok=True)
     (run_dir / "reports").mkdir(exist_ok=True)
 
-    dataset = pipeline.load_dataset(cfg["dataset"])
     train_items = pipeline.prepare_train_items(dataset, "train", rl_cfg, stft_cfg)
     val_items = pipeline.prepare_train_items(dataset, "val", rl_cfg, stft_cfg)
     reward_ctx = pipeline.make_reward_context(dataset, rl_cfg)
@@ -206,7 +207,7 @@ def cmd_train_align(args) -> int:
     if cfg["dataset"] is None or cfg["run_dir"] is None:
         raise ConfigError("train-align needs --dataset and --run-dir")
 
-    # every config check comes before the run directory is written
+    # config and dataset checks all come before the run directory is written
     stages = cfg["stages"]
     if not isinstance(stages, dict) or set(stages) - {"1", "2", "3"}:
         raise ConfigError(
@@ -222,12 +223,12 @@ def cmd_train_align(args) -> int:
         overrides = {**shared, **overrides}
         stage_configs.append(align.StageConfig.from_dict(stage, overrides))
 
+    dataset = pipeline.load_dataset(cfg["dataset"])
     run_dir = Path(cfg["run_dir"])
     _echo_config(run_dir, "train-align", cfg)
     (run_dir / "checkpoints").mkdir(exist_ok=True)
     (run_dir / "reports").mkdir(exist_ok=True)
 
-    dataset = pipeline.load_dataset(cfg["dataset"])
     entries = pipeline.gap_entries(dataset, cfg["gap_split"],
                                    max_items=int(cfg["gap_items"]))
 
@@ -385,6 +386,7 @@ def cmd_separate(args) -> int:
     )
     if cfg["checkpoint"] is None or cfg["out"] is None:
         raise ConfigError("separate needs --checkpoint and --out")
+    rl_cfg = rl.RlConfig(query_modality=cfg["query_modality"])
     model = separator.load_model(cfg["checkpoint"])
     stft_cfg = _stft_config(cfg)
 
@@ -395,6 +397,9 @@ def cmd_separate(args) -> int:
             pipeline.load_dataset(cfg["dataset"]) if cfg["dataset"] else None
         )
         mix = read_wav(cfg["mixture"], rate_policy=cfg["rate_policy"])
+        if len(mix) < stft_cfg.window_size:
+            raise ConfigError(f"{cfg['mixture']}: waveform too short: {len(mix)} "
+                              f"samples < window_size {stft_cfg.window_size}")
         query = _load_query(cfg["query"], dataset)
         est = pipeline.separate_waveform(model, mix, query, stft_cfg)
         out_path = Path(cfg["out"])
@@ -406,7 +411,6 @@ def cmd_separate(args) -> int:
     if cfg["dataset"] is None:
         raise ConfigError("separate needs --mixture or --dataset")
     dataset = pipeline.load_dataset(cfg["dataset"])
-    rl_cfg = rl.RlConfig(query_modality=cfg["query_modality"])
     out = Path(cfg["out"])
     _echo_config(out, "separate", cfg)
     manifest = pipeline.separate_split(
@@ -439,10 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--reward-mode", dest="reward_mode",
-                   choices=["audio", "text", "video", "mixup", "pooled"])
+    p.add_argument("--reward-mode", dest="reward_mode", choices=REWARD_MODES)
     p.add_argument("--query-modality", dest="query_modality",
-                   choices=["audio", "text", "video", "mixup"])
+                   choices=QUERY_MODALITIES)
     p.add_argument("--segment-samples", dest="segment_samples", type=int)
     p.add_argument("--val-interval", dest="val_interval", type=int)
     p.add_argument("--entropy-coef", dest="entropy_coef", type=float)
@@ -477,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--mixture")
     p.add_argument("--query")
-    p.add_argument("--query-modality", dest="query_modality")
+    p.add_argument("--query-modality", dest="query_modality",
+                   choices=QUERY_MODALITIES)
     p.add_argument("--rate-policy", dest="rate_policy",
                    choices=["reject", "resample", "accept"])
     p.add_argument("--config")

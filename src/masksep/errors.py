@@ -17,7 +17,6 @@ class DivergenceError(RuntimeError):
 _FIELD_KINDS = {
     "float": ((int, float), "a number"),
     "int": ((int,), "an integer"),
-    "bool": ((bool,), "true or false"),
     "str": ((str,), "a string"),
 }
 
@@ -28,9 +27,8 @@ def check_field_types(cls, values: dict, where: str = "") -> None:
     for key, value in values.items():
         kinds, wanted = _FIELD_KINDS[cls.__dataclass_fields__[key].type]
         # bool subclasses int, so JSON true/false must be ruled out for
-        # numbers and in for booleans explicitly
-        is_bool = isinstance(value, bool)
-        if not isinstance(value, kinds) or is_bool != (kinds == (bool,)):
+        # numbers explicitly
+        if not isinstance(value, kinds) or isinstance(value, bool):
             raise ConfigError(
                 f"{where}config key {key!r} must be {wanted}, got {value!r}"
             )

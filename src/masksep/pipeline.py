@@ -11,7 +11,7 @@ import numpy as np
 from .align import GapEntry
 from .embed import AudioFeatureEmbedder, EmbeddingStore, load_store
 from .metrics import UtteranceEval, si_sdri
-from .reward import RewardTargets, identity_mlbp, query_mixup
+from .reward import RewardTargets, query_mixup
 from .rl import RewardContext, RlConfig, TrainItem
 from .separator import SeparatorModel, forward
 from .spectral import (
@@ -68,16 +68,11 @@ def hash_id(item_id: str) -> int:
 
 
 def _query_vector(cfg: RlConfig, store: EmbeddingStore, item_id: str) -> np.ndarray:
-    if cfg.query_modality in ("audio", "text", "video"):
-        return store.get(cfg.query_modality, item_id)
     if cfg.query_modality == "mixup":
-        return query_mixup(
-            store.get("audio", item_id),
-            store.get("video", item_id),
-            store.get("text", item_id),
-            1.0, 1.0, 1.0,
-        )
-    raise ValueError(f"unknown query modality {cfg.query_modality!r}")
+        return query_mixup(store.get("audio", item_id),
+                           store.get("video", item_id),
+                           store.get("text", item_id))
+    return store.get(cfg.query_modality, item_id)
 
 
 def prepare_train_items(
@@ -136,11 +131,7 @@ def prepare_train_items(
 
 
 def make_reward_context(dataset: Dataset, cfg: RlConfig) -> RewardContext:
-    return RewardContext(
-        embedder=dataset.embedder,
-        mode=cfg.reward_mode,
-        mlbp=identity_mlbp(dataset.store.dimension),
-    )
+    return RewardContext(embedder=dataset.embedder, mode=cfg.reward_mode)
 
 
 def separate_record(

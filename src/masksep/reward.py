@@ -1,8 +1,8 @@
 """Scalar rewards in a shared embedding space.
 
-Cosine similarity against per-modality targets, weighted query averaging
-across modalities, and low-rank bilinear pooling that fuses the target
-embeddings into a single anchor the separated audio is scored against.
+Cosine similarity of the separated audio's embedding against a target:
+one modality's embedding, the average of all three ("mixup"), or their
+elementwise product ("pooled").
 """
 
 from __future__ import annotations
@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-REWARD_MODES = ("audio", "text", "video", "mixup", "pooled")
+# legal values of RlConfig.query_modality and RlConfig.reward_mode
+QUERY_MODALITIES = ("audio", "text", "video", "mixup")
+REWARD_MODES = QUERY_MODALITIES + ("pooled",)
 
 
 def _as_vector(v, name: str) -> np.ndarray:
@@ -34,84 +36,12 @@ def cosine_sim(u, v) -> float:
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
-def unimodal_rewards(e_sep, e_audio, e_text, e_video):
-    """(audio-to-audio, text-to-audio, video-to-audio) cosine rewards."""
-    return (
-        cosine_sim(e_sep, e_audio),
-        cosine_sim(e_sep, e_text),
-        cosine_sim(e_sep, e_video),
-    )
-
-
-def query_mixup(q_a, q_v, q_t, w_a: float, w_v: float, w_t: float) -> np.ndarray:
-    """Weighted average of per-modality query embeddings."""
-    for name, w in (("w_a", w_a), ("w_v", w_v), ("w_t", w_t)):
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {w}")
-    total = w_a + w_v + w_t
-    if total <= 0.0:
-        raise ValueError("at least one mixup weight must be positive")
+def query_mixup(q_a, q_v, q_t) -> np.ndarray:
+    """Equal-weight average of per-modality query embeddings."""
     q_a = _as_vector(q_a, "q_a")
     q_v = _as_vector(q_v, "q_v")
     q_t = _as_vector(q_t, "q_t")
-    return (w_a * q_a + w_v * q_v + w_t * q_t) / total
-
-
-@dataclass(frozen=True)
-class MlbpParams:
-    """Per-modality projections (no bias), Hadamard fusion, output affine."""
-
-    modality_weights: tuple
-    output_weight: np.ndarray
-    output_bias: np.ndarray
-
-    def __post_init__(self):
-        if len(self.modality_weights) < 2:
-            raise ValueError("pooling needs at least 2 modalities")
-        d = self.output_weight.shape[0]
-        if self.output_weight.shape != (d, d):
-            raise ValueError("output projection must be square (d x d)")
-        if self.output_bias.shape != (d,):
-            raise ValueError("output bias must be a d-vector")
-        for k, w in enumerate(self.modality_weights):
-            if w.ndim != 2 or w.shape[0] != d:
-                raise ValueError(
-                    f"modality projection {k} must be d x d_k with d={d}, "
-                    f"got shape {w.shape}"
-                )
-
-    @property
-    def shared_dim(self) -> int:
-        return self.output_weight.shape[0]
-
-
-def identity_mlbp(dim: int, n_modalities: int = 3) -> MlbpParams:
-    """Fixed fusion: identity projections, zero bias. The default reward
-    fusion is not trained, which keeps the reward stationary during RL."""
-    eye = np.eye(dim)
-    return MlbpParams(
-        modality_weights=tuple(eye.copy() for _ in range(n_modalities)),
-        output_weight=eye.copy(),
-        output_bias=np.zeros(dim),
-    )
-
-
-def mlbp_fuse(params: MlbpParams, inputs) -> np.ndarray:
-    """z = W_o (hadamard_k W_k x_k) + b."""
-    if len(inputs) != len(params.modality_weights):
-        raise ValueError(
-            f"expected {len(params.modality_weights)} inputs, got {len(inputs)}"
-        )
-    fused = np.ones(params.shared_dim)
-    for k, (w, x) in enumerate(zip(params.modality_weights, inputs)):
-        x = _as_vector(x, f"input {k}")
-        if x.shape[0] != w.shape[1]:
-            raise ValueError(
-                f"input {k} has dimension {x.shape[0]}, projection expects "
-                f"{w.shape[1]}"
-            )
-        fused = fused * (w @ x)
-    return params.output_weight @ fused + params.output_bias
+    return (q_a + q_v + q_t) / 3.0
 
 
 @dataclass(frozen=True)
@@ -128,13 +58,7 @@ class RewardTargets:
             raise ValueError(f"reward mode needs target embeddings: {missing}")
 
 
-def composite_reward(
-    mode: str,
-    e_sep,
-    targets: RewardTargets,
-    mlbp: MlbpParams | None = None,
-    mixup_weights=(1.0, 1.0, 1.0),
-) -> float:
+def composite_reward(mode: str, e_sep, targets: RewardTargets) -> float:
     """Scalar reward for a separated-audio embedding under the given mode."""
     if mode not in REWARD_MODES:
         raise ValueError(f"mode must be one of {REWARD_MODES}, got {mode!r}")
@@ -149,11 +73,9 @@ def composite_reward(
         return cosine_sim(e_sep, targets.video)
     if mode == "mixup":
         targets.require("audio", "video", "text")
-        w_a, w_v, w_t = mixup_weights
-        mixed = query_mixup(targets.audio, targets.video, targets.text, w_a, w_v, w_t)
-        return cosine_sim(e_sep, mixed)
+        return cosine_sim(e_sep, query_mixup(targets.audio, targets.video,
+                                             targets.text))
     targets.require("audio", "text", "video")
-    if mlbp is None:
-        mlbp = identity_mlbp(np.asarray(targets.audio).shape[0])
-    anchor = mlbp_fuse(mlbp, [targets.audio, targets.text, targets.video])
-    return cosine_sim(e_sep, anchor)
+    return cosine_sim(e_sep, _as_vector(targets.audio, "audio")
+                      * _as_vector(targets.text, "text")
+                      * _as_vector(targets.video, "video"))

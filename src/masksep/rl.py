@@ -1,9 +1,10 @@
 """Clipped trust-region policy optimization over the Beta mask policy.
 
 Each step samples masks from the live separator's Beta policy, scores
-the reconstructions with embedding rewards, normalizes advantages against
-an EMA baseline (and group-relative scaling within the batch), then takes
-one gradient step on the clipped surrogate with entropy and KL terms.
+the reconstructions with embedding rewards, normalizes the rewards within
+the batch (the batch mean is the baseline, as in GRPO) into advantages,
+then takes one gradient step on the clipped surrogate with entropy and KL
+terms.
 
 The frozen old policy is what sampling recorded: the Beta parameters and
 the log-densities of the drawn masks. Updates are single-pass, so at the
@@ -34,7 +35,12 @@ from .policy import (
     params_from_proposal,
     sample,
 )
-from .reward import MlbpParams, RewardTargets, composite_reward
+from .reward import (
+    QUERY_MODALITIES,
+    REWARD_MODES,
+    RewardTargets,
+    composite_reward,
+)
 from .separator import (
     ParamGrads,
     SeparatorModel,
@@ -55,8 +61,6 @@ class RlConfig:
     clip_epsilon: float = 0.2
     entropy_coef: float = 0.003
     kl_coef: float = 0.01
-    ema_beta: float = 0.92
-    grpo_enabled: bool = True
     grpo_eps: float = 1e-6
     mc_samples: int = 1
     steps: int = 2000
@@ -80,14 +84,17 @@ class RlConfig:
     def __post_init__(self):
         if not 0.0 < self.clip_epsilon < 1.0:
             raise ConfigError("clip_epsilon must lie in (0, 1)")
-        if not 0.0 <= self.ema_beta < 1.0:
-            raise ConfigError("ema_beta must lie in [0, 1)")
         if self.grpo_eps <= 0.0:
             raise ConfigError("grpo_eps must be positive")
         if self.mc_samples < 1 or self.steps < 0 or self.batch_size < 1:
             raise ConfigError("mc_samples/steps/batch_size out of range")
-        if self.reward_mode not in ("audio", "text", "video", "mixup", "pooled"):
+        if self.reward_mode not in REWARD_MODES:
             raise ConfigError(f"unknown reward_mode {self.reward_mode!r}")
+        if self.query_modality not in QUERY_MODALITIES:
+            raise ConfigError(
+                f"unknown query_modality {self.query_modality!r}, expected "
+                f"one of {', '.join(QUERY_MODALITIES)}"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -130,27 +137,19 @@ class RewardContext:
 
     embedder: object  # AudioFeatureEmbedder
     mode: str = "pooled"
-    mlbp: MlbpParams | None = None
 
     def reward(self, item: TrainItem, waveform) -> float:
         if float(np.max(np.abs(waveform.samples))) == 0.0:
             return -1.0  # silent output: worst case rather than an abort
         e_sep = self.embedder.embed(waveform)
-        return composite_reward(self.mode, e_sep, item.targets, mlbp=self.mlbp)
+        return composite_reward(self.mode, e_sep, item.targets)
 
 
-def update_baseline(b: float, batch_mean_reward: float, ema_beta: float) -> float:
-    """EMA of batch-mean rewards."""
-    return ema_beta * b + (1.0 - ema_beta) * batch_mean_reward
-
-
-def normalize_advantages(a, eps: float, enabled: bool = True) -> np.ndarray:
-    """Group-relative normalization (population std); identity if disabled."""
+def normalize_advantages(a, eps: float) -> np.ndarray:
+    """Group-relative normalization: (a - mean) / (population std + eps)."""
     a = np.asarray(a, dtype=np.float64)
     if a.size == 0:
         raise ValueError("advantage vector must be nonempty")
-    if not enabled:
-        return a.copy()
     if np.ptp(a) == 0.0:
         return np.zeros_like(a)
     return (a - a.mean()) / (a.std() + eps)
@@ -305,7 +304,6 @@ def objective_and_grads(
 class TrainStepReport:
     step: int
     mean_reward: float
-    baseline: float
     objective: float
     surrogate: float
     entropy: float
@@ -334,11 +332,9 @@ def train_step(
     rng: np.random.Generator,
     reward_ctx: RewardContext,
     step_index: int = 0,
-    baseline: float = 0.0,
 ) -> TrainStepReport:
     """One full update: sample from the live policy, score
-    reconstructions, normalize advantages, step the live model. The
-    report's ``baseline`` is the updated EMA baseline."""
+    reconstructions, normalize advantages, step the live model."""
     kappa = cfg.kappa_at(step_index)
 
     sampled_batch = []
@@ -365,14 +361,12 @@ def train_step(
         )
 
     mean_reward = float(np.mean(rewards_flat))
-    raw_adv = np.asarray(rewards_flat) - baseline
-    norm_adv = normalize_advantages(raw_adv, cfg.grpo_eps, cfg.grpo_enabled)
+    norm_adv = normalize_advantages(rewards_flat, cfg.grpo_eps)
     pos = 0
     for sampled in sampled_batch:
         k = len(sampled.masks)
         sampled.advantages = [float(a) for a in norm_adv[pos : pos + k]]
         pos += k
-    new_baseline = update_baseline(baseline, mean_reward, cfg.ema_beta)
 
     result = objective_and_grads(model, sampled_batch, cfg, kappa)
     if not np.isfinite(result.objective):
@@ -400,7 +394,6 @@ def train_step(
     report = TrainStepReport(
         step=step_index,
         mean_reward=mean_reward,
-        baseline=new_baseline,
         objective=result.objective,
         surrogate=result.surrogate,
         entropy=result.entropy,
@@ -500,7 +493,6 @@ def train_loop(
     if cfg.warm_start_steps > 0:
         warm_start(model, train_items, cfg, rng)
     opt_state = AdamWState()
-    baseline = 0.0
 
     initial_val = (
         evaluate_mean_reward(model, val_items, reward_ctx) if val_items else 0.0
@@ -525,17 +517,8 @@ def train_loop(
             size = min(cfg.batch_size, len(train_items))
             idx = rng.choice(len(train_items), size=size, replace=False)
             batch = [train_items[i] for i in idx]
-            report = train_step(
-                model,
-                opt_state,
-                batch,
-                cfg,
-                rng,
-                reward_ctx,
-                step_index=step,
-                baseline=baseline,
-            )
-            baseline = report.baseline
+            report = train_step(model, opt_state, batch, cfg, rng, reward_ctx,
+                                step_index=step)
             log.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
             steps_run = step + 1
 

@@ -116,10 +116,6 @@ class Spectrogram:
             raise ValueError("spectrogram contains non-finite bins")
         object.__setattr__(self, "bins", bins)
 
-    @property
-    def shape(self):
-        return self.bins.shape
-
 
 @dataclass(frozen=True)
 class Mask:

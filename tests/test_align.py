@@ -1,6 +1,8 @@
 """Alignment losses (closed-form and finite-difference oracles), pair
 construction constraints, and curriculum mechanics."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -421,6 +423,16 @@ class TestHeadCheckpoint:
         loaded = load_heads(tmp_path / "heads.json")
         assert np.array_equal(loaded.audio.weight, heads.audio.weight)
         assert loaded.temperature.log_tau == heads.temperature.log_tau
+
+    @pytest.mark.parametrize("name", ["text_bias", "log_tau"])
+    def test_missing_array_is_named(self, tmp_path, name):
+        path = tmp_path / "heads.json"
+        save_heads(path, HeadSet.identity(6))
+        payload = json.loads(path.read_text())
+        del payload["arrays"][name]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"heads.json: .* no array {name}"):
+            load_heads(path)
 
 
 class TestDiscriminationGap:

@@ -1,5 +1,6 @@
 """Command-line contracts: flags, exit codes, artifacts, reproducibility."""
 
+import base64
 import contextlib
 import io
 import json
@@ -26,6 +27,20 @@ def small_dataset(tmp_path_factory):
 
 def run_dirs(tmp_path, *names):
     return [tmp_path / n for n in names]
+
+
+def dataset_with_embedder(small_dataset, root, edit):
+    """A copy of the dataset's loadable files under ``root`` whose
+    audio_embedder.json checkpoint went through ``edit``; returns the
+    embedder's path."""
+    root.mkdir()
+    for name in ("manifest.jsonl", "embeddings.embd", "dataset.json"):
+        shutil.copy(small_dataset / name, root / name)
+    payload = json.loads((small_dataset / "audio_embedder.json").read_text())
+    edit(payload)
+    embedder = root / "audio_embedder.json"
+    embedder.write_text(json.dumps(payload))
+    return embedder
 
 
 class TestSynth:
@@ -104,7 +119,7 @@ class TestTrainRl:
         ({"steps": "x"}, "config key 'steps' must be an integer, got 'x'"),
         ({"batch_size": 2.5}, "config key 'batch_size' must be an integer"),
         ({"lr": True}, "config key 'lr' must be a number, got True"),
-        ({"grpo_enabled": 1}, "config key 'grpo_enabled' must be true or false"),
+        ({"seed": False}, "config key 'seed' must be an integer, got False"),
         ({"reward_mode": None}, "config key 'reward_mode' must be a string"),
     ])
     def test_config_value_of_wrong_type_is_config_error(
@@ -118,6 +133,40 @@ class TestTrainRl:
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert named in err
         assert not (tmp_path / "run").exists()
+
+
+    @pytest.mark.parametrize("bad, named", [
+        # advantages are always normalized within the batch, with no EMA
+        # baseline, so neither key configures anything
+        ({"ema_beta": 0.92}, "unknown config key 'ema_beta'"),
+        ({"grpo_enabled": True}, "unknown config key 'grpo_enabled'"),
+        ({"query_modality": "smell"}, "unknown query_modality 'smell'"),
+    ])
+    def test_rejected_config_leaves_no_run_dir(self, small_dataset, tmp_path,
+                                               capsys, bad, named):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps(bad))
+        code = main(["train-rl", "--dataset", str(small_dataset), "--run-dir",
+                     str(tmp_path / "run"), "--config", str(cfg_file)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert named in err
+        assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train-rl", "train-align"])
+def test_corrupt_dataset_leaves_no_run_dir(small_dataset, tmp_path,
+                                           capsys, command):
+    embedder = dataset_with_embedder(
+        small_dataset, tmp_path / "ds", lambda p: p["hparams"].pop("dim"))
+    code = main([command, "--dataset", str(embedder.parent), "--run-dir",
+                 str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert f"{embedder}: audio embedder checkpoint has no hparam dim" in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +353,76 @@ class TestSeparate:
         assert code == 2
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert str(ckpt) in err and named in err
+
+    def test_unknown_query_modality_writes_nothing(self, small_dataset,
+                                                   trained_run, tmp_path,
+                                                   capsys):
+        cfg_file = tmp_path / "smell.json"
+        cfg_file.write_text(json.dumps({"query_modality": "smell"}))
+        code = main(["separate", "--checkpoint",
+                     str(trained_run / "checkpoints" / "best.json"),
+                     "--dataset", str(small_dataset), "--config",
+                     str(cfg_file), "--out", str(tmp_path / "est")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert "unknown query_modality 'smell'" in err
+        assert not (tmp_path / "est").exists()
+
+    def test_unknown_query_modality_flag_rejected(self, small_dataset,
+                                                  trained_run, tmp_path,
+                                                  capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["separate", "--checkpoint",
+                  str(trained_run / "checkpoints" / "best.json"),
+                  "--dataset", str(small_dataset), "--query-modality",
+                  "smell", "--out", str(tmp_path / "est")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'smell'" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda p: p["hparams"].pop("dim"), "has no hparam dim"),
+        (lambda p: p["hparams"].update(n_bands="24"), "hparam n_bands is '24'"),
+        (lambda p: p["hparams"].update(fmin=float("nan")), "hparam fmin is nan"),
+        (lambda p: p["hparams"].update(hop=0), "hparam hop is 0"),
+        (lambda p: p["hparams"].update(hop=1024), "need hop <= window_size"),
+        (lambda p: p["arrays"].pop("projection"), "has no array projection"),
+        (lambda p: p["hparams"].update(dim=8), "array projection has shape"),
+        (lambda p: p["hparams"].update(n_bands=23), "array projection has shape"),
+        (lambda p: p["arrays"]["projection"].update(
+            data=base64.b64encode(np.full(16 * 27, np.inf).tobytes()).decode()),
+         "array projection holds non-finite values"),
+    ])
+    def test_corrupt_audio_embedder_is_named(self, small_dataset, trained_run,
+                                             tmp_path, capsys, edit, named):
+        embedder = dataset_with_embedder(small_dataset, tmp_path / "ds", edit)
+        code = main(["separate", "--checkpoint",
+                     str(trained_run / "checkpoints" / "best.json"),
+                     "--dataset", str(embedder.parent),
+                     "--out", str(tmp_path / "est")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert str(embedder) in err and named in err
+        assert not (tmp_path / "est").exists()
+
+    def test_too_short_mixture_is_named(self, trained_run, tmp_path, capsys):
+        from masksep.spectral import Waveform
+        from masksep.wavio import write_wav
+
+        short = tmp_path / "short.wav"
+        write_wav(short, Waveform(np.full(300, 0.1), 16000))
+        qfile = tmp_path / "q.json"
+        qfile.write_text(json.dumps({"vector": [0.25] * 16}))
+        code = main(["separate", "--checkpoint",
+                     str(trained_run / "checkpoints" / "best.json"),
+                     "--mixture", str(short), "--query", str(qfile),
+                     "--out", str(tmp_path / "x.wav")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert f"{short}: waveform too short: 300 samples" in err
 
     def test_identity_like_checkpoint_on_all_ones_proposal(self, small_dataset,
                                                            tmp_path):

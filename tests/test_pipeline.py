@@ -44,7 +44,7 @@ class TestPrepareTrainItems:
             assert item.targets.audio is not None
             assert item.targets.text is not None
             assert item.targets.video is not None
-            assert item.ideal_mask.shape == (*item.mix_spec.shape, 1)
+            assert item.ideal_mask.shape == (*item.mix_spec.bins.shape, 1)
             assert item.bce_weight.sum() == pytest.approx(1.0)
 
     def test_crops_are_seed_deterministic(self, dataset):

@@ -1,18 +1,9 @@
-"""Cosine rewards, query mixup and bilinear pooling contracts."""
+"""Cosine rewards, query mixup and pooled-anchor contracts."""
 
 import numpy as np
 import pytest
 
-from masksep.reward import (
-    MlbpParams,
-    RewardTargets,
-    composite_reward,
-    cosine_sim,
-    identity_mlbp,
-    mlbp_fuse,
-    query_mixup,
-    unimodal_rewards,
-)
+from masksep.reward import RewardTargets, composite_reward, cosine_sim, query_mixup
 
 
 def unit(v):
@@ -47,108 +38,75 @@ class TestCosine:
 class TestUnimodal:
     def test_perfect_audio_match(self):
         e = unit(np.arange(1, 9, dtype=float))
-        r_aa, _, _ = unimodal_rewards(e, e, unit(np.ones(8)), unit(np.arange(8) + 2.0))
-        assert r_aa == 1.0
+        assert cosine_sim(e, e) == 1.0
 
     def test_all_orthogonal(self):
         e = np.array([1.0, 0, 0, 0])
         t = np.array([0, 1.0, 0, 0])
         v = np.array([0, 0, 1.0, 0])
         a = np.array([0, 0, 0, 1.0])
-        assert unimodal_rewards(e, a, t, v) == (0.0, 0.0, 0.0)
+        assert [cosine_sim(e, x) for x in (a, t, v)] == [0.0, 0.0, 0.0]
 
     def test_range(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            rs = unimodal_rewards(*(rng.standard_normal(16) for _ in range(4)))
-            assert all(-1.0 <= r <= 1.0 for r in rs)
+            e, *targets = (rng.standard_normal(16) for _ in range(4))
+            assert all(-1.0 <= cosine_sim(e, x) <= 1.0 for x in targets)
 
 
 class TestQueryMixup:
-    def test_single_modality(self):
-        qa, qv, qt = np.ones(4), 2 * np.ones(4), 3 * np.ones(4)
-        assert np.array_equal(query_mixup(qa, qv, qt, 1.0, 0.0, 0.0), qa)
-
     def test_equal_inputs(self):
         q = np.array([0.5, -0.5, 1.0])
-        out = query_mixup(q, q, q, 0.3, 0.3, 0.3)
-        assert np.allclose(out, q)
-
-    def test_weight_scale_invariance(self):
-        rng = np.random.default_rng(3)
-        qa, qv, qt = (rng.standard_normal(8) for _ in range(3))
-        a = query_mixup(qa, qv, qt, 1.0, 1.0, 1.0)
-        b = query_mixup(qa, qv, qt, 0.25, 0.25, 0.25)
-        assert np.allclose(a, b)
+        assert np.allclose(query_mixup(q, q, q), q)
 
     def test_convex_hull(self):
         rng = np.random.default_rng(4)
         qa, qv, qt = (rng.standard_normal(8) for _ in range(3))
-        out = query_mixup(qa, qv, qt, 0.2, 0.5, 0.9)
+        out = query_mixup(qa, qv, qt)
         coeffs = np.linalg.lstsq(np.stack([qa, qv, qt]).T, out, rcond=None)[0]
-        assert np.all(coeffs >= -1e-12) and sum(coeffs) == pytest.approx(1.0)
+        assert np.allclose(coeffs, 1.0 / 3.0)
 
-    def test_zero_weights_rejected(self):
-        with pytest.raises(ValueError):
-            query_mixup(np.ones(3), np.ones(3), np.ones(3), 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            query_mixup(np.ones(3), np.ones(3), np.ones(3), 1.5, 0.0, 0.0)
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="q_v"):
+            query_mixup(np.ones(3), np.array([1.0, np.nan, 0.0]), np.ones(3))
 
 
-class TestMlbp:
-    def test_identity_projections_give_hadamard(self):
-        params = identity_mlbp(4, n_modalities=2)
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        y = np.array([2.0, 0.5, -1.0, 1.0])
-        assert np.allclose(mlbp_fuse(params, [x, y]), x * y)
+def _fused_anchor_oracle(audio, text, video):
+    """General bilinear fusion z = W_o (hadamard_k W_k x_k) + b with
+    identity projections and a zero bias: the pooled anchor must equal it
+    bit for bit."""
+    eye = np.eye(len(audio))
+    fused = np.ones(len(audio))
+    for x in (audio, text, video):
+        fused = fused * (eye @ x)
+    return eye @ fused + np.zeros(len(audio))
 
-    def test_zero_input_annihilates(self):
-        params = identity_mlbp(4)
-        out = mlbp_fuse(params, [np.zeros(4), np.ones(4), np.ones(4)])
-        assert np.array_equal(out, np.zeros(4))
 
-    def test_homogeneity_per_slot(self):
-        rng = np.random.default_rng(5)
-        d = 6
-        params = MlbpParams(
-            modality_weights=tuple(rng.standard_normal((d, d)) for _ in range(3)),
-            output_weight=rng.standard_normal((d, d)),
-            output_bias=np.zeros(d),
-        )
-        xs = [rng.standard_normal(d) for _ in range(3)]
-        base = mlbp_fuse(params, xs)
-        scaled = mlbp_fuse(params, [3.5 * xs[0], xs[1], xs[2]])
-        assert np.allclose(scaled, 3.5 * base, rtol=1e-9, atol=1e-9)
+def _weighted_mixup_oracle(q_a, q_v, q_t, w_a=1.0, w_v=1.0, w_t=1.0):
+    """Weighted query mixup at weights (1, 1, 1): the unweighted mixup must
+    equal it bit for bit."""
+    return (w_a * q_a + w_v * q_v + w_t * q_t) / (w_a + w_v + w_t)
 
-    def test_additivity_per_slot(self):
-        rng = np.random.default_rng(6)
-        d = 5
-        params = MlbpParams(
-            modality_weights=tuple(rng.standard_normal((d, d)) for _ in range(2)),
-            output_weight=rng.standard_normal((d, d)),
-            output_bias=np.zeros(d),
-        )
-        x1, x2, y = (rng.standard_normal(d) for _ in range(3))
-        lhs = mlbp_fuse(params, [x1 + x2, y])
-        rhs = mlbp_fuse(params, [x1, y]) + mlbp_fuse(params, [x2, y])
-        assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
 
-    def test_bias_offsets_output(self):
-        d = 3
-        params = MlbpParams(
-            modality_weights=(np.eye(d), np.eye(d)),
-            output_weight=np.eye(d),
-            output_bias=np.array([1.0, 2.0, 3.0]),
-        )
-        out = mlbp_fuse(params, [np.ones(d), np.ones(d)])
-        assert np.allclose(out, 1.0 + np.array([1.0, 2.0, 3.0]))
+class TestAgainstGeneralForms:
+    def draws(self, seed, n=2000, d=16):
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            yield tuple(rng.standard_normal(d) for _ in range(4))
 
-    def test_dimension_mismatch(self):
-        params = identity_mlbp(4)
-        with pytest.raises(ValueError):
-            mlbp_fuse(params, [np.ones(4), np.ones(3), np.ones(4)])
-        with pytest.raises(ValueError):
-            mlbp_fuse(params, [np.ones(4), np.ones(4)])
+    def test_pooled_reward_bitwise(self):
+        for e, a, t, v in self.draws(13):
+            got = composite_reward("pooled", e, RewardTargets(a, t, v))
+            want = cosine_sim(e, _fused_anchor_oracle(a, t, v))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_mixup_reward_and_query_bitwise(self):
+        for e, a, t, v in self.draws(14):
+            want_q = _weighted_mixup_oracle(a, v, t)
+            assert query_mixup(a, v, t).tobytes() == want_q.tobytes()
+            got = composite_reward("mixup", e, RewardTargets(a, t, v))
+            want = cosine_sim(e, want_q)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestCompositeReward:
@@ -163,8 +121,7 @@ class TestCompositeReward:
     def test_audio_mode_reduces_to_unimodal(self):
         t = self.targets()
         e = unit(np.random.default_rng(8).standard_normal(8))
-        r_aa, _, _ = unimodal_rewards(e, t.audio, t.text, t.video)
-        assert composite_reward("audio", e, t) == pytest.approx(r_aa)
+        assert composite_reward("audio", e, t) == cosine_sim(e, t.audio)
 
     def test_pooled_symmetric_uniform_case(self):
         # all targets equal to e_sep = uniform positive unit vector: the
@@ -184,7 +141,7 @@ class TestCompositeReward:
     def test_mixup_mode(self):
         t = self.targets()
         e = unit(np.random.default_rng(10).standard_normal(8))
-        mixed = query_mixup(t.audio, t.video, t.text, 1.0, 1.0, 1.0)
+        mixed = query_mixup(t.audio, t.video, t.text)
         assert composite_reward("mixup", e, t) == pytest.approx(
             cosine_sim(e, mixed)
         )

@@ -23,7 +23,6 @@ from masksep.rl import (
     surrogate_logp_grad,
     train_loop,
     train_step,
-    update_baseline,
 )
 from masksep.reward import RewardTargets
 from masksep.separator import forward, init_model, load_model
@@ -75,20 +74,6 @@ def toy_world():
     return items, reward_ctx, model
 
 
-class TestBaseline:
-    def test_single_update(self):
-        assert update_baseline(0.0, 1.0, 0.92) == pytest.approx(0.08)
-
-    def test_geometric_convergence(self):
-        b = 0.0
-        for _ in range(200):
-            b = update_baseline(b, 3.0, 0.92)
-        assert b == pytest.approx(3.0, abs=1e-6)
-
-    def test_beta_zero_tracks_mean(self):
-        assert update_baseline(17.0, 2.5, 0.0) == 2.5
-
-
 class TestNormalizeAdvantages:
     def test_constant_vector_maps_to_zero(self):
         out = normalize_advantages(np.array([1.0, 1.0, 1.0]), 1e-6)
@@ -98,10 +83,6 @@ class TestNormalizeAdvantages:
         out = normalize_advantages(np.array([0.0, 2.0]), 1e-6)
         assert out[0] == pytest.approx(-1.0, abs=1e-5)
         assert out[1] == pytest.approx(1.0, abs=1e-5)
-
-    def test_disabled_is_identity(self):
-        a = np.array([3.0, -1.0, 0.5])
-        assert np.array_equal(normalize_advantages(a, 1e-6, enabled=False), a)
 
     def test_moments_on_nondegenerate_batch(self):
         rng = np.random.default_rng(2)

@@ -112,13 +112,14 @@ class TestMasking:
     def test_identity_mask_returns_mixture(self):
         w = _rand_wave(16384, 7)
         s = stft(w, CFG)
-        rec = apply_mask_reconstruct(s, Mask(np.ones(s.shape)))
+        rec = apply_mask_reconstruct(s, Mask(np.ones(s.bins.shape)))
         err = np.linalg.norm(rec.samples - w.samples) / np.linalg.norm(w.samples)
         assert err <= 1e-6
 
     def test_zero_mask_returns_silence(self):
         s = stft(_rand_wave(16384, 8), CFG)
-        assert np.all(apply_mask_reconstruct(s, Mask(np.zeros(s.shape))).samples == 0)
+        silent = apply_mask_reconstruct(s, Mask(np.zeros(s.bins.shape)))
+        assert np.all(silent.samples == 0)
 
     def test_shape_mismatch_rejected(self):
         s = stft(_rand_wave(16384, 9), CFG)
@@ -127,7 +128,7 @@ class TestMasking:
 
     def test_mask_never_increases_magnitude(self):
         s = stft(_rand_wave(16384, 10), CFG)
-        m = Mask(np.random.default_rng(11).uniform(0, 1, size=s.shape))
+        m = Mask(np.random.default_rng(11).uniform(0, 1, size=s.bins.shape))
         masked = m.values * np.abs(s.bins)
         assert np.all(masked <= np.abs(s.bins) + 1e-12)
 
