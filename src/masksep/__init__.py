@@ -7,11 +7,13 @@ Subpackage map:
 - ``wavio``      WAV file reader/writer with a sample-rate policy
 - ``special``    log-gamma / digamma / trigamma numerics
 - ``policy``     factorized Beta mask distribution (sampling, log-density,
-                 entropy, KL, gradients)
+                 entropy, KL, log-density and entropy gradients)
 - ``separator``  trainable mask-proposal network with exact gradients
 - ``optim``      AdamW with global-norm gradient clipping
-- ``rl``         clipped trust-region policy optimization loop
-- ``reward``     cosine rewards, query mixup, low-rank bilinear query pooling
+- ``rl``         clipped-surrogate policy optimization loop; the clip is the
+                 trust region, with no KL penalty
+- ``reward``     cosine rewards against one modality's target, their mixup
+                 or their elementwise product
 - ``embed``      embedding stores, synthetic oracle embedders, projection heads
 - ``align``      three-stage contrastive alignment curriculum
 - ``metrics``    SI-SDR / SI-SDRi, permutation assignment, SDR/SIR/SAR

@@ -111,8 +111,8 @@ def cmd_synth(args) -> int:
 
 _RL_FLAG_KEYS = (
     "steps", "batch_size", "seed", "lr", "reward_mode", "query_modality",
-    "segment_samples", "val_interval", "entropy_coef", "kl_coef",
-    "mc_samples", "warm_start_steps",
+    "segment_samples", "val_interval", "entropy_coef", "mc_samples",
+    "warm_start_steps",
 )
 
 
@@ -140,14 +140,13 @@ def cmd_train_rl(args) -> int:
     if cfg["model_dtype"] not in ("float32", "float64"):
         raise ConfigError("model_dtype must be 'float32' or 'float64'")
     dataset = pipeline.load_dataset(cfg["dataset"])
+    train_items = pipeline.prepare_train_items(dataset, "train", rl_cfg, stft_cfg)
+    val_items = pipeline.prepare_train_items(dataset, "val", rl_cfg, stft_cfg)
+    reward_ctx = pipeline.make_reward_context(dataset, rl_cfg)
     run_dir = Path(cfg["run_dir"])
     _echo_config(run_dir, "train-rl", cfg)
     (run_dir / "logs").mkdir(exist_ok=True)
     (run_dir / "reports").mkdir(exist_ok=True)
-
-    train_items = pipeline.prepare_train_items(dataset, "train", rl_cfg, stft_cfg)
-    val_items = pipeline.prepare_train_items(dataset, "val", rl_cfg, stft_cfg)
-    reward_ctx = pipeline.make_reward_context(dataset, rl_cfg)
 
     model = separator.init_model(
         np.random.default_rng(rl_cfg.seed),
@@ -297,18 +296,25 @@ def cmd_eval(args) -> int:
     )
     if cfg["manifest"] is None or cfg["out"] is None:
         raise ConfigError("eval needs --manifest and --out")
+    if not isinstance(cfg["with_bss"], bool):
+        raise ConfigError(f"config key 'with_bss' must be true or false, "
+                          f"got {cfg['with_bss']!r}")
+    for key, least in (("seed", 0), ("bootstrap", 1)):
+        value = cfg[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise ConfigError(f"config key {key!r} must be an integer "
+                              f">= {least}, got {value!r}")
     out = Path(cfg["out"])
     _echo_config(out, "eval", cfg)
 
     utterances = pipeline.evaluate_manifest(cfg["manifest"],
-                                            with_bss=bool(cfg["with_bss"]))
+                                            with_bss=cfg["with_bss"])
     with open(out / "report.jsonl", "w") as fh:
         for u in utterances:
             fh.write(json.dumps(u.to_dict(), sort_keys=True) + "\n")
     try:
         report = metrics.aggregate(
-            utterances, bootstrap_resamples=int(cfg["bootstrap"]),
-            seed=int(cfg["seed"]),
+            utterances, bootstrap_resamples=cfg["bootstrap"], seed=cfg["seed"],
         )
     except ValueError as exc:
         print(f"eval failed: {exc}", file=sys.stderr)
@@ -420,8 +426,16 @@ def cmd_separate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag in one line, as every other configuration error
+    is, instead of argparse's usage block; ``--help`` is unchanged."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"configuration error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="masksep",
         description="query-conditioned sound separation toolkit",
     )
@@ -449,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segment-samples", dest="segment_samples", type=int)
     p.add_argument("--val-interval", dest="val_interval", type=int)
     p.add_argument("--entropy-coef", dest="entropy_coef", type=float)
-    p.add_argument("--kl-coef", dest="kl_coef", type=float)
     p.add_argument("--mc-samples", dest="mc_samples", type=int)
     p.add_argument("--warm-start-steps", dest="warm_start_steps", type=int)
     p.add_argument("--no-warm-start", dest="warm_start_steps",

@@ -5,10 +5,11 @@ A proposal P in [0,1] per bin is turned into Beta shape parameters
     alpha = 1 + kappa * P,    beta = 1 + kappa * (1 - P)
 
 so the per-bin mode sits exactly at P while kappa sets the concentration.
-Log-density, entropy, KL divergence and their shape-parameter gradients are
-closed-form; all reductions run in float64. The parameters carry their
-digamma, trigamma and log-normalizer tables, built once on first use and
-shared by every evaluation of the same policy.
+Log-density, entropy and KL divergence are closed-form, as are the
+shape-parameter gradients of log-density and entropy that training needs;
+all reductions run in float64. The parameters carry their digamma,
+trigamma and log-normalizer tables, built once on first use and shared by
+every evaluation of the same policy.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class BetaPolicyParams:
     """Per-bin (alpha, beta) shape tensors.
 
     The digamma, trigamma and log-normalizer tables that log-density,
-    entropy, KL and their gradients all read are built on first use and
+    entropy, KL and the gradients all read are built on first use and
     cached on the instance, so every evaluation of one policy shares them.
     Each family is evaluated in one vectorized call over the stacked
     (alpha, beta, alpha+beta) arguments; results are bitwise identical to
@@ -159,15 +160,11 @@ def entropy(params: BetaPolicyParams) -> float:
     return float(np.sum(terms))
 
 
-def _check_same_shape(p: BetaPolicyParams, q: BetaPolicyParams) -> None:
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-
-
 def kl_divergence(p: BetaPolicyParams, q: BetaPolicyParams) -> float:
     """KL(p || q), summed over bins. Always >= 0, and exactly 0 when p and
     q are the same parameters. Reads p's digamma and both log-normalizers."""
-    _check_same_shape(p, q)
+    if p.shape != q.shape:
+        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     psi_a, psi_b, psi_ab = p.psi
     terms = (
         q.log_norm
@@ -195,17 +192,6 @@ def entropy_grad(params: BetaPolicyParams):
     spread = a + b - 2.0
     d_alpha = -(a - 1.0) * tri_a + spread * tri_ab
     d_beta = -(b - 1.0) * tri_b + spread * tri_ab
-    return d_alpha, d_beta
-
-
-def kl_divergence_grad(p: BetaPolicyParams, q: BetaPolicyParams):
-    """Per-bin gradients of KL(p || q) w.r.t. p's (alpha, beta); reads p's
-    trigamma tables."""
-    _check_same_shape(p, q)
-    tri_a, tri_b, tri_ab = p.tri
-    cross = (q.alpha - p.alpha + q.beta - p.beta) * tri_ab
-    d_alpha = (p.alpha - q.alpha) * tri_a + cross
-    d_beta = (p.beta - q.beta) * tri_b + cross
     return d_alpha, d_beta
 
 

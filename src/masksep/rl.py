@@ -3,14 +3,15 @@
 Each step samples masks from the live separator's Beta policy, scores
 the reconstructions with embedding rewards, normalizes the rewards within
 the batch (the batch mean is the baseline, as in GRPO) into advantages,
-then takes one gradient step on the clipped surrogate with entropy and KL
-terms.
+then takes one gradient step on the clipped surrogate with an entropy
+bonus. As in PPO's clip variant, the clip is the trust region; there is
+no KL penalty.
 
 The frozen old policy is what sampling recorded: the Beta parameters and
 the log-densities of the drawn masks. Updates are single-pass, so at the
 gradient step the live policy still equals the old one: the ratio is
-exactly 1, the clip cannot bind and the KL term is 0. The post-update
-``kl_post`` probe is what shows the trust region's effect.
+exactly 1 and the clip cannot bind. The post-update ``kl_post`` probe is
+what shows the trust region's effect.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .policy import (
     entropy_grad,
     kappa_schedule,
     kl_divergence,
-    kl_divergence_grad,
     log_prob,
     log_prob_grad,
     params_from_proposal,
@@ -60,7 +60,6 @@ class RlConfig:
 
     clip_epsilon: float = 0.2
     entropy_coef: float = 0.003
-    kl_coef: float = 0.01
     grpo_eps: float = 1e-6
     mc_samples: int = 1
     steps: int = 2000
@@ -88,6 +87,12 @@ class RlConfig:
             raise ConfigError("grpo_eps must be positive")
         if self.mc_samples < 1 or self.steps < 0 or self.batch_size < 1:
             raise ConfigError("mc_samples/steps/batch_size out of range")
+        if self.seed < 0 or self.val_interval < 1:
+            raise ConfigError("seed must be >= 0 and val_interval >= 1")
+        if not 0.0 < self.sample_clamp < 0.5:
+            raise ConfigError("sample_clamp must lie in (0, 0.5)")
+        if not (self.kappa_start > 0.0 and self.kappa_end > 0.0):
+            raise ConfigError("kappa_start and kappa_end must be positive")
         if self.reward_mode not in REWARD_MODES:
             raise ConfigError(f"unknown reward_mode {self.reward_mode!r}")
         if self.query_modality not in QUERY_MODALITIES:
@@ -155,34 +160,20 @@ def normalize_advantages(a, eps: float) -> np.ndarray:
     return (a - a.mean()) / (a.std() + eps)
 
 
-def importance_ratio(logp_new: float, logp_old: float) -> float:
-    """exp(logp_new - logp_old), with the difference clamped to +/-20."""
-    return float(np.exp(np.clip(logp_new - logp_old, -RATIO_LOG_CLAMP,
-                                RATIO_LOG_CLAMP)))
+def clipped_surrogate(log_diff: float, adv: float, clip_epsilon: float):
+    """PPO's clipped surrogate of one sample, min(r A, clip(r) A), where
+    r = exp(log_diff) and log_diff = logp_new - logp_old is clamped to +/-20.
 
-
-def clipped_surrogate(ratio: float, adv: float, clip_epsilon: float):
-    """min(r * A, clip(r) * A); ties count as unclipped."""
-    if not 0.0 < clip_epsilon < 1.0:
-        raise ValueError("clip_epsilon must lie in (0, 1)")
+    Returns (value, d value / d logp_new, whether the clip bound, r). Ties
+    count as unclipped. The gradient is 0 where the clip binds or the
+    clamp binds; otherwise it is r A, since dr/dlogp_new = r."""
+    ratio = float(np.exp(np.clip(log_diff, -RATIO_LOG_CLAMP, RATIO_LOG_CLAMP)))
     unclipped = ratio * adv
     clipped = float(np.clip(ratio, 1.0 - clip_epsilon, 1.0 + clip_epsilon)) * adv
     if clipped < unclipped:
-        return clipped, "clipped"
-    return unclipped, "unclipped"
-
-
-def surrogate_logp_grad(ratio: float, adv: float, clip_epsilon: float,
-                        log_diff: float) -> float:
-    """d(surrogate)/d(logp_new).
-
-    Zero when the clipped branch is active (the clip binds there) or when
-    the ratio's log-space clamp binds; otherwise r * A since dr/dlogp = r.
-    """
-    _, branch = clipped_surrogate(ratio, adv, clip_epsilon)
-    if branch == "clipped" or abs(log_diff) > RATIO_LOG_CLAMP:
-        return 0.0
-    return ratio * adv
+        return clipped, 0.0, True, ratio
+    grad = 0.0 if abs(log_diff) > RATIO_LOG_CLAMP else unclipped
+    return unclipped, grad, False, ratio
 
 
 @dataclass
@@ -210,7 +201,6 @@ class ObjectiveResult:
     grads: ParamGrads
     surrogate: float
     entropy: float
-    kl: float
     ratio_mean: float
     frac_clipped: float
 
@@ -225,22 +215,20 @@ def objective_and_grads(
     live model's parameters (Beta-shape chain rule through the proposal).
 
     An item carrying the sampler's forward cache has the live policy equal
-    to its old one: both are ``params_old``, each new log-density is the
-    recorded old one, and the KL term and its gradient are exactly 0, so
-    none of them is recomputed. Other items forward the live model here
-    and take the general path."""
+    to its old one: both are ``params_old`` and each new log-density is the
+    recorded old one, so neither is recomputed. Other items forward the
+    live model here and take the general path."""
     n_items = len(batch)
     n_samples = sum(len(s.masks) for s in batch)
     total = None
-    ratios_all, values_all, entropies, kls = [], [], [], []
+    ratios_all, values_all, entropies = [], [], []
     n_clipped = 0
 
     for sampled in batch:
         item = sampled.item
-        old = sampled.params_old
         reused = sampled.cache is not None
         if reused:
-            cache, new = sampled.cache, old
+            cache, new = sampled.cache, sampled.params_old
         else:
             proposal, cache = forward(model, item.log_mag, item.query)
             new = params_from_proposal(proposal, kappa)
@@ -251,12 +239,10 @@ def objective_and_grads(
             sampled.masks, sampled.logp_old, sampled.advantages
         ):
             logp_new = logp_old if reused else log_prob(new, mask)
-            log_diff = logp_new - logp_old
-            ratio = importance_ratio(logp_new, logp_old)
-            value, branch = clipped_surrogate(ratio, adv, cfg.clip_epsilon)
-            coeff = surrogate_logp_grad(ratio, adv, cfg.clip_epsilon, log_diff)
-            if branch == "clipped":
-                n_clipped += 1
+            value, coeff, clipped, ratio = clipped_surrogate(
+                logp_new - logp_old, adv, cfg.clip_epsilon
+            )
+            n_clipped += clipped
             ratios_all.append(ratio)
             values_all.append(value)
             if coeff != 0.0:
@@ -265,15 +251,10 @@ def objective_and_grads(
                 d_beta += (coeff / n_samples) * g_b
 
         entropies.append(entropy(new))
-        kls.append(0.0 if reused else kl_divergence(new, old))
         if cfg.entropy_coef != 0.0:
             h_a, h_b = entropy_grad(new)
             d_alpha += (cfg.entropy_coef / n_items) * h_a
             d_beta += (cfg.entropy_coef / n_items) * h_b
-        if cfg.kl_coef != 0.0 and not reused:
-            k_a, k_b = kl_divergence_grad(new, old)
-            d_alpha -= (cfg.kl_coef / n_items) * k_a
-            d_beta -= (cfg.kl_coef / n_items) * k_b
 
         # alpha = 1 + kappa P, beta = 1 + kappa (1 - P); loss = -J
         upstream_loss = -kappa * (d_alpha - d_beta)
@@ -284,17 +265,12 @@ def objective_and_grads(
             for name in ("w1", "b1", "w2", "b2"):
                 setattr(total, name, getattr(total, name) + getattr(grads, name))
 
-    j = (
-        float(np.mean(values_all))
-        + cfg.entropy_coef * float(np.mean(entropies))
-        - cfg.kl_coef * float(np.mean(kls))
-    )
+    j = float(np.mean(values_all)) + cfg.entropy_coef * float(np.mean(entropies))
     return ObjectiveResult(
         objective=j,
         grads=total,
         surrogate=float(np.mean(values_all)),
         entropy=float(np.mean(entropies)),
-        kl=float(np.mean(kls)),
         ratio_mean=float(np.mean(ratios_all)),
         frac_clipped=n_clipped / max(1, n_samples),
     )
@@ -307,7 +283,6 @@ class TrainStepReport:
     objective: float
     surrogate: float
     entropy: float
-    kl: float
     ratio_mean: float
     frac_clipped: float
     grad_norm: float
@@ -372,7 +347,7 @@ def train_step(
     if not np.isfinite(result.objective):
         raise DivergenceError(
             f"non-finite objective at step {step_index}: "
-            f"surrogate={result.surrogate} entropy={result.entropy} kl={result.kl}"
+            f"surrogate={result.surrogate} entropy={result.entropy}"
         )
     grad_norm = apply_adamw_step(
         model,
@@ -397,7 +372,6 @@ def train_step(
         objective=result.objective,
         surrogate=result.surrogate,
         entropy=result.entropy,
-        kl=result.kl,
         ratio_mean=result.ratio_mean,
         frac_clipped=result.frac_clipped,
         grad_norm=grad_norm,

@@ -207,7 +207,7 @@ def test_criterion_2_gradient_fidelity():
     from masksep.reward import RewardTargets
     from masksep.rl import RlConfig, SampledItem, TrainItem, objective_and_grads
 
-    cfg = RlConfig(entropy_coef=0.1, kl_coef=0.01)
+    cfg = RlConfig(entropy_coef=0.1)
     model = init_model(np.random.default_rng(7), context=1, hidden_width=3,
                        query_dim=2)
     old = copy.deepcopy(model)
@@ -253,7 +253,6 @@ def test_criterion_3_ppo_mechanics():
         RlConfig,
         clipped_surrogate,
         normalize_advantages,
-        surrogate_logp_grad,
         train_step,
     )
     from masksep.optim import AdamWState
@@ -291,10 +290,10 @@ def test_criterion_3_ppo_mechanics():
     assert result.frac_clipped == 0.0
 
     # clipped branch -> exactly zero ratio-gradient where the clip binds
-    assert surrogate_logp_grad(1.5, 1.0, 0.2, float(np.log(1.5))) == 0.0
-    assert surrogate_logp_grad(0.5, -1.0, 0.2, float(np.log(0.5))) == 0.0
-    value, branch = clipped_surrogate(1.5, 1.0, 0.2)
-    assert branch == "clipped" and value == pytest.approx(1.2)
+    assert clipped_surrogate(float(np.log(1.5)), 1.0, 0.2)[1] == 0.0
+    assert clipped_surrogate(float(np.log(0.5)), -1.0, 0.2)[1] == 0.0
+    value, _, clipped, _ = clipped_surrogate(float(np.log(1.5)), 1.0, 0.2)
+    assert clipped and value == pytest.approx(1.2)
 
     # GRPO batch moments
     arr = np.random.default_rng(6).normal(3.0, 2.0, size=64)
@@ -306,7 +305,7 @@ def test_criterion_3_ppo_mechanics():
     model2 = init_model(np.random.default_rng(7), context=3, hidden_width=8,
                         query_dim=4)
     before = {n: getattr(model2, n).copy() for n in ("w1", "b1", "w2", "b2")}
-    cfg2 = RlConfig(batch_size=4, steps=10, entropy_coef=0.0, kl_coef=0.0,
+    cfg2 = RlConfig(batch_size=4, steps=10, entropy_coef=0.0,
                     weight_decay=0.0)
     result = train_step(model2, AdamWState(), items, cfg2,
                         np.random.default_rng(8),

@@ -141,6 +141,14 @@ class TestTrainRl:
         ({"ema_beta": 0.92}, "unknown config key 'ema_beta'"),
         ({"grpo_enabled": True}, "unknown config key 'grpo_enabled'"),
         ({"query_modality": "smell"}, "unknown query_modality 'smell'"),
+        # the clip is the trust region: there is no KL penalty to weigh
+        ({"kl_coef": 0.01}, "unknown config key 'kl_coef'"),
+        # values that would otherwise fail only once training has started
+        ({"val_interval": 0}, "val_interval >= 1"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"sample_clamp": 0.7}, "sample_clamp must lie in (0, 0.5)"),
+        ({"kappa_start": -1}, "kappa_start and kappa_end must be positive"),
+        ({"segment_samples": 0}, "segment_samples is shorter than the STFT"),
     ])
     def test_rejected_config_leaves_no_run_dir(self, small_dataset, tmp_path,
                                                capsys, bad, named):
@@ -153,6 +161,27 @@ class TestTrainRl:
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert named in err
         assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["separate", "--query-modality", "smell"], "invalid choice: 'smell'"),
+    (["train-rl", "--steps", "x"], "invalid int value: 'x'"),
+    ([], "the following arguments are required: command"),
+])
+def test_bad_flag_is_one_line(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: ") and named in err
+
+
+def test_help_keeps_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train-rl", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: masksep train-rl")
 
 
 @pytest.mark.parametrize("command", ["train-rl", "train-align"])
@@ -651,6 +680,25 @@ class TestEval:
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert f"{manifest}: line 2" in err and repr(missing) in err
 
+
+    @pytest.mark.parametrize("bad, named", [
+        ({"bootstrap": 0}, "'bootstrap' must be an integer >= 1, got 0"),
+        ({"bootstrap": 100.0}, "'bootstrap' must be an integer >= 1"),
+        ({"seed": True}, "'seed' must be an integer >= 0, got True"),
+        ({"seed": -1}, "'seed' must be an integer >= 0, got -1"),
+        ({"with_bss": "no"}, "'with_bss' must be true or false, got 'no'"),
+    ])
+    def test_bad_config_value_writes_nothing(self, sep_out, tmp_path, capsys,
+                                             bad, named):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps(bad))
+        code = main(["eval", "--manifest", str(sep_out / "eval_manifest.jsonl"),
+                     "--out", str(tmp_path / "out"), "--config", str(cfg_file)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert named in err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_record_is_config_error(self, tmp_path, capsys):
         manifest = tmp_path / "m.jsonl"

@@ -17,10 +17,8 @@ from masksep.rl import (
     TrainItem,
     clipped_surrogate,
     evaluate_mean_reward,
-    importance_ratio,
     normalize_advantages,
     objective_and_grads,
-    surrogate_logp_grad,
     train_loop,
     train_step,
 )
@@ -97,49 +95,60 @@ class TestNormalizeAdvantages:
 
 
 class TestImportanceRatio:
+    """The ratio exp(logp_new - logp_old) inside clipped_surrogate."""
+
     def test_equal_logprobs(self):
-        assert importance_ratio(-5.0, -5.0) == 1.0
+        assert clipped_surrogate(0.0, 1.0, 0.2)[3] == 1.0
 
     def test_log_two(self):
-        assert importance_ratio(np.log(2.0), 0.0) == pytest.approx(2.0)
+        value, _, _, ratio = clipped_surrogate(np.log(2.0), -1.0, 0.2)
+        assert ratio == pytest.approx(2.0)
+        assert value == pytest.approx(-2.0)
 
     def test_clamp(self):
-        assert importance_ratio(50.0, 0.0) == pytest.approx(np.exp(20.0))
-        assert importance_ratio(-50.0, 0.0) == pytest.approx(np.exp(-20.0))
+        # the log-space clamp binds: the ratio saturates and the unclipped
+        # branch passes no gradient
+        value, grad, clipped, ratio = clipped_surrogate(50.0, -1.0, 0.2)
+        assert ratio == pytest.approx(np.exp(20.0))
+        assert value == pytest.approx(-np.exp(20.0))
+        assert (grad, clipped) == (0.0, False)
+        value, grad, clipped, ratio = clipped_surrogate(-50.0, 1.0, 0.2)
+        assert ratio == pytest.approx(np.exp(-20.0))
+        assert (grad, clipped) == (0.0, False)
 
 
 class TestClippedSurrogate:
     def test_clip_binds_above(self):
-        value, branch = clipped_surrogate(1.5, 1.0, 0.2)
+        value, _, clipped, _ = clipped_surrogate(np.log(1.5), 1.0, 0.2)
         assert value == pytest.approx(1.2)
-        assert branch == "clipped"
+        assert clipped
 
     def test_pessimistic_negative_advantage(self):
-        value, branch = clipped_surrogate(1.5, -1.0, 0.2)
+        value, _, clipped, _ = clipped_surrogate(np.log(1.5), -1.0, 0.2)
         assert value == pytest.approx(-1.5)
-        assert branch == "unclipped"
+        assert not clipped
 
     def test_ratio_one_ties_unclipped(self):
         for adv in (2.5, -2.5, 0.0):
-            value, branch = clipped_surrogate(1.0, adv, 0.2)
+            value, _, clipped, _ = clipped_surrogate(0.0, adv, 0.2)
             assert value == adv
-            assert branch == "unclipped"
+            assert not clipped
 
     def test_monotone_pessimism(self):
         rng = np.random.default_rng(3)
         for _ in range(300):
             r = rng.uniform(0.0, 3.0)
             adv = rng.normal()
-            value, _ = clipped_surrogate(r, adv, 0.2)
+            value = clipped_surrogate(np.log(r), adv, 0.2)[0]
             assert value <= r * adv + 1e-12
 
     def test_zero_gradient_when_clip_binds(self):
-        assert surrogate_logp_grad(1.5, 1.0, 0.2, np.log(1.5)) == 0.0
-        assert surrogate_logp_grad(0.5, -1.0, 0.2, np.log(0.5)) == 0.0
+        assert clipped_surrogate(np.log(1.5), 1.0, 0.2)[1] == 0.0
+        assert clipped_surrogate(np.log(0.5), -1.0, 0.2)[1] == 0.0
 
     def test_gradient_when_unclipped(self):
-        assert surrogate_logp_grad(1.1, 1.0, 0.2, np.log(1.1)) == pytest.approx(1.1)
-        assert surrogate_logp_grad(1.5, -1.0, 0.2, np.log(1.5)) == pytest.approx(-1.5)
+        assert clipped_surrogate(np.log(1.1), 1.0, 0.2)[1] == pytest.approx(1.1)
+        assert clipped_surrogate(np.log(1.5), -1.0, 0.2)[1] == pytest.approx(-1.5)
 
 
 def toy_sampled_batch(model, old, kappa, cfg, seed=0, carry_forward=False):
@@ -179,44 +188,37 @@ def toy_sampled_batch(model, old, kappa, cfg, seed=0, carry_forward=False):
 
 
 class TestRlObjective:
-    """How objective_and_grads assembles J from its surrogate, entropy and
-    KL terms."""
+    """How objective_and_grads assembles J from its surrogate and entropy
+    terms."""
 
     @staticmethod
-    def toy(cfg, advantage, old_shift=0.0):
+    def toy(cfg, advantage):
         model = init_model(np.random.default_rng(20), context=1, hidden_width=3,
                            query_dim=2)
         old = copy.deepcopy(model)
-        old.b2 += old_shift
         batch = toy_sampled_batch(model, old, 9.0, cfg, seed=21)
         for sampled in batch:
             sampled.advantages = [advantage]
         return objective_and_grads(model, batch, cfg, 9.0)
 
     def test_single_sample_ratio_one(self):
-        result = self.toy(RlConfig(entropy_coef=0.0, kl_coef=0.0), 0.7)
+        result = self.toy(RlConfig(entropy_coef=0.0), 0.7)
         assert result.ratio_mean == 1.0
         assert result.surrogate == pytest.approx(0.7)
         assert result.objective == pytest.approx(0.7)
 
     def test_entropy_only_regime(self):
-        result = self.toy(RlConfig(entropy_coef=0.1, kl_coef=0.0), 0.0)
+        result = self.toy(RlConfig(entropy_coef=0.1), 0.0)
         assert result.surrogate == 0.0
         assert result.objective == pytest.approx(0.1 * result.entropy)
-
-    def test_kl_subtracted(self):
-        result = self.toy(RlConfig(entropy_coef=0.0, kl_coef=0.01), 0.0,
-                          old_shift=0.5)
-        assert result.kl > 0.0
-        assert result.objective == pytest.approx(-0.01 * result.kl)
 
 
 class TestEndToEndGradient:
     def test_matches_finite_differences_on_four_bin_toy(self):
         # generic point: the old policy differs from the live one, so the
-        # ratio, clip and KL paths are all exercised away from their
-        # stationary point
-        cfg = RlConfig(entropy_coef=0.1, kl_coef=0.01, clip_epsilon=0.2)
+        # ratio and clip paths are exercised away from their stationary
+        # point
+        cfg = RlConfig(entropy_coef=0.1, clip_epsilon=0.2)
         kappa = 9.0
         model = init_model(np.random.default_rng(4), context=1, hidden_width=3,
                            query_dim=2)
@@ -247,7 +249,7 @@ class TestEndToEndGradient:
         assert worst <= 1e-3
 
     def test_zero_advantage_entropy_free_gradients_vanish(self):
-        cfg = RlConfig(entropy_coef=0.0, kl_coef=0.0)
+        cfg = RlConfig(entropy_coef=0.0)
         model = init_model(np.random.default_rng(7), context=1, hidden_width=3,
                            query_dim=2)
         old = copy.deepcopy(model)
@@ -258,26 +260,10 @@ class TestEndToEndGradient:
         for name in ("w1", "b1", "w2", "b2"):
             assert np.all(getattr(result.grads, name) == 0.0)
 
-    def test_kl_term_is_inert_at_equality(self):
-        # with old == new, KL and its gradient vanish: kl_coef must not
-        # change the objective or the update direction at that point
-        model = init_model(np.random.default_rng(9), context=1, hidden_width=3,
-                           query_dim=2)
-        old = copy.deepcopy(model)
-        base_cfg = RlConfig(entropy_coef=0.1, kl_coef=0.0)
-        kl_cfg = RlConfig(entropy_coef=0.1, kl_coef=0.5)
-        batch = toy_sampled_batch(model, old, 9.0, base_cfg, seed=10)
-        a = objective_and_grads(model, batch, base_cfg, 9.0)
-        b = objective_and_grads(model, batch, kl_cfg, 9.0)
-        assert a.objective == pytest.approx(b.objective, abs=1e-12)
-        for name in ("w1", "b1", "w2", "b2"):
-            assert np.allclose(getattr(a.grads, name), getattr(b.grads, name),
-                               atol=1e-12)
-
     def test_carried_forward_matches_fresh_forward_bitwise(self):
         # at old == live, reusing the sampler's forward and tables is the
         # same computation as forwarding the live model again
-        cfg = RlConfig(entropy_coef=0.1, kl_coef=0.5)
+        cfg = RlConfig(entropy_coef=0.1)
         model = init_model(np.random.default_rng(11), context=1, hidden_width=3,
                            query_dim=2)
         carried = toy_sampled_batch(model, model, 9.0, cfg, seed=12,
@@ -288,7 +274,6 @@ class TestEndToEndGradient:
         assert a.objective == b.objective
         for result in (a, b):
             assert result.ratio_mean == 1.0
-            assert result.kl == 0.0
             assert result.frac_clipped == 0.0
         for name in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(getattr(a.grads, name), getattr(b.grads, name))
@@ -318,7 +303,7 @@ class TestTrainStep:
         items, _, model = toy_world
         model = copy.deepcopy(model)
         before = {n: getattr(model, n).copy() for n in ("w1", "b1", "w2", "b2")}
-        cfg = RlConfig(batch_size=4, steps=10, entropy_coef=0.0, kl_coef=0.0,
+        cfg = RlConfig(batch_size=4, steps=10, entropy_coef=0.0,
                        weight_decay=0.0)
         result = train_step(
             model, AdamWState(), items[:4], cfg,
@@ -332,7 +317,7 @@ class TestTrainStep:
         items, _, model = toy_world
         model = copy.deepcopy(model)
         before = model.w1.copy()
-        cfg = RlConfig(batch_size=4, steps=10, entropy_coef=0.1, kl_coef=0.0)
+        cfg = RlConfig(batch_size=4, steps=10, entropy_coef=0.1)
         train_step(model, AdamWState(), items[:4], cfg,
                    np.random.default_rng(3), _ConstantReward())
         assert not np.array_equal(model.w1, before)
@@ -346,9 +331,9 @@ class TestTrainStep:
                        np.random.default_rng(4), _ConstantReward(np.nan))
 
     def test_one_table_set_per_item_plus_probe(self, toy_world, monkeypatch):
-        # each item's tables serve its sampling, objective, KL and their
-        # gradients; the kl_post probe builds one more set and reuses the
-        # lead item's log-normalizer
+        # each item's tables serve its sampling, objective and gradients;
+        # the kl_post probe builds one more set and reuses the lead item's
+        # log-normalizer
         from masksep import policy
 
         items, reward_ctx, model = toy_world
@@ -366,9 +351,9 @@ class TestTrainStep:
 
     def test_one_log_prob_per_mask_and_no_kl_gradient(self, toy_world,
                                                       monkeypatch):
-        # the objective reuses the sampler's log-densities, and its KL term
-        # and gradient are known to be 0, so only sampling scores masks and
-        # only the kl_post probe evaluates a KL
+        # the objective reuses the sampler's log-densities, so only
+        # sampling scores masks; the objective has no KL term, so only the
+        # kl_post probe evaluates a KL
         from masksep import policy, rl
 
         items, reward_ctx, model = toy_world
@@ -383,7 +368,7 @@ class TestTrainStep:
                 return fn(*args)
             return wrapper
 
-        for name in ("log_prob", "kl_divergence", "kl_divergence_grad"):
+        for name in ("log_prob", "kl_divergence"):
             wrapper = counted(name)
             monkeypatch.setattr(policy, name, wrapper)
             monkeypatch.setattr(rl, name, wrapper)
