@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -64,6 +65,20 @@ def _echo_config(run_dir: Path, command: str, cfg: dict) -> None:
     )
 
 
+def _check_int(cfg: dict, key: str, least: int) -> None:
+    value = cfg[key]
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ConfigError(f"config key {key!r} must be an integer "
+                          f">= {least}, got {value!r}")
+
+
+def _check_split(dataset: pipeline.Dataset, name: str) -> None:
+    if not dataset.split(name):
+        splits = ", ".join(sorted({r["split"] for r in dataset.records}))
+        raise ConfigError(f"split {name!r} names no record of {dataset.root}; "
+                          f"its splits are: {splits}")
+
+
 def _stft_config(cfg: dict) -> StftConfig:
     return StftConfig(
         fft_size=int(cfg["fft_size"]),
@@ -94,6 +109,7 @@ def cmd_synth(args) -> int:
     )
     if cfg["out"] is None:
         raise ConfigError("synth needs --out (or 'out' in the config file)")
+    _check_int(cfg, "items", 1)
     out = Path(cfg["out"])
     _echo_config(out, "synth", cfg)
     manifest = synthdata.build_dataset(
@@ -221,8 +237,15 @@ def cmd_train_align(args) -> int:
             raise ConfigError(f"stage {stage}: overrides must be a JSON object")
         overrides = {**shared, **overrides}
         stage_configs.append(align.StageConfig.from_dict(stage, overrides))
+    tau_init = cfg["tau_init"]
+    if (not isinstance(tau_init, (int, float)) or isinstance(tau_init, bool)
+            or not 0.0 < tau_init < math.inf):
+        raise ConfigError("config key 'tau_init' must be a positive finite "
+                          f"number, got {tau_init!r}")
 
     dataset = pipeline.load_dataset(cfg["dataset"])
+    if cfg["gap_split"] != "all":
+        _check_split(dataset, cfg["gap_split"])
     run_dir = Path(cfg["run_dir"])
     _echo_config(run_dir, "train-align", cfg)
     (run_dir / "checkpoints").mkdir(exist_ok=True)
@@ -232,13 +255,13 @@ def cmd_train_align(args) -> int:
                                    max_items=int(cfg["gap_items"]))
 
     initial = align.HeadSet.identity(dataset.store.dimension,
-                                     tau_init=float(cfg["tau_init"]))
+                                     tau_init=float(tau_init))
     align.save_heads(run_dir / "checkpoints" / "heads_init.json", initial)
     gap_before = align.discrimination_gap(entries, dataset.embedder, initial)
 
     rng = np.random.default_rng(int(cfg["seed"]))
     state = align.run_curriculum(dataset.store, stage_configs, rng,
-                                 tau_init=float(cfg["tau_init"]))
+                                 tau_init=float(tau_init))
     align.save_heads(run_dir / "checkpoints" / "heads_best.json", state.heads)
     for stage in (1, 2, 3):
         align.save_heads(
@@ -299,11 +322,8 @@ def cmd_eval(args) -> int:
     if not isinstance(cfg["with_bss"], bool):
         raise ConfigError(f"config key 'with_bss' must be true or false, "
                           f"got {cfg['with_bss']!r}")
-    for key, least in (("seed", 0), ("bootstrap", 1)):
-        value = cfg[key]
-        if not isinstance(value, int) or isinstance(value, bool) or value < least:
-            raise ConfigError(f"config key {key!r} must be an integer "
-                              f">= {least}, got {value!r}")
+    _check_int(cfg, "seed", 0)
+    _check_int(cfg, "bootstrap", 1)
     out = Path(cfg["out"])
     _echo_config(out, "eval", cfg)
 
@@ -417,6 +437,7 @@ def cmd_separate(args) -> int:
     if cfg["dataset"] is None:
         raise ConfigError("separate needs --mixture or --dataset")
     dataset = pipeline.load_dataset(cfg["dataset"])
+    _check_split(dataset, cfg["split"])
     out = Path(cfg["out"])
     _echo_config(out, "separate", cfg)
     manifest = pipeline.separate_split(

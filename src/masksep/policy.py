@@ -195,18 +195,6 @@ def entropy_grad(params: BetaPolicyParams):
     return d_alpha, d_beta
 
 
-def beta_log_pdf(alpha, beta, m):
-    """Elementwise Beta log-density (no reduction); test/oracle helper."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
-    return (
-        (alpha - 1.0) * np.log(m)
-        + (beta - 1.0) * np.log1p(-m)
-        - (log_gamma(alpha) + log_gamma(beta) - log_gamma(alpha + beta))
-    )
-
-
 def kappa_schedule(
     step: int,
     total_steps: int,

@@ -182,10 +182,3 @@ def _asymptotic_series(coef: np.ndarray, inv2: np.ndarray) -> np.ndarray:
         series += c
         series *= inv2
     return series
-
-
-def log_beta(a, b):
-    """ln B(a, b) = lnGamma(a) + lnGamma(b) - lnGamma(a + b), elementwise."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)

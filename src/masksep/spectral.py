@@ -1,9 +1,12 @@
 """Waveform <-> time-frequency conversion, masking and reconstruction.
 
 Analysis uses centered framing with reflection padding of half a window on
-both ends and a periodic Hann window. Synthesis is weighted overlap-add
-normalized by the squared-window envelope, which reconstructs the input
-exactly (up to rounding) wherever the envelope is nonzero.
+both ends and a periodic Hann window, taking the frames as a strided view
+of the padded signal. Synthesis is weighted overlap-add normalized by the
+squared-window envelope, which reconstructs the input exactly (up to
+rounding) wherever the envelope is nonzero. One overlap-add of hop-sized
+blocks serves the synthesis, its envelope and the configuration's
+invertibility check.
 
 All functions are pure; every returned array is freshly allocated, except
 the read-only Hann window that configurations of one window size share.
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 
@@ -32,6 +36,27 @@ def _shared_window(length: int) -> np.ndarray:
     window = hann_window(length)
     window.flags.writeable = False
     return window
+
+
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum of T frames of width W placed ``hop`` apart: (T-1)*hop + W samples.
+
+    Each frame is cut into ``ceil(W / hop)`` hop-sized blocks (the last one
+    zero-padded) and block ``k`` of every frame is added in one slice-add.
+    Going from the last offset to the first sums every output sample in
+    frame order, as a per-frame loop would; the padding adds +0.0 to sums
+    that start at +0.0 and so can never be -0.0, which leaves them as they
+    are.
+    """
+    n_frames, width = frames.shape
+    n_blocks = -(-width // hop)
+    if width % hop:
+        frames = np.pad(frames, ((0, 0), (0, n_blocks * hop - width)))
+    blocks = frames.reshape(n_frames, n_blocks, hop)
+    out = np.zeros((n_frames + n_blocks - 1, hop))
+    for k in range(n_blocks - 1, -1, -1):
+        out[k : k + n_frames] += blocks[:, k]
+    return out.reshape(-1)[: (n_frames - 1) * hop + width]
 
 
 @dataclass(frozen=True)
@@ -53,9 +78,8 @@ class StftConfig:
         # Overlap-add of the squared window must never vanish inside a
         # frame span, otherwise synthesis cannot invert analysis.
         w2 = self.window_array() ** 2
-        envelope = np.zeros(2 * self.window_size)
-        for start in range(0, self.window_size + 1, self.hop):
-            envelope[start : start + self.window_size] += w2
+        n_frames = self.window_size // self.hop + 1
+        envelope = _overlap_add(np.broadcast_to(w2, (n_frames, w2.size)), self.hop)
         interior = envelope[self.window_size - self.hop : self.window_size]
         if interior.min() < _NOLA_EPS:
             raise ConfigError(
@@ -143,11 +167,8 @@ def stft(w: Waveform, cfg: StftConfig) -> Spectrogram:
         )
     pad = cfg.window_size // 2
     x = np.pad(w.samples, pad, mode="reflect")
-    n_frames = (x.shape[0] - cfg.window_size) // cfg.hop + 1
-    window = cfg.window_array()
-
-    idx = np.arange(cfg.window_size)[None, :] + cfg.hop * np.arange(n_frames)[:, None]
-    frames = x[idx] * window[None, :]
+    # every hop-th window start: (len(x) - window_size) // hop + 1 frames
+    frames = sliding_window_view(x, cfg.window_size)[:: cfg.hop] * cfg.window_array()
     bins = np.fft.rfft(frames, n=cfg.fft_size, axis=1).T
     return Spectrogram(bins=bins, config=cfg, sample_rate=w.sample_rate,
                        num_samples=n)
@@ -161,19 +182,13 @@ def istft(s: Spectrogram, target_len: int | None = None) -> Waveform:
     if target_len < 0:
         raise ValueError("target_len must be non-negative")
 
-    n_frames = s.bins.shape[1]
     window = cfg.window_array()
     frames = np.fft.irfft(s.bins.T, n=cfg.fft_size, axis=1)[:, : cfg.window_size]
     frames *= window[None, :]
 
-    total = (n_frames - 1) * cfg.hop + cfg.window_size
-    out = np.zeros(total)
-    envelope = np.zeros(total)
-    w2 = window**2
-    for t in range(n_frames):
-        start = t * cfg.hop
-        out[start : start + cfg.window_size] += frames[t]
-        envelope[start : start + cfg.window_size] += w2
+    out = _overlap_add(frames, cfg.hop)
+    envelope = _overlap_add(np.broadcast_to(window**2, frames.shape), cfg.hop)
+    total = out.shape[0]
     nonzero = envelope > _NOLA_EPS
     out[nonzero] /= envelope[nonzero]
 

@@ -20,15 +20,28 @@ from masksep.embed import ProjectionHead, project, project_backward
 from masksep.metrics import optimal_assignment, si_sdr, si_sdri
 from masksep.policy import (
     BetaPolicyParams,
-    beta_log_pdf,
     entropy,
     kl_divergence,
     log_prob_grad,
     params_from_proposal,
 )
+from masksep.special import log_gamma
 from masksep.spectral import StftConfig, Waveform, istft, stft
 
 APPENDIX_STFT = StftConfig(fft_size=1024, hop=256, window_size=1024)
+
+
+def beta_log_pdf(alpha, beta, m):
+    """Elementwise Beta log-density (no reduction), from the package's
+    log-gamma: the oracle criterion 1 integrates and samples."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    m = np.asarray(m, dtype=np.float64)
+    return (
+        (alpha - 1.0) * np.log(m)
+        + (beta - 1.0) * np.log1p(-m)
+        - (log_gamma(alpha) + log_gamma(beta) - log_gamma(alpha + beta))
+    )
 
 
 def announce(n: int, detail: str) -> None:

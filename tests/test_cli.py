@@ -64,6 +64,18 @@ class TestSynth:
     def test_missing_out_is_config_error(self):
         assert main(["synth"]) == 2
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--items", "0"], "'items' must be an integer >= 1, got 0"),
+        (["--items", "-3"], "'items' must be an integer >= 1, got -3"),
+    ])
+    def test_bad_item_count_writes_nothing(self, tmp_path, capsys, argv, named):
+        code = main(["synth", "--out", str(tmp_path / "ds"), *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert named in err
+        assert not (tmp_path / "ds").exists()
+
 
 class TestTrainRl:
     def test_zero_steps_initial_checkpoint_only(self, small_dataset, tmp_path):
@@ -396,6 +408,19 @@ class TestSeparate:
         assert code == 2
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert "unknown query_modality 'smell'" in err
+        assert not (tmp_path / "est").exists()
+
+    def test_unknown_split_writes_nothing(self, small_dataset, trained_run,
+                                          tmp_path, capsys):
+        code = main(["separate", "--checkpoint",
+                     str(trained_run / "checkpoints" / "best.json"),
+                     "--dataset", str(small_dataset), "--split", "bogus",
+                     "--out", str(tmp_path / "est")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert "split 'bogus' names no record" in err
+        assert "its splits are: test, train, val" in err
         assert not (tmp_path / "est").exists()
 
     def test_unknown_query_modality_flag_rejected(self, small_dataset,
@@ -739,6 +764,27 @@ class TestTrainAlign:
                                                    named):
         config = tmp_path / "align.json"
         config.write_text(json.dumps({"stages": stages}))
+        code = main(["train-align", "--dataset", str(small_dataset),
+                     "--run-dir", str(tmp_path / "run"), "--config",
+                     str(config), "--epochs", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert named in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("bad, named", [
+        ({"tau_init": 0}, "'tau_init' must be a positive finite number, got 0"),
+        ({"tau_init": -0.5}, "'tau_init' must be a positive finite number"),
+        ({"tau_init": float("nan")}, "'tau_init' must be a positive finite"),
+        ({"tau_init": float("inf")}, "'tau_init' must be a positive finite"),
+        ({"tau_init": "0.5"}, "'tau_init' must be a positive finite number"),
+        ({"gap_split": "bogus"}, "split 'bogus' names no record"),
+    ])
+    def test_bad_config_value_leaves_no_run_dir(self, small_dataset, tmp_path,
+                                                capsys, bad, named):
+        config = tmp_path / "align.json"
+        config.write_text(json.dumps(bad))
         code = main(["train-align", "--dataset", str(small_dataset),
                      "--run-dir", str(tmp_path / "run"), "--config",
                      str(config), "--epochs", "0"])

@@ -10,7 +10,6 @@ import pytest
 
 from masksep.policy import (
     BetaPolicyParams,
-    beta_log_pdf,
     entropy,
     entropy_grad,
     kappa_schedule,
@@ -20,6 +19,27 @@ from masksep.policy import (
     params_from_proposal,
     sample,
 )
+from masksep.special import log_gamma
+
+
+def log_beta(a, b):
+    """ln B(a, b) = lnGamma(a) + lnGamma(b) - lnGamma(a + b), elementwise."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+
+
+def beta_log_pdf(alpha, beta, m):
+    """Elementwise Beta log-density (no reduction), from the package's
+    log-gamma: the oracle the policy's reduced log-probabilities face."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    m = np.asarray(m, dtype=np.float64)
+    return (
+        (alpha - 1.0) * np.log(m)
+        + (beta - 1.0) * np.log1p(-m)
+        - (log_gamma(alpha) + log_gamma(beta) - log_gamma(alpha + beta))
+    )
 
 
 def quadrature_integral(f, n_nodes=400):
@@ -233,7 +253,7 @@ class TestGradients:
 class TestSharedTables:
     def test_shared_tables_match_standalone_ops_bitwise(self, monkeypatch):
         from masksep import policy
-        from masksep.special import digamma, log_beta, trigamma
+        from masksep.special import digamma, trigamma
 
         rng = np.random.default_rng(13)
         params = params_from_proposal(rng.uniform(size=(7, 5)), 9.0)

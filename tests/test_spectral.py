@@ -198,3 +198,82 @@ def test_waveform_validation():
         Waveform(np.array([1.0, np.inf]), 16000)
     with pytest.raises(ValueError):
         Waveform(np.zeros(10), 0)
+
+
+def plain_stft(w, cfg):
+    """The gather-and-window formula stft() must reproduce bit for bit:
+    an index matrix over the padded signal, one row per frame."""
+    pad = cfg.window_size // 2
+    x = np.pad(w.samples, pad, mode="reflect")
+    n_frames = (x.shape[0] - cfg.window_size) // cfg.hop + 1
+    idx = np.arange(cfg.window_size)[None, :] + cfg.hop * np.arange(n_frames)[:, None]
+    frames = x[idx] * cfg.window_array()[None, :]
+    return np.fft.rfft(frames, n=cfg.fft_size, axis=1).T
+
+
+def plain_istft(s, target_len):
+    """The per-frame overlap-add loop istft() must reproduce bit for bit."""
+    cfg = s.config
+    n_frames = s.bins.shape[1]
+    window = cfg.window_array()
+    frames = np.fft.irfft(s.bins.T, n=cfg.fft_size, axis=1)[:, : cfg.window_size]
+    frames *= window[None, :]
+    total = (n_frames - 1) * cfg.hop + cfg.window_size
+    out = np.zeros(total)
+    envelope = np.zeros(total)
+    w2 = window**2
+    for t in range(n_frames):
+        start = t * cfg.hop
+        out[start : start + cfg.window_size] += frames[t]
+        envelope[start : start + cfg.window_size] += w2
+    nonzero = envelope > 1e-11
+    out[nonzero] /= envelope[nonzero]
+    pad = cfg.window_size // 2
+    return out[pad : pad + target_len]
+
+
+def plain_nola_ok(hop, window_size):
+    """The per-frame envelope loop StftConfig's invertibility check must
+    agree with: does the squared-window overlap-add vanish inside a frame?"""
+    w2 = hann_window(window_size) ** 2
+    envelope = np.zeros(2 * window_size)
+    for start in range(0, window_size + 1, hop):
+        envelope[start : start + window_size] += w2
+    return envelope[window_size - hop : window_size].min() >= 1e-11
+
+
+class TestKernelsMatchPlainFormulas:
+    # (fft_size, hop, window_size); the last two hops do not divide the window
+    CONFIGS = [(1024, 256, 1024), (512, 256, 512), (256, 64, 256),
+               (512, 128, 512), (1024, 300, 1000), (512, 100, 400)]
+
+    @pytest.mark.parametrize("fft_size,hop,window_size", CONFIGS)
+    def test_stft_and_istft_bitwise(self, fft_size, hop, window_size):
+        cfg = StftConfig(fft_size=fft_size, hop=hop, window_size=window_size)
+        for seed, n in enumerate([window_size, 2048, 5000, 65535]):
+            w = _rand_wave(n, 200 + seed)
+            s = stft(w, cfg)
+            ref = plain_stft(w, cfg)
+            assert s.bins.shape == ref.shape
+            assert np.array_equal(s.bins, ref), f"bins, length {n}"
+            # the frame-major rfft, transposed: the embedder's reductions
+            # read this layout, and a C-order copy would round them apart
+            assert s.bins.flags.f_contiguous
+            # a masked spectrogram, as the reward and separate paths see it
+            masked = Spectrogram(
+                np.random.default_rng(seed).uniform(0, 1, s.bins.shape) * s.bins,
+                cfg, s.sample_rate, n)
+            for target_len in (n, n // 3):
+                rec = istft(masked, target_len=target_len)
+                assert np.array_equal(rec.samples, plain_istft(masked, target_len)), \
+                    f"samples, length {n}, target_len {target_len}"
+
+    @pytest.mark.parametrize("window_size", [8, 15, 16, 33, 64])
+    def test_config_check_matches_envelope_loop(self, window_size):
+        for hop in range(1, window_size + 1):
+            if plain_nola_ok(hop, window_size):
+                StftConfig(fft_size=window_size, hop=hop, window_size=window_size)
+            else:
+                with pytest.raises(ConfigError, match="vanishing"):
+                    StftConfig(fft_size=window_size, hop=hop,
+                               window_size=window_size)
