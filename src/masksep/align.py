@@ -26,7 +26,7 @@ from .embed import (
     project,
     project_backward,
 )
-from .errors import ConfigError, DivergenceError, check_field_types
+from .errors import ConfigError, DivergenceError, check_value
 from .optim import AdamWState, adamw_step
 
 STAGE_TRAINABLE_HEADS = {1: ("audio", "text"), 2: ("audio",), 3: ("audio", "vision")}
@@ -71,7 +71,9 @@ class StageConfig:
         unknown = set(d) - (set(cls.__dataclass_fields__) - {"stage"})
         if unknown:
             raise ConfigError(f"stage {stage}: unknown config keys: {sorted(unknown)}")
-        check_field_types(cls, d, where=f"stage {stage}: ")
+        for key, value in d.items():
+            check_value(key, value, cls.__dataclass_fields__[key].default,
+                        where=f"stage {stage}: ")
         return cls(stage=stage, **d)
 
 
@@ -259,7 +261,6 @@ class PairBatch:
     anchors: list
     positives: list
     negatives: list | None
-    classes: list
 
 
 def build_pairs(
@@ -283,7 +284,7 @@ def build_pairs(
     if stage in (2, 3) and len(by_class) < 2:
         raise ValueError("need at least two classes to build negatives")
 
-    anchors, positives, negatives, classes = [], [], [], []
+    anchors, positives, negatives = [], [], []
     if stage == 2:
         eligible = [i for i in all_ids if len(by_class[labels[i]]) >= 2]
         if not eligible:
@@ -295,7 +296,6 @@ def build_pairs(
         anchor = eligible[int(rng.integers(len(eligible)))]
         cls = labels[anchor]
         anchors.append(("audio", anchor))
-        classes.append(cls)
         if stage == 1:
             positives.append(("text", anchor))
         elif stage == 2:
@@ -315,7 +315,6 @@ def build_pairs(
         anchors=anchors,
         positives=positives,
         negatives=negatives if stage in (2, 3) else None,
-        classes=classes,
     )
 
 

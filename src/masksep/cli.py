@@ -4,9 +4,11 @@ Subcommands: ``synth`` (build a synthetic dataset), ``train-rl`` (policy
 training), ``train-align`` (alignment curriculum), ``eval`` (separation
 metrics over an evaluation manifest), ``separate`` (inference).
 
-Flag > config file > default, for every key. Each run directory receives
-an echo of the effective configuration; rerunning with the same config and
-seed reproduces all manifests, logs and checkpoints byte for byte.
+Flag > config file > default, for every key; a flag is its config key with
+dashes, and every value is checked before a command writes anything. Each
+run directory receives an echo of the effective configuration; rerunning
+with the same config and seed reproduces all manifests, logs and
+checkpoints byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime divergence or an
 unusable result, 4 I/O failure.
@@ -16,19 +18,25 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import align, metrics, pipeline, rl, separator, synthdata
-from .embed import MODALITIES
-from .errors import ConfigError, DivergenceError, NonFiniteGradientError
+from .embed import MODALITIES, AudioFeatureEmbedder
+from .errors import (
+    POSITIVE,
+    ConfigError,
+    DivergenceError,
+    NonFiniteGradientError,
+    check_value,
+)
 from .reward import QUERY_MODALITIES, REWARD_MODES
 from .spectral import StftConfig
-from .wavio import read_wav, write_wav
+from .wavio import RATE_POLICIES, read_wav, write_wav
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,24 +44,34 @@ EXIT_RUNTIME = 3
 EXIT_IO = 4
 
 
-def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config file must hold a JSON object")
-    return data
-
-
-def _merged(defaults: dict, file_cfg: dict, flags: dict) -> dict:
-    cfg = dict(defaults)
-    for key, value in file_cfg.items():
-        if key not in cfg:
+def _config(args, defaults: dict, bounds: dict, required=()) -> dict:
+    """The command's configuration: each key of ``defaults`` takes its flag
+    (the parsed argument of the same name), else its value in the
+    ``--config`` file, else its default. A default that is a type stands in
+    for a key with no default value. Every value is checked against its
+    default's kind and its entry in ``bounds`` before anything is written."""
+    file_cfg = {}
+    if args.config is not None:
+        file_cfg = json.loads(Path(args.config).read_text())
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"{args.config}: config file must hold a JSON object")
+    for key in file_cfg:
+        if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
+    cfg = {}
+    for key, default in defaults.items():
+        no_default = isinstance(default, type)
+        value = getattr(args, key, None)
+        if value is None:
+            value = file_cfg.get(key, None if no_default else default)
+        if value is None and no_default:
+            if key in required:
+                flag = "--" + key.replace("_", "-")
+                raise ConfigError(f"{args.command} needs {flag} "
+                                  f"(or {key!r} in the config file)")
+        else:
+            check_value(key, value, default, bounds.get(key))
         cfg[key] = value
-    for key, value in flags.items():
-        if value is not None:
-            cfg[key] = value
     return cfg
 
 
@@ -65,13 +83,6 @@ def _echo_config(run_dir: Path, command: str, cfg: dict) -> None:
     )
 
 
-def _check_int(cfg: dict, key: str, least: int) -> None:
-    value = cfg[key]
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise ConfigError(f"config key {key!r} must be an integer "
-                          f">= {least}, got {value!r}")
-
-
 def _check_split(dataset: pipeline.Dataset, name: str) -> None:
     if not dataset.split(name):
         splits = ", ".join(sorted({r["split"] for r in dataset.records}))
@@ -79,86 +90,68 @@ def _check_split(dataset: pipeline.Dataset, name: str) -> None:
                           f"its splits are: {splits}")
 
 
+_STFT_DEFAULTS = {"fft_size": 1024, "hop": 256, "window_size": 1024}
+
+
 def _stft_config(cfg: dict) -> StftConfig:
-    return StftConfig(
-        fft_size=int(cfg["fft_size"]),
-        hop=int(cfg["hop"]),
-        window_size=int(cfg["window_size"]),
-    )
+    return StftConfig(**{key: cfg[key] for key in _STFT_DEFAULTS})
 
 
 def cmd_synth(args) -> int:
-    defaults = {
-        "out": None,
-        "items": 200,
-        "seed": 0,
-        "duration": 65535,
-        "sample_rate": 16000,
-        "embed_dim": 16,
-        "noise_sigma": 0.1,
-    }
-    cfg = _merged(
-        defaults,
-        _load_config_file(args.config),
+    classes = synthdata.DEFAULT_CLASSES
+    cfg = _config(
+        args,
+        {"out": str, "items": 200, "seed": 0, "duration": 65535,
+         "sample_rate": 16000, "embed_dim": 16, "noise_sigma": 0.1},
         {
-            "out": args.out,
-            "items": args.items,
-            "seed": args.seed,
-            "duration": args.duration,
+            "items": 1,
+            "seed": 0,
+            # every source must be long enough for the audio embedder
+            "duration": AudioFeatureEmbedder.fft_size,
+            # above twice the highest class frequency, or a source aliases
+            # or falls silent
+            "sample_rate": 2 * int(max(c.high for c in classes)) + 1,
+            # one orthonormal embedding anchor per class
+            "embed_dim": len(classes),
+            "noise_sigma": 0.0,
         },
+        required=("out",),
     )
-    if cfg["out"] is None:
-        raise ConfigError("synth needs --out (or 'out' in the config file)")
-    _check_int(cfg, "items", 1)
     out = Path(cfg["out"])
     _echo_config(out, "synth", cfg)
     manifest = synthdata.build_dataset(
         out,
-        n_items=int(cfg["items"]),
-        seed=int(cfg["seed"]),
-        duration=int(cfg["duration"]),
-        sample_rate=int(cfg["sample_rate"]),
-        embed_dim=int(cfg["embed_dim"]),
-        noise_sigma=float(cfg["noise_sigma"]),
+        n_items=cfg["items"],
+        seed=cfg["seed"],
+        duration=cfg["duration"],
+        sample_rate=cfg["sample_rate"],
+        embed_dim=cfg["embed_dim"],
+        noise_sigma=cfg["noise_sigma"],
     )
     print(manifest)
     return EXIT_OK
 
 
-_RL_FLAG_KEYS = (
-    "steps", "batch_size", "seed", "lr", "reward_mode", "query_modality",
-    "segment_samples", "val_interval", "entropy_coef", "mc_samples",
-    "warm_start_steps",
-)
-
-
 def cmd_train_rl(args) -> int:
-    defaults = {
-        **rl.RlConfig().to_dict(),
-        "dataset": None,
-        "run_dir": None,
-        "fft_size": 1024,
-        "hop": 256,
-        "window_size": 1024,
-        "model_dtype": "float32",
-    }
-    flags = {key: getattr(args, key) for key in _RL_FLAG_KEYS}
-    flags.update({"dataset": args.dataset, "run_dir": args.run_dir})
-    cfg = _merged(defaults, _load_config_file(args.config), flags)
-    if cfg["dataset"] is None or cfg["run_dir"] is None:
-        raise ConfigError("train-rl needs --dataset and --run-dir")
+    rl_defaults = {f.name: f.default for f in fields(rl.RlConfig)}
+    cfg = _config(
+        args,
+        {**rl_defaults, "dataset": str, "run_dir": str, **_STFT_DEFAULTS,
+         "model_dtype": "float32"},
+        {"model_dtype": ("float32", "float64")},
+        required=("dataset", "run_dir"),
+    )
 
     # config and dataset checks all come before the run directory is written
-    rl_cfg = rl.RlConfig.from_dict(
-        {k: cfg[k] for k in rl.RlConfig.__dataclass_fields__}
-    )
+    rl_cfg = rl.RlConfig(**{key: cfg[key] for key in rl_defaults})
     stft_cfg = _stft_config(cfg)
-    if cfg["model_dtype"] not in ("float32", "float64"):
-        raise ConfigError("model_dtype must be 'float32' or 'float64'")
     dataset = pipeline.load_dataset(cfg["dataset"])
+    _check_split(dataset, "train")
+    _check_split(dataset, "val")
     train_items = pipeline.prepare_train_items(dataset, "train", rl_cfg, stft_cfg)
     val_items = pipeline.prepare_train_items(dataset, "val", rl_cfg, stft_cfg)
-    reward_ctx = pipeline.make_reward_context(dataset, rl_cfg)
+    reward_ctx = rl.RewardContext(embedder=dataset.embedder,
+                                  mode=rl_cfg.reward_mode)
     run_dir = Path(cfg["run_dir"])
     _echo_config(run_dir, "train-rl", cfg)
     (run_dir / "logs").mkdir(exist_ok=True)
@@ -197,38 +190,22 @@ def cmd_train_rl(args) -> int:
 
 
 def cmd_train_align(args) -> int:
-    defaults = {
-        "dataset": None,
-        "run_dir": None,
-        "seed": 0,
-        "tau_init": 0.5,
-        "epochs": None,
-        "steps_per_epoch": None,
-        "gap_items": 64,
-        "gap_split": "all",
-        "stages": {},
-    }
-    cfg = _merged(
-        defaults,
-        _load_config_file(args.config),
-        {
-            "dataset": args.dataset,
-            "run_dir": args.run_dir,
-            "seed": args.seed,
-            "epochs": args.epochs,
-            "steps_per_epoch": args.steps_per_epoch,
-        },
+    cfg = _config(
+        args,
+        {"dataset": str, "run_dir": str, "seed": 0, "tau_init": 0.5,
+         "epochs": int, "steps_per_epoch": int, "gap_items": 64,
+         "gap_split": "all", "stages": {}},
+        {"seed": 0, "tau_init": POSITIVE, "gap_items": 1},
+        required=("dataset", "run_dir"),
     )
-    if cfg["dataset"] is None or cfg["run_dir"] is None:
-        raise ConfigError("train-align needs --dataset and --run-dir")
 
     # config and dataset checks all come before the run directory is written
     stages = cfg["stages"]
-    if not isinstance(stages, dict) or set(stages) - {"1", "2", "3"}:
+    if set(stages) - {"1", "2", "3"}:
         raise ConfigError(
             "'stages' must be a JSON object keyed by \"1\", \"2\" or \"3\""
         )
-    shared = {key: int(cfg[key]) for key in ("epochs", "steps_per_epoch")
+    shared = {key: cfg[key] for key in ("epochs", "steps_per_epoch")
               if cfg[key] is not None}
     stage_configs = []
     for stage in (1, 2, 3):
@@ -237,11 +214,6 @@ def cmd_train_align(args) -> int:
             raise ConfigError(f"stage {stage}: overrides must be a JSON object")
         overrides = {**shared, **overrides}
         stage_configs.append(align.StageConfig.from_dict(stage, overrides))
-    tau_init = cfg["tau_init"]
-    if (not isinstance(tau_init, (int, float)) or isinstance(tau_init, bool)
-            or not 0.0 < tau_init < math.inf):
-        raise ConfigError("config key 'tau_init' must be a positive finite "
-                          f"number, got {tau_init!r}")
 
     dataset = pipeline.load_dataset(cfg["dataset"])
     if cfg["gap_split"] != "all":
@@ -252,16 +224,16 @@ def cmd_train_align(args) -> int:
     (run_dir / "reports").mkdir(exist_ok=True)
 
     entries = pipeline.gap_entries(dataset, cfg["gap_split"],
-                                   max_items=int(cfg["gap_items"]))
+                                   max_items=cfg["gap_items"])
 
     initial = align.HeadSet.identity(dataset.store.dimension,
-                                     tau_init=float(tau_init))
+                                     tau_init=cfg["tau_init"])
     align.save_heads(run_dir / "checkpoints" / "heads_init.json", initial)
     gap_before = align.discrimination_gap(entries, dataset.embedder, initial)
 
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
     state = align.run_curriculum(dataset.store, stage_configs, rng,
-                                 tau_init=float(tau_init))
+                                 tau_init=cfg["tau_init"])
     align.save_heads(run_dir / "checkpoints" / "heads_best.json", state.heads)
     for stage in (1, 2, 3):
         align.save_heads(
@@ -305,25 +277,13 @@ def cmd_train_align(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    defaults = {"manifest": None, "out": None, "with_bss": False, "seed": 0,
-                "bootstrap": 10000}
-    cfg = _merged(
-        defaults,
-        _load_config_file(args.config),
-        {
-            "manifest": args.manifest,
-            "out": args.out,
-            "with_bss": args.with_bss or None,
-            "seed": args.seed,
-        },
+    cfg = _config(
+        args,
+        {"manifest": str, "out": str, "with_bss": False, "seed": 0,
+         "bootstrap": 10000},
+        {"seed": 0, "bootstrap": 1},
+        required=("manifest", "out"),
     )
-    if cfg["manifest"] is None or cfg["out"] is None:
-        raise ConfigError("eval needs --manifest and --out")
-    if not isinstance(cfg["with_bss"], bool):
-        raise ConfigError(f"config key 'with_bss' must be true or false, "
-                          f"got {cfg['with_bss']!r}")
-    _check_int(cfg, "seed", 0)
-    _check_int(cfg, "bootstrap", 1)
     out = Path(cfg["out"])
     _echo_config(out, "eval", cfg)
 
@@ -346,10 +306,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _load_query(spec, dataset) -> np.ndarray:
-    if not isinstance(spec, str):
-        raise ConfigError(f"query {spec!r} must be a string: "
-                          f"store:<modality>:<id> or a JSON file")
+def _load_query(spec: str, dataset) -> np.ndarray:
     if spec.startswith("store:"):
         if dataset is None:
             raise ConfigError("store queries need --dataset")
@@ -383,36 +340,14 @@ def _load_query(spec, dataset) -> np.ndarray:
 
 
 def cmd_separate(args) -> int:
-    defaults = {
-        "checkpoint": None,
-        "dataset": None,
-        "split": "test",
-        "out": None,
-        "mixture": None,
-        "query": None,
-        "query_modality": "text",
-        "rate_policy": "reject",
-        "fft_size": 1024,
-        "hop": 256,
-        "window_size": 1024,
-    }
-    cfg = _merged(
-        defaults,
-        _load_config_file(args.config),
-        {
-            "checkpoint": args.checkpoint,
-            "dataset": args.dataset,
-            "split": args.split,
-            "out": args.out,
-            "mixture": args.mixture,
-            "query": args.query,
-            "query_modality": args.query_modality,
-            "rate_policy": args.rate_policy,
-        },
+    cfg = _config(
+        args,
+        {"checkpoint": str, "dataset": str, "split": "test", "out": str,
+         "mixture": str, "query": str, "query_modality": "text",
+         "rate_policy": "reject", **_STFT_DEFAULTS},
+        {"query_modality": QUERY_MODALITIES, "rate_policy": RATE_POLICIES},
+        required=("checkpoint", "out"),
     )
-    if cfg["checkpoint"] is None or cfg["out"] is None:
-        raise ConfigError("separate needs --checkpoint and --out")
-    rl_cfg = rl.RlConfig(query_modality=cfg["query_modality"])
     model = separator.load_model(cfg["checkpoint"])
     stft_cfg = _stft_config(cfg)
 
@@ -441,7 +376,7 @@ def cmd_separate(args) -> int:
     out = Path(cfg["out"])
     _echo_config(out, "separate", cfg)
     manifest = pipeline.separate_split(
-        model, dataset, cfg["split"], rl_cfg, stft_cfg, out
+        model, dataset, cfg["split"], cfg["query_modality"], stft_cfg, out
     )
     print(manifest)
     return EXIT_OK
@@ -503,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.add_argument("--out")
     p.add_argument("--config")
-    p.add_argument("--with-bss", dest="with_bss", action="store_true")
+    p.add_argument("--with-bss", dest="with_bss", action="store_true",
+                   default=None)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_eval)
 
@@ -516,8 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query")
     p.add_argument("--query-modality", dest="query_modality",
                    choices=QUERY_MODALITIES)
-    p.add_argument("--rate-policy", dest="rate_policy",
-                   choices=["reject", "resample", "accept"])
+    p.add_argument("--rate-policy", dest="rate_policy", choices=RATE_POLICIES)
     p.add_argument("--config")
     p.set_defaults(func=cmd_separate)
     return parser

@@ -12,7 +12,7 @@ from .align import GapEntry
 from .embed import AudioFeatureEmbedder, EmbeddingStore, load_store
 from .metrics import UtteranceEval, si_sdri
 from .reward import RewardTargets, query_mixup
-from .rl import RewardContext, RlConfig, TrainItem
+from .rl import RlConfig, TrainItem
 from .separator import SeparatorModel, forward
 from .spectral import (
     Mask,
@@ -67,12 +67,12 @@ def hash_id(item_id: str) -> int:
     return acc
 
 
-def _query_vector(cfg: RlConfig, store: EmbeddingStore, item_id: str) -> np.ndarray:
-    if cfg.query_modality == "mixup":
+def _query_vector(modality: str, store: EmbeddingStore, item_id: str) -> np.ndarray:
+    if modality == "mixup":
         return query_mixup(store.get("audio", item_id),
                            store.get("video", item_id),
                            store.get("text", item_id))
-    return store.get(cfg.query_modality, item_id)
+    return store.get(modality, item_id)
 
 
 def prepare_train_items(
@@ -117,7 +117,8 @@ def prepare_train_items(
                 category=rec["target_class"],
                 mix_spec=mix_spec,
                 log_mag=log_compress(mix_spec),
-                query=_query_vector(cfg, dataset.store, rec["item_id"]),
+                query=_query_vector(cfg.query_modality, dataset.store,
+                                    rec["item_id"]),
                 targets=RewardTargets(
                     audio=target_audio_embed,
                     text=dataset.store.get("text", rec["item_id"]),
@@ -130,22 +131,17 @@ def prepare_train_items(
     return items
 
 
-def make_reward_context(dataset: Dataset, cfg: RlConfig) -> RewardContext:
-    return RewardContext(embedder=dataset.embedder, mode=cfg.reward_mode)
-
-
 def separate_record(
     model: SeparatorModel,
     dataset: Dataset,
     rec: dict,
-    cfg: RlConfig,
+    query_modality: str,
     stft_cfg: StftConfig,
 ) -> Waveform:
     """Deterministic full-length inference for one manifest record."""
     mix = read_wav(dataset.root / rec["mixture"], expected_rate=rec["sample_rate"])
-    return separate_waveform(
-        model, mix, _query_vector(cfg, dataset.store, rec["item_id"]), stft_cfg
-    )
+    query = _query_vector(query_modality, dataset.store, rec["item_id"])
+    return separate_waveform(model, mix, query, stft_cfg)
 
 
 def separate_waveform(
@@ -164,7 +160,7 @@ def separate_split(
     model: SeparatorModel,
     dataset: Dataset,
     split: str,
-    cfg: RlConfig,
+    query_modality: str,
     stft_cfg: StftConfig,
     out_dir,
 ) -> Path:
@@ -174,7 +170,7 @@ def separate_split(
     out.mkdir(parents=True, exist_ok=True)
     eval_records = []
     for rec in dataset.split(split):
-        est = separate_record(model, dataset, rec, cfg, stft_cfg)
+        est = separate_record(model, dataset, rec, query_modality, stft_cfg)
         est_path = out / f"{rec['item_id']}_est.wav"
         write_wav(est_path, est)
         eval_records.append(

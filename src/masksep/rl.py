@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, check_field_types
+from .errors import ConfigError, DivergenceError
 from .optim import AdamWState
 from .policy import (
     BetaPolicyParams,
@@ -100,17 +100,6 @@ class RlConfig:
                 f"unknown query_modality {self.query_modality!r}, expected "
                 f"one of {', '.join(QUERY_MODALITIES)}"
             )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RlConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        check_field_types(cls, d)
-        return cls(**d)
 
     def kappa_at(self, step: int) -> float:
         return kappa_schedule(
@@ -457,8 +446,8 @@ def train_loop(
     before any policy step (the paper-style supervised-then-fine-tune
     pipeline); validation step 0 refers to the warm-started model.
     """
-    if not train_items:
-        raise ValueError("training set is empty")
+    if not train_items or not val_items:
+        raise ValueError("the training and validation sets must be nonempty")
     checkpoint_dir = Path(checkpoint_dir)
     checkpoint_dir.mkdir(parents=True, exist_ok=True)
     save_model(checkpoint_dir / "init.json", model)
@@ -468,9 +457,7 @@ def train_loop(
         warm_start(model, train_items, cfg, rng)
     opt_state = AdamWState()
 
-    initial_val = (
-        evaluate_mean_reward(model, val_items, reward_ctx) if val_items else 0.0
-    )
+    initial_val = evaluate_mean_reward(model, val_items, reward_ctx)
     best_val = initial_val
     best_step = 0
     if cfg.steps > 0:
@@ -496,7 +483,7 @@ def train_loop(
             log.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
             steps_run = step + 1
 
-            if val_items and (step + 1) % cfg.val_interval == 0:
+            if (step + 1) % cfg.val_interval == 0:
                 val_reward = evaluate_mean_reward(model, val_items, reward_ctx)
                 log.write(
                     json.dumps(
@@ -522,11 +509,7 @@ def train_loop(
 
     if cfg.steps > 0:
         save_model(checkpoint_dir / "last.json", model)
-    final_val = (
-        evaluate_mean_reward(model, val_items, reward_ctx)
-        if val_items
-        else 0.0
-    )
+    final_val = evaluate_mean_reward(model, val_items, reward_ctx)
     return TrainLoopResult(
         steps_run=steps_run,
         best_step=best_step,

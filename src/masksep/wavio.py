@@ -1,4 +1,4 @@
-"""WAV reading and writing: PCM 16-bit and IEEE float-32, mono only.
+"""Mono WAV files: read as PCM 16-bit or IEEE float-32, written as float-32.
 
 Readers enforce a sample-rate policy: ``reject`` (default) raises on any
 rate other than the expected one, ``resample`` converts with a polyphase
@@ -76,12 +76,6 @@ def read_wav(path, expected_rate: int = 16000, rate_policy: str = "reject") -> W
     return Waveform(samples=samples, sample_rate=int(rate))
 
 
-def write_wav(path, w: Waveform, encoding: str = "float32") -> None:
-    """Write a mono WAV file in the requested encoding."""
-    if encoding == "float32":
-        wavfile.write(path, w.sample_rate, w.samples.astype(np.float32))
-    elif encoding == "pcm16":
-        clipped = np.clip(w.samples, -1.0, 32767.0 / 32768.0)
-        wavfile.write(path, w.sample_rate, np.round(clipped * 32768.0).astype(np.int16))
-    else:
-        raise ValueError("encoding must be 'float32' or 'pcm16'")
+def write_wav(path, w: Waveform) -> None:
+    """Write a mono IEEE float-32 WAV file."""
+    wavfile.write(path, w.sample_rate, w.samples.astype(np.float32))

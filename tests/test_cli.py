@@ -67,9 +67,35 @@ class TestSynth:
     @pytest.mark.parametrize("argv, named", [
         (["--items", "0"], "'items' must be an integer >= 1, got 0"),
         (["--items", "-3"], "'items' must be an integer >= 1, got -3"),
+        (["--seed", "-1"], "'seed' must be an integer >= 0, got -1"),
     ])
     def test_bad_item_count_writes_nothing(self, tmp_path, capsys, argv, named):
         code = main(["synth", "--out", str(tmp_path / "ds"), *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert named in err
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("bad, named", [
+        ({"out": 5}, "config key 'out' must be a string, got 5"),
+        ({"seed": -1}, "'seed' must be an integer >= 0, got -1"),
+        ({"noise_sigma": "a"}, "'noise_sigma' must be a number >= 0.0, got 'a'"),
+        ({"noise_sigma": -0.1}, "'noise_sigma' must be a number >= 0.0"),
+        ({"noise_sigma": float("inf")}, "'noise_sigma' must be a number"),
+        # each would fail only once items/ is partly written: fewer
+        # dimensions than classes, a source shorter than the audio
+        # embedder's FFT, a rate that puts a class above Nyquist
+        ({"embed_dim": 2}, "'embed_dim' must be an integer >= 4, got 2"),
+        ({"duration": 100}, "'duration' must be an integer >= 512, got 100"),
+        ({"sample_rate": 8000},
+         "'sample_rate' must be an integer >= 15201, got 8000"),
+    ])
+    def test_bad_config_value_writes_nothing(self, tmp_path, capsys, bad,
+                                             named):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps({"out": str(tmp_path / "ds"), **bad}))
+        code = main(["synth", "--items", "2", "--config", str(cfg_file)])
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err and len(err.splitlines()) == 1
@@ -127,6 +153,33 @@ class TestTrainRl:
     def test_missing_dataset_is_config_error(self, tmp_path):
         assert main(["train-rl", "--run-dir", str(tmp_path / "r")]) == 2
 
+    def test_dataset_must_be_a_path(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps({"dataset": 5}))
+        code = main(["train-rl", "--run-dir", str(tmp_path / "run"),
+                     "--config", str(cfg_file)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert "config key 'dataset' must be a string, got 5" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_val_split_leaves_no_run_dir(self, tmp_path, capsys):
+        # 4 items split 3 train, 0 val, 1 test: best.json would be chosen
+        # against a constant validation reward
+        dataset = tmp_path / "ds"
+        assert main(["synth", "--out", str(dataset), "--items", "4",
+                     "--duration", "4096"]) == 0
+        capsys.readouterr()
+        code = main(["train-rl", "--dataset", str(dataset), "--run-dir",
+                     str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert "split 'val' names no record" in err
+        assert "its splits are: test, train" in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("bad, named", [
         ({"steps": "x"}, "config key 'steps' must be an integer, got 'x'"),
         ({"batch_size": 2.5}, "config key 'batch_size' must be an integer"),
@@ -161,6 +214,10 @@ class TestTrainRl:
         ({"sample_clamp": 0.7}, "sample_clamp must lie in (0, 0.5)"),
         ({"kappa_start": -1}, "kappa_start and kappa_end must be positive"),
         ({"segment_samples": 0}, "segment_samples is shorter than the STFT"),
+        # the STFT keys are integers: neither truncated nor read as 1
+        ({"fft_size": 1024.7}, "config key 'fft_size' must be an integer, got"),
+        ({"hop": True}, "config key 'hop' must be an integer, got True"),
+        ({"lr": float("nan")}, "config key 'lr' must be a number, got nan"),
     ])
     def test_rejected_config_leaves_no_run_dir(self, small_dataset, tmp_path,
                                                capsys, bad, named):
@@ -408,6 +465,25 @@ class TestSeparate:
         assert code == 2
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert "unknown query_modality 'smell'" in err
+        assert not (tmp_path / "est").exists()
+
+    @pytest.mark.parametrize("bad, named", [
+        ({"hop": True}, "config key 'hop' must be an integer, got True"),
+        ({"fft_size": 1024.7}, "config key 'fft_size' must be an integer"),
+        ({"rate_policy": "loose"}, "unknown rate_policy 'loose'"),
+    ])
+    def test_bad_config_value_writes_nothing(self, small_dataset, trained_run,
+                                             tmp_path, capsys, bad, named):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps(bad))
+        code = main(["separate", "--checkpoint",
+                     str(trained_run / "checkpoints" / "best.json"),
+                     "--dataset", str(small_dataset), "--config",
+                     str(cfg_file), "--out", str(tmp_path / "est")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert named in err
         assert not (tmp_path / "est").exists()
 
     def test_unknown_split_writes_nothing(self, small_dataset, trained_run,
@@ -780,6 +856,10 @@ class TestTrainAlign:
         ({"tau_init": float("inf")}, "'tau_init' must be a positive finite"),
         ({"tau_init": "0.5"}, "'tau_init' must be a positive finite number"),
         ({"gap_split": "bogus"}, "split 'bogus' names no record"),
+        ({"seed": -1}, "'seed' must be an integer >= 0, got -1"),
+        # gap_entries stops after its first item when max_items < 1
+        ({"gap_items": 0}, "'gap_items' must be an integer >= 1, got 0"),
+        ({"gap_items": 2.5}, "'gap_items' must be an integer >= 1, got 2.5"),
     ])
     def test_bad_config_value_leaves_no_run_dir(self, small_dataset, tmp_path,
                                                 capsys, bad, named):

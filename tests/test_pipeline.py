@@ -81,10 +81,9 @@ class TestPrepareTrainItems:
 
 class TestSeparateAndEvaluate:
     def test_round_trip_through_manifest(self, dataset, tmp_path):
-        cfg = rl.RlConfig()
         model = init_model(np.random.default_rng(0), query_dim=16)
         manifest = pipeline.separate_split(
-            model, dataset, "test", cfg, STFT, tmp_path / "est"
+            model, dataset, "test", "text", STFT, tmp_path / "est"
         )
         records = [json.loads(l) for l in manifest.read_text().splitlines()]
         assert len(records) == len(dataset.split("test"))

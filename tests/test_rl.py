@@ -407,6 +407,14 @@ class TestTrainLoop:
     def _bind_world(self, toy_world):
         TestTrainLoop._world = toy_world
 
+    def test_empty_validation_set_rejected(self, tmp_path):
+        items, reward_ctx, model = TestTrainLoop._world
+        with pytest.raises(ValueError, match="must be nonempty"):
+            train_loop(model, items[:4], [], RlConfig(steps=1), reward_ctx,
+                       log_path=tmp_path / "train.jsonl",
+                       checkpoint_dir=tmp_path / "ckpt")
+        assert not (tmp_path / "ckpt").exists()
+
     def test_zero_steps_emits_initial_checkpoint_only(self, tmp_path):
         result, run_dir = self.run(tmp_path, steps=0)
         assert (run_dir / "ckpt" / "init.json").exists()
