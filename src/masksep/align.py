@@ -64,6 +64,10 @@ class StageConfig:
             raise ConfigError("margin must be >= 0")
         if not 0.0 <= self.replay_fraction <= 1.0:
             raise ConfigError("replay_fraction must lie in [0, 1]")
+        for key in ("epochs", "steps_per_epoch"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"stage {self.stage}: {key} must be >= 1, "
+                                  f"got {getattr(self, key)}")
 
     @classmethod
     def from_dict(cls, stage: int, d: dict) -> "StageConfig":

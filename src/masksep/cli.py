@@ -284,11 +284,11 @@ def cmd_eval(args) -> int:
         {"seed": 0, "bootstrap": 1},
         required=("manifest", "out"),
     )
-    out = Path(cfg["out"])
-    _echo_config(out, "eval", cfg)
-
+    # a manifest that cannot be scored is rejected before --out is written
     utterances = pipeline.evaluate_manifest(cfg["manifest"],
                                             with_bss=cfg["with_bss"])
+    out = Path(cfg["out"])
+    _echo_config(out, "eval", cfg)
     with open(out / "report.jsonl", "w") as fh:
         for u in utterances:
             fh.write(json.dumps(u.to_dict(), sort_keys=True) + "\n")

@@ -1,15 +1,16 @@
-"""Factorized Beta distribution over masks.
+"""Factorized Beta distribution over masks, in (P, kappa) coordinates.
 
-A proposal P in [0,1] per bin is turned into Beta shape parameters
+A policy is a proposal P in [0,1] per bin and one concentration kappa >= 0.
+Its per-bin Beta shape parameters are
 
     alpha = 1 + kappa * P,    beta = 1 + kappa * (1 - P)
 
-so the per-bin mode sits exactly at P while kappa sets the concentration.
-Log-density, entropy and KL divergence are closed-form, as are the
-shape-parameter gradients of log-density and entropy that training needs;
-all reductions run in float64. The parameters carry their digamma,
-trigamma and log-normalizer tables, built once on first use and shared by
-every evaluation of the same policy.
+so the mode sits exactly at P, kappa sets the concentration, and
+alpha + beta = 2 + kappa in every bin. Log-density, entropy and KL
+divergence are closed-form, as are the gradients dJ/dP of log-density and
+entropy that training needs; all reductions run in float64. The parameters
+carry their digamma, trigamma and log-normalizer tables, built once on
+first use and shared by every evaluation of the same policy.
 """
 
 from __future__ import annotations
@@ -25,66 +26,62 @@ SAMPLE_CLAMP = 1e-5
 
 @dataclass(frozen=True)
 class BetaPolicyParams:
-    """Per-bin (alpha, beta) shape tensors.
+    """Per-bin proposal P and one scalar concentration kappa; kappa = 0 is
+    the uniform Beta(1, 1). ``alpha`` and ``beta`` are derived once.
 
-    The digamma, trigamma and log-normalizer tables that log-density,
-    entropy, KL and the gradients all read are built on first use and
-    cached on the instance, so every evaluation of one policy shares them.
-    Each family is evaluated in one vectorized call over the stacked
-    (alpha, beta, alpha+beta) arguments; results are bitwise identical to
-    separate evaluations since the functions are elementwise."""
+    The digamma, trigamma and log-gamma tables that log-density, entropy,
+    KL and the gradients read are built on first use and cached on the
+    instance. Each family is one vectorized call over the stacked (alpha,
+    beta, [2 + kappa]); the results are bitwise those of separate calls,
+    since the functions are elementwise."""
 
-    alpha: np.ndarray
-    beta: np.ndarray
+    proposal: np.ndarray
+    kappa: float
+    alpha: np.ndarray = field(init=False, repr=False, compare=False)
+    beta: np.ndarray = field(init=False, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=np.float64)
-        beta = np.asarray(self.beta, dtype=np.float64)
-        if alpha.shape != beta.shape:
-            raise ValueError(
-                f"alpha shape {alpha.shape} != beta shape {beta.shape}"
-            )
-        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
-            raise ValueError("shape parameters must be finite")
-        if alpha.min() < 1.0 - 1e-12 or beta.min() < 1.0 - 1e-12:
-            raise ValueError("shape parameters must be >= 1")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        p = np.asarray(self.proposal, dtype=np.float64)
+        kappa = float(self.kappa)
+        # min/max propagate NaN: the range check is the finiteness check
+        if not (p.min() >= 0.0 and p.max() <= 1.0):
+            raise ValueError("proposal entries must be finite and lie in [0, 1]")
+        if not (np.isfinite(kappa) and kappa >= 0.0):
+            raise ValueError("kappa must be finite and >= 0")
+        object.__setattr__(self, "proposal", p)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "alpha", 1.0 + kappa * p)
+        object.__setattr__(self, "beta", 1.0 + kappa * (1.0 - p))
 
     @property
     def shape(self):
-        return self.alpha.shape
+        return self.proposal.shape
 
-    def _triple(self, key, fn):
+    def _table(self, key, fn):
+        """fn at alpha and beta per bin, and at the scalar alpha + beta."""
         if key not in self._tables:
-            a, b = self.alpha, self.beta
-            stacked = np.concatenate([a.ravel(), b.ravel(), (a + b).ravel()])
-            values = fn(stacked)
-            n = a.size
-            self._tables[key] = (
-                values[:n].reshape(a.shape),
-                values[n : 2 * n].reshape(a.shape),
-                values[2 * n :].reshape(a.shape),
-            )
+            a, n = self.alpha, self.alpha.size
+            values = fn(np.concatenate([a.ravel(), self.beta.ravel(),
+                                        [2.0 + self.kappa]]))
+            self._tables[key] = (values[:n].reshape(a.shape),
+                                 values[n:-1].reshape(a.shape), values[-1])
         return self._tables[key]
 
     @property
     def psi(self):
-        """digamma at (alpha, beta, alpha + beta)."""
-        return self._triple("psi", digamma)
+        return self._table("psi", digamma)
 
     @property
     def tri(self):
-        """trigamma at (alpha, beta, alpha + beta)."""
-        return self._triple("tri", trigamma)
+        return self._table("tri", trigamma)
 
     @property
     def log_norm(self):
         """Per-bin log B(alpha, beta)."""
         if "log_norm" not in self._tables:
-            lg_a, lg_b, lg_ab = self._triple("lgamma", log_gamma)
+            lg_a, lg_b, lg_ab = self._table("lgamma", log_gamma)
             self._tables["log_norm"] = lg_a + lg_b - lg_ab
         return self._tables["log_norm"]
 
@@ -98,17 +95,10 @@ class PolicySample:
 
 
 def params_from_proposal(p: np.ndarray, kappa: float) -> BetaPolicyParams:
-    """Map a proposal tensor in [0,1] to Beta shape parameters."""
-    p = np.asarray(p, dtype=np.float64)
-    if not np.all(np.isfinite(p)):
-        raise ValueError("proposal must be finite")
-    if p.min() < 0.0 or p.max() > 1.0:
-        raise ValueError("proposal entries must lie in [0, 1]")
+    """The policy of a proposal tensor in [0,1] at a concentration kappa > 0."""
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    return BetaPolicyParams(
-        alpha=1.0 + kappa * p, beta=1.0 + kappa * (1.0 - p)
-    )
+    return BetaPolicyParams(p, kappa)
 
 
 def sample(
@@ -130,10 +120,9 @@ def sample(
 
 def _check_mask(params: BetaPolicyParams, mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask, dtype=np.float64)
-    if not np.all(np.isfinite(mask)):
-        raise ValueError("mask must be finite")
-    if mask.min() <= 0.0 or mask.max() >= 1.0:
-        raise ValueError("mask entries must lie strictly inside (0, 1); clamp upstream")
+    if not (mask.min() > 0.0 and mask.max() < 1.0):  # NaN fails it too
+        raise ValueError("mask entries must be finite and lie strictly inside "
+                         "(0, 1); clamp upstream")
     if mask.shape != params.shape:
         raise ValueError(f"mask shape {mask.shape} != params shape {params.shape}")
     return mask
@@ -155,7 +144,7 @@ def entropy(params: BetaPolicyParams) -> float:
         params.log_norm
         - (a - 1.0) * psi_a
         - (b - 1.0) * psi_b
-        + (a + b - 2.0) * psi_ab
+        + params.kappa * psi_ab
     )
     return float(np.sum(terms))
 
@@ -171,28 +160,25 @@ def kl_divergence(p: BetaPolicyParams, q: BetaPolicyParams) -> float:
         - p.log_norm
         + (p.alpha - q.alpha) * psi_a
         + (p.beta - q.beta) * psi_b
-        + (q.alpha - p.alpha + q.beta - p.beta) * psi_ab
+        + (q.kappa - p.kappa) * psi_ab
     )
     return float(np.sum(terms))
 
 
-def log_prob_grad(params: BetaPolicyParams, mask: np.ndarray):
-    """Per-bin gradients of log_prob w.r.t. (alpha, beta)."""
+def log_prob_grad(params: BetaPolicyParams, mask: np.ndarray) -> np.ndarray:
+    """Per-bin gradient of log_prob w.r.t. the proposal P; the digamma at
+    alpha + beta = 2 + kappa cancels."""
     mask = _check_mask(params, mask)
-    psi_a, psi_b, psi_ab = params.psi
-    d_alpha = np.log(mask) - psi_a + psi_ab
-    d_beta = np.log1p(-mask) - psi_b + psi_ab
-    return d_alpha, d_beta
+    psi_a, psi_b, _ = params.psi
+    return params.kappa * (np.log(mask) - np.log1p(-mask) - psi_a + psi_b)
 
 
-def entropy_grad(params: BetaPolicyParams):
-    """Per-bin gradients of entropy w.r.t. (alpha, beta)."""
+def entropy_grad(params: BetaPolicyParams) -> np.ndarray:
+    """Per-bin gradient of entropy w.r.t. the proposal P; the trigamma at
+    alpha + beta cancels."""
     a, b = params.alpha, params.beta
-    tri_a, tri_b, tri_ab = params.tri
-    spread = a + b - 2.0
-    d_alpha = -(a - 1.0) * tri_a + spread * tri_ab
-    d_beta = -(b - 1.0) * tri_b + spread * tri_ab
-    return d_alpha, d_beta
+    tri_a, tri_b, _ = params.tri
+    return params.kappa * ((b - 1.0) * tri_b - (a - 1.0) * tri_a)
 
 
 def kappa_schedule(

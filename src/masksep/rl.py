@@ -7,7 +7,7 @@ then takes one gradient step on the clipped surrogate with an entropy
 bonus. As in PPO's clip variant, the clip is the trust region; there is
 no KL penalty.
 
-The frozen old policy is what sampling recorded: the Beta parameters and
+The frozen old policy is what sampling recorded: the (P, kappa) policy and
 the log-densities of the drawn masks. Updates are single-pass, so at the
 gradient step the live policy still equals the old one: the ratio is
 exactly 1 and the clip cannot bind. The post-update ``kl_post`` probe is
@@ -201,7 +201,7 @@ def objective_and_grads(
     kappa: float,
 ) -> ObjectiveResult:
     """Objective J for a sampled batch and the gradients of -J w.r.t. the
-    live model's parameters (Beta-shape chain rule through the proposal).
+    live model's parameters, backpropagated from dJ/dP at the proposal.
 
     An item carrying the sampler's forward cache has the live policy equal
     to its old one: both are ``params_old`` and each new log-density is the
@@ -222,8 +222,7 @@ def objective_and_grads(
             proposal, cache = forward(model, item.log_mag, item.query)
             new = params_from_proposal(proposal, kappa)
 
-        d_alpha = np.zeros(new.shape)
-        d_beta = np.zeros(new.shape)
+        d_p = np.zeros(new.shape)
         for mask, logp_old, adv in zip(
             sampled.masks, sampled.logp_old, sampled.advantages
         ):
@@ -235,19 +234,13 @@ def objective_and_grads(
             ratios_all.append(ratio)
             values_all.append(value)
             if coeff != 0.0:
-                g_a, g_b = log_prob_grad(new, mask)
-                d_alpha += (coeff / n_samples) * g_a
-                d_beta += (coeff / n_samples) * g_b
+                d_p += (coeff / n_samples) * log_prob_grad(new, mask)
 
         entropies.append(entropy(new))
         if cfg.entropy_coef != 0.0:
-            h_a, h_b = entropy_grad(new)
-            d_alpha += (cfg.entropy_coef / n_items) * h_a
-            d_beta += (cfg.entropy_coef / n_items) * h_b
+            d_p += (cfg.entropy_coef / n_items) * entropy_grad(new)
 
-        # alpha = 1 + kappa P, beta = 1 + kappa (1 - P); loss = -J
-        upstream_loss = -kappa * (d_alpha - d_beta)
-        grads = backward(model, cache, upstream_loss)
+        grads = backward(model, cache, -d_p)  # the loss is -J
         if total is None:
             total = grads
         else:

@@ -44,6 +44,14 @@ def beta_log_pdf(alpha, beta, m):
     )
 
 
+def beta_bin(a, b):
+    """Beta(a, b), a, b >= 1, as a one-bin policy: kappa = a + b - 2 and the
+    proposal is the mode (a - 1) / kappa; Beta(1, 1) is kappa = 0."""
+    kappa = a + b - 2.0
+    p = 0.5 if kappa == 0.0 else (a - 1.0) / kappa
+    return BetaPolicyParams(np.array([p]), kappa)
+
+
 def announce(n: int, detail: str) -> None:
     print(f"\nACCEPTANCE {n}: PASS - {detail}")
 
@@ -85,25 +93,18 @@ def test_criterion_1_beta_policy_correctness():
     a, b = 5.5, 5.5
     draws = rng.beta(a, b, size=1_000_000)
     mc_entropy = -float(np.mean(beta_log_pdf(a, b, draws)))
-    params = BetaPolicyParams(np.array([a]), np.array([b]))
-    assert abs(entropy(params) - mc_entropy) <= 1e-2
+    assert abs(entropy(beta_bin(a, b)) - mc_entropy) <= 1e-2
 
     ap, bp, aq, bq = 2.0, 2.0, 1.0, 1.0
     draws = rng.beta(ap, bp, size=1_000_000)
     mc_kl = float(np.mean(beta_log_pdf(ap, bp, draws) - beta_log_pdf(aq, bq, draws)))
-    kl = kl_divergence(
-        BetaPolicyParams(np.array([ap]), np.array([bp])),
-        BetaPolicyParams(np.array([aq]), np.array([bq])),
-    )
+    kl = kl_divergence(beta_bin(ap, bp), beta_bin(aq, bq))
     assert abs(kl - mc_kl) <= 1e-2
 
     # KL >= 0 on 1000 random pairs
     pairs = rng.uniform(1.0, 20.0, size=(1000, 4))
     for ap, bp, aq, bq in pairs:
-        assert kl_divergence(
-            BetaPolicyParams(np.array([ap]), np.array([bp])),
-            BetaPolicyParams(np.array([aq]), np.array([bq])),
-        ) >= -1e-12
+        assert kl_divergence(beta_bin(ap, bp), beta_bin(aq, bq)) >= -1e-12
 
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
@@ -114,24 +115,21 @@ def test_criterion_2_gradient_fidelity():
     rng = np.random.default_rng(1)
     h = 1e-5
 
-    # log_prob gradient vs finite differences, <= 1e-4 relative
+    # log_prob gradient in P vs finite differences, <= 1e-4 relative
     from masksep.policy import log_prob
 
     worst = 0.0
     for _ in range(100):
         a, b = rng.uniform(1.05, 15.0, size=2)
         m = np.array([rng.uniform(0.05, 0.95)])
-        g_a, g_b = log_prob_grad(BetaPolicyParams(np.array([a]), np.array([b])), m)
-        fd_a = (
-            log_prob(BetaPolicyParams(np.array([a + h]), np.array([b])), m)
-            - log_prob(BetaPolicyParams(np.array([a - h]), np.array([b])), m)
+        params = beta_bin(a, b)
+        p, kappa = params.proposal[0], params.kappa
+        g = log_prob_grad(params, m)
+        fd = (
+            log_prob(BetaPolicyParams(np.array([p + h]), kappa), m)
+            - log_prob(BetaPolicyParams(np.array([p - h]), kappa), m)
         ) / (2 * h)
-        fd_b = (
-            log_prob(BetaPolicyParams(np.array([a]), np.array([b + h])), m)
-            - log_prob(BetaPolicyParams(np.array([a]), np.array([b - h])), m)
-        ) / (2 * h)
-        denom = max(abs(fd_a), abs(fd_b), 1e-8)
-        worst = max(worst, abs(g_a[0] - fd_a) / denom, abs(g_b[0] - fd_b) / denom)
+        worst = max(worst, abs(g[0] - fd) / max(abs(fd), 1e-8))
     assert worst <= 1e-4
     policy_err = worst
 

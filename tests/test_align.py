@@ -22,6 +22,7 @@ from masksep.align import (
     _stage_batch_loss,
 )
 from masksep.embed import EmbeddingStore, OracleEmbedder, Temperature
+from masksep.errors import ConfigError
 
 
 def unit_rows(rng, n, d):
@@ -375,12 +376,10 @@ class TestCurriculum:
                         batch_size=8),
         ]
 
-    def test_zero_epochs_leave_heads_unchanged(self):
-        store = toy_store()
-        state = run_curriculum(store, self.configs(epochs=0),
-                               np.random.default_rng(0))
-        assert np.array_equal(state.heads.audio.weight, np.eye(8))
-        assert np.array_equal(state.heads.text.bias, np.zeros(8))
+    @pytest.mark.parametrize("key", ["epochs", "steps_per_epoch"])
+    def test_stage_without_steps_is_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"stage 2: {key} must be >= 1"):
+            StageConfig(stage=2, **{key: 0})
 
     def test_carry_over_is_bit_exact(self):
         store = toy_store(n_items=18)

@@ -780,6 +780,7 @@ class TestEval:
         assert code == 2
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert f"{manifest}: line 2" in err and repr(missing) in err
+        assert not (tmp_path / "out").exists()
 
 
     @pytest.mark.parametrize("bad, named", [
@@ -810,19 +811,28 @@ class TestEval:
         assert code == 2
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert f"{manifest}: line 1: not a JSON record" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrainAlign:
-    def test_zero_epochs_returns_identity_heads(self, small_dataset, tmp_path):
-        run = tmp_path / "align0"
-        assert main(["train-align", "--dataset", str(small_dataset),
-                     "--run-dir", str(run), "--epochs", "0"]) == 0
-        from masksep.align import load_heads
-
-        heads = load_heads(run / "checkpoints" / "heads_best.json")
-        assert np.array_equal(heads.audio.weight, np.eye(16))
-        report = (run / "reports" / "curriculum.txt").read_text()
-        assert "discrimination gap" in report
+    @pytest.mark.parametrize("bad, named", [
+        ({"epochs": -1}, "stage 1: epochs must be >= 1, got -1"),
+        ({"steps_per_epoch": 0}, "stage 1: steps_per_epoch must be >= 1, got 0"),
+        ({"stages": {"2": {"epochs": 0}}}, "stage 2: epochs must be >= 1, got 0"),
+    ])
+    def test_curriculum_without_steps_is_config_error(self, small_dataset,
+                                                      tmp_path, capsys, bad,
+                                                      named):
+        config = tmp_path / "align.json"
+        config.write_text(json.dumps(bad))
+        code = main(["train-align", "--dataset", str(small_dataset),
+                     "--run-dir", str(tmp_path / "run"), "--config",
+                     str(config)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert named in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("stages, named", [
         ({"1": {"lamda1": 2.0}}, "stage 1: unknown config keys: ['lamda1']"),
@@ -842,7 +852,7 @@ class TestTrainAlign:
         config.write_text(json.dumps({"stages": stages}))
         code = main(["train-align", "--dataset", str(small_dataset),
                      "--run-dir", str(tmp_path / "run"), "--config",
-                     str(config), "--epochs", "0"])
+                     str(config), "--epochs", "1"])
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err and len(err.splitlines()) == 1
@@ -867,7 +877,7 @@ class TestTrainAlign:
         config.write_text(json.dumps(bad))
         code = main(["train-align", "--dataset", str(small_dataset),
                      "--run-dir", str(tmp_path / "run"), "--config",
-                     str(config), "--epochs", "0"])
+                     str(config), "--epochs", "1"])
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err and len(err.splitlines()) == 1
@@ -876,14 +886,14 @@ class TestTrainAlign:
 
     def test_stage_override_is_applied(self, small_dataset, tmp_path):
         config = tmp_path / "align.json"
-        config.write_text(json.dumps({"stages": {"2": {"epochs": 0}}}))
+        config.write_text(json.dumps({"stages": {"2": {"epochs": 2}}}))
         run = tmp_path / "run"
         assert main(["train-align", "--dataset", str(small_dataset),
                      "--run-dir", str(run), "--config", str(config),
                      "--epochs", "1", "--steps-per-epoch", "2"]) == 0
         report = (run / "reports" / "curriculum.txt").read_text()
         assert "stage 1: epochs=1 " in report
-        assert "stage 2: epochs=0 " in report
+        assert "stage 2: epochs=2 " in report
 
     def test_seed_determinism(self, small_dataset, tmp_path):
         runs = []

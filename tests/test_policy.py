@@ -2,7 +2,9 @@
 
 Oracles: fixed-order Gauss-Legendre quadrature for density normalization
 and log-density values, Monte Carlo estimates for entropy and KL, central
-finite differences for gradients.
+finite differences in the proposal P for gradients. Each Beta(a, b) with
+a, b >= 1 is written in the policy's (P, kappa) coordinates by
+``beta_coords``.
 """
 
 import numpy as np
@@ -20,13 +22,6 @@ from masksep.policy import (
     sample,
 )
 from masksep.special import log_gamma
-
-
-def log_beta(a, b):
-    """ln B(a, b) = lnGamma(a) + lnGamma(b) - lnGamma(a + b), elementwise."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
 def beta_log_pdf(alpha, beta, m):
@@ -53,8 +48,16 @@ def quadrature_integral(f, n_nodes=400):
     return float(np.sum(0.5 * weights * f(x) * jac))
 
 
+def beta_coords(a, b):
+    """(P, kappa) of Beta(a, b): kappa = a + b - 2 and P is the mode
+    (a - 1) / kappa; Beta(1, 1) is kappa = 0, where P is immaterial."""
+    kappa = a + b - 2.0
+    return (0.5 if kappa == 0.0 else (a - 1.0) / kappa), kappa
+
+
 def single_bin(a, b):
-    return BetaPolicyParams(np.array([a]), np.array([b]))
+    p, kappa = beta_coords(a, b)
+    return BetaPolicyParams(np.array([p]), kappa)
 
 
 class TestParamsFromProposal:
@@ -79,6 +82,20 @@ class TestParamsFromProposal:
             params_from_proposal(np.array([1.2]), 9.0)
         with pytest.raises(ValueError):
             params_from_proposal(np.array([0.5]), 0.0)
+
+
+class TestParams:
+    def test_zero_kappa_is_uniform(self):
+        p = BetaPolicyParams(np.array([0.0, 0.3, 1.0]), 0.0)
+        assert p.alpha.tolist() == [1.0] * 3 and p.beta.tolist() == [1.0] * 3
+
+    @pytest.mark.parametrize("proposal, kappa", [
+        ([1.2], 9.0), ([-0.1], 9.0), ([np.nan], 9.0), ([np.inf], 9.0),
+        ([0.5], -1.0), ([0.5], np.nan), ([0.5], np.inf),
+    ])
+    def test_validation(self, proposal, kappa):
+        with pytest.raises(ValueError):
+            BetaPolicyParams(np.array(proposal), kappa)
 
 
 class TestLogProb:
@@ -115,6 +132,8 @@ class TestLogProb:
             log_prob(single_bin(2.0, 2.0), np.array([0.0]))
         with pytest.raises(ValueError, match="clamp upstream"):
             log_prob(single_bin(2.0, 2.0), np.array([1.0]))
+        with pytest.raises(ValueError, match="clamp upstream"):
+            log_prob(single_bin(2.0, 2.0), np.array([np.nan]))
 
 
 class TestSampling:
@@ -124,7 +143,7 @@ class TestSampling:
         assert abs(ps.mask.mean() - 0.7) < 1e-2
 
     def test_uniform_case_mean(self):
-        params = BetaPolicyParams(np.ones(100_000), np.ones(100_000))
+        params = BetaPolicyParams(np.full(100_000, 0.5), 0.0)
         ps = sample(params, np.random.default_rng(2))
         # 3 sigma of the mean of U(0,1) over n draws
         assert abs(ps.mask.mean() - 0.5) < 3 * np.sqrt(1 / 12 / 100_000)
@@ -200,14 +219,11 @@ class TestKl:
             assert kl_divergence(single_bin(a, b), other) > 1e-7
 
 
-class FiniteDiff:
-    """Central finite differences of scalar functions of (alpha, beta)."""
-
-    @staticmethod
-    def wrt_params(f, a, b, h=1e-5):
-        da = (f(a + h, b) - f(a - h, b)) / (2 * h)
-        db = (f(a, b + h) - f(a, b - h)) / (2 * h)
-        return da, db
+def fd_in_proposal(f, p, kappa, h=1e-5):
+    """Central finite difference in P of a scalar function of one bin."""
+    def at(x):
+        return f(BetaPolicyParams(np.array([x]), kappa))
+    return (at(p + h) - at(p - h)) / (2 * h)
 
 
 class TestGradients:
@@ -215,39 +231,37 @@ class TestGradients:
         rng = np.random.default_rng(10)
         worst = 0.0
         for _ in range(100):
-            a = rng.uniform(1.05, 15.0)
-            b = rng.uniform(1.05, 15.0)
-            m = rng.uniform(0.05, 0.95)
-            g_a, g_b = log_prob_grad(single_bin(a, b), np.array([m]))
-            fd_a, fd_b = FiniteDiff.wrt_params(
-                lambda aa, bb: log_prob(single_bin(aa, bb), np.array([m])), a, b
-            )
-            denom = max(abs(fd_a), abs(fd_b), 1e-8)
-            worst = max(worst, abs(g_a[0] - fd_a) / denom, abs(g_b[0] - fd_b) / denom)
+            p, kappa = beta_coords(rng.uniform(1.05, 15.0),
+                                   rng.uniform(1.05, 15.0))
+            m = np.array([rng.uniform(0.05, 0.95)])
+            g = log_prob_grad(BetaPolicyParams(np.array([p]), kappa), m)
+            fd = fd_in_proposal(lambda q: log_prob(q, m), p, kappa)
+            worst = max(worst, abs(g[0] - fd) / max(abs(fd), 1e-8))
         assert worst <= 1e-4
 
     def test_symmetry_at_half(self):
-        # with alpha = beta and m = 1/2 the two closed forms coincide:
-        # ln(1/2) - psi(a) + psi(2a) on both sides
-        g_a, g_b = log_prob_grad(single_bin(3.0, 3.0), np.array([0.5]))
-        assert g_a[0] == pytest.approx(g_b[0], abs=1e-12)
+        # with P = 1/2 (alpha = beta) and m = 1/2 the gradient vanishes:
+        # kappa (ln(1/2) - ln(1/2) - psi(a) + psi(a))
+        g = log_prob_grad(BetaPolicyParams(np.array([0.5]), 4.0),
+                          np.array([0.5]))
+        assert g[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_grad_closed_form(self):
-        # d/da at (1,1), m=0.5: ln 0.5 - psi(1) + psi(2) = ln 0.5 + 1
-        g_a, _ = log_prob_grad(single_bin(1.0, 1.0), np.array([0.5]))
-        assert g_a[0] == pytest.approx(np.log(0.5) + 1.0, abs=1e-12)
+        # the uniform policy (kappa = 0) does not depend on P; Beta(2, 1)
+        # (P = 1, kappa = 1) at m = 1/2: ln 0.5 - ln 0.5 - psi(2) + psi(1) = -1
+        m = np.array([0.5])
+        assert log_prob_grad(single_bin(1.0, 1.0), m)[0] == 0.0
+        assert log_prob_grad(single_bin(2.0, 1.0), m)[0] == pytest.approx(
+            -1.0, abs=1e-12)
 
     def test_entropy_grad_fd(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
-            a = rng.uniform(1.05, 15.0)
-            b = rng.uniform(1.05, 15.0)
-            g_a, g_b = entropy_grad(single_bin(a, b))
-            fd_a, fd_b = FiniteDiff.wrt_params(
-                lambda aa, bb: entropy(single_bin(aa, bb)), a, b
-            )
-            assert g_a[0] == pytest.approx(fd_a, rel=1e-4, abs=1e-8)
-            assert g_b[0] == pytest.approx(fd_b, rel=1e-4, abs=1e-8)
+            p, kappa = beta_coords(rng.uniform(1.05, 15.0),
+                                   rng.uniform(1.05, 15.0))
+            g = entropy_grad(BetaPolicyParams(np.array([p]), kappa))
+            fd = fd_in_proposal(entropy, p, kappa)
+            assert g[0] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
 class TestSharedTables:
@@ -263,7 +277,7 @@ class TestSharedTables:
         def evaluate():
             return [
                 log_prob(params, mask), entropy(params),
-                *log_prob_grad(params, mask), *entropy_grad(params),
+                log_prob_grad(params, mask), entropy_grad(params),
                 kl_divergence(params, other),
             ]
 
@@ -276,15 +290,43 @@ class TestSharedTables:
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
-        # the stacked tables reproduce separate special-function calls
+        # the stacked tables reproduce separate special-function calls,
+        # with alpha + beta = 2 + kappa as one scalar
+        def log_beta(q):
+            return (log_gamma(q.alpha) + log_gamma(q.beta)
+                    - log_gamma(2.0 + q.kappa))
+
         ap, bp, aq, bq = params.alpha, params.beta, other.alpha, other.beta
         assert kl_divergence(params, other) == float(np.sum(
-            log_beta(aq, bq) - log_beta(ap, bp)
+            log_beta(other) - log_beta(params)
             + (ap - aq) * digamma(ap) + (bp - bq) * digamma(bp)
-            + (aq - ap + bq - bp) * digamma(ap + bp)
+            + (other.kappa - params.kappa) * digamma(2.0 + params.kappa)
         ))
-        for table, x in zip(params.tri, (ap, bp, ap + bp)):
+        for table, x in zip(params.tri, (ap, bp, 2.0 + params.kappa)):
             assert np.array_equal(table, trigamma(x))
+
+    def test_tables_drop_the_alpha_plus_beta_column(self, monkeypatch):
+        # alpha + beta = 2 + kappa in every bin, so each table call of one
+        # policy takes its F*T alphas, its F*T betas and one scalar
+        from masksep import policy
+
+        f, t = 9, 4
+        sizes = {}
+        for name in ("log_gamma", "digamma", "trigamma"):
+            def counted(x, _fn=getattr(policy, name), _name=name):
+                sizes.setdefault(_name, []).append(np.size(x))
+                return _fn(x)
+            monkeypatch.setattr(policy, name, counted)
+        rng = np.random.default_rng(14)
+        params = params_from_proposal(rng.uniform(size=(f, t, 1)), 9.0)
+        mask = rng.uniform(0.05, 0.95, size=(f, t, 1))
+        log_prob(params, mask)
+        entropy(params)
+        log_prob_grad(params, mask)
+        entropy_grad(params)
+        kl_divergence(params, params)
+        assert sizes == {name: [2 * f * t + 1]
+                         for name in ("log_gamma", "digamma", "trigamma")}
 
 
 class TestKappaSchedule:

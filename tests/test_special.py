@@ -59,7 +59,7 @@ def test_vectorized_matches_scalar():
 @pytest.mark.parametrize("fn", [log_gamma, digamma, trigamma],
                          ids=["log_gamma", "digamma", "trigamma"])
 def test_array_is_bitwise_elementwise(fn, size):
-    # the stacked (alpha, beta, alpha + beta) tables of the Beta policy rely
+    # the stacked (alpha, beta, [2 + kappa]) tables of the Beta policy rely
     # on an array call giving every element the bits of a call on it alone;
     # the range covers the reflection branch of log_gamma as well
     x = np.exp(np.random.default_rng(size).uniform(np.log(1e-3), np.log(1e4),
