@@ -17,6 +17,7 @@ unusable result, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 import time
@@ -117,6 +118,15 @@ def cmd_synth(args) -> int:
         },
         required=("out",),
     )
+    # past this rate a narrow noise_burst band holds no FFT bin of a source
+    # or a calibration prototype, and that source falls silent
+    limit = synthdata.NOISE_BAND_MIN_HZ * min(cfg["duration"],
+                                              synthdata.PROTOTYPE_SAMPLES)
+    if cfg["sample_rate"] > limit:
+        raise ConfigError(
+            f"'sample_rate' must be at most {limit} = "
+            f"{synthdata.NOISE_BAND_MIN_HZ} Hz x min(duration, "
+            f"{synthdata.PROTOTYPE_SAMPLES}), got {cfg['sample_rate']}")
     out = Path(cfg["out"])
     _echo_config(out, "synth", cfg)
     manifest = synthdata.build_dataset(
@@ -458,7 +468,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Keep what a call frees in the process, for the next call to reuse.
+    By default glibc returns the heap top to the kernel after a call frees
+    its arrays, and serves arrays above a moving threshold by mmap, so every
+    policy step and embedding page-faults its working set in again. Fixing
+    both thresholds (mmap at glibc's own 32 MiB ceiling, trim far above any
+    run's peak) also turns off that moving threshold. Without glibc's
+    mallopt (musl, macOS, Windows) this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

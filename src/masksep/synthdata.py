@@ -33,6 +33,11 @@ from .spectral import Waveform
 from .wavio import write_wav
 
 PEAK_LEVEL = 0.5
+# the narrowest noise_burst band: a source of n samples at rate r holds an
+# rfft bin in every band only while the bin spacing r / n is at most this
+NOISE_BAND_MIN_HZ = 400
+# samples in each of the audio embedder's calibration prototypes
+PROTOTYPE_SAMPLES = 16384
 GENERATOR_KINDS = ("tone_stack", "chirp", "noise_burst", "am_tone")
 
 
@@ -88,7 +93,7 @@ def draw_source_spec(cls: ClassSpec, rng: np.random.Generator,
             np.clip(main + rng.uniform(300.0, 800.0), cls.low, cls.high)
         )
     elif cls.kind == "noise_burst":
-        params["bandwidth"] = float(rng.uniform(400.0, 900.0))
+        params["bandwidth"] = float(rng.uniform(NOISE_BAND_MIN_HZ, 900.0))
         params["burst_rate"] = float(rng.uniform(4.0, 8.0))
     elif cls.kind == "am_tone":
         params["am_rate"] = float(rng.uniform(3.0, 9.0))
@@ -195,7 +200,7 @@ def make_mixture(specs, snr_offsets_db, item_id: str = "item") -> MixtureItem:
 def calibration_prototypes(
     classes=DEFAULT_CLASSES,
     per_class: int = 6,
-    duration: int = 16384,
+    duration: int = PROTOTYPE_SAMPLES,
     sample_rate: int = 16000,
     seed: int = 0,
 ):
