@@ -37,7 +37,7 @@ from .errors import (
 )
 from .reward import QUERY_MODALITIES, REWARD_MODES
 from .spectral import StftConfig
-from .wavio import RATE_POLICIES, read_wav, write_wav
+from .wavio import RATE_POLICIES, check_wav, read_wav, write_wav
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,6 +89,18 @@ def _check_split(dataset: pipeline.Dataset, name: str) -> None:
         splits = ", ".join(sorted({r["split"] for r in dataset.records}))
         raise ConfigError(f"split {name!r} names no record of {dataset.root}; "
                           f"its splits are: {splits}")
+
+
+def _check_mixtures(dataset: pipeline.Dataset, name: str,
+                    stft_cfg: StftConfig) -> None:
+    """Read every mixture of a split, keeping none, so that one that cannot
+    be separated stops the run before it writes anything."""
+    for rec in dataset.split(name):
+        path = dataset.root / rec["mixture"]
+        n = check_wav(path, expected_rate=rec["sample_rate"])
+        if n < stft_cfg.window_size:
+            raise ConfigError(f"{path}: waveform too short: {n} samples < "
+                              f"window_size {stft_cfg.window_size}")
 
 
 _STFT_DEFAULTS = {"fft_size": 1024, "hop": 256, "window_size": 1024}
@@ -383,6 +395,7 @@ def cmd_separate(args) -> int:
         raise ConfigError("separate needs --mixture or --dataset")
     dataset = pipeline.load_dataset(cfg["dataset"])
     _check_split(dataset, cfg["split"])
+    _check_mixtures(dataset, cfg["split"], stft_cfg)
     out = Path(cfg["out"])
     _echo_config(out, "separate", cfg)
     manifest = pipeline.separate_split(

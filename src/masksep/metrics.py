@@ -49,14 +49,6 @@ def _db_ratio(num: float, den: float, floor: float = 0.0) -> float:
     return float(np.clip(10.0 * np.log10(num / den), -SENTINEL_DB, SENTINEL_DB))
 
 
-def si_sdr(est, ref) -> float:
-    """Scale-invariant SDR in dB. No temporal delay search."""
-    e, r = _prep(est, ref)
-    if float(np.dot(r, r)) == 0.0:
-        raise ValueError("reference has zero energy; guard upstream")
-    return _si_sdr_prepped(e, r)
-
-
 def optimal_assignment(score_matrix: np.ndarray) -> tuple:
     """Permutation pi maximizing sum_k S[k, pi(k)], exact (Hungarian)."""
     s = np.asarray(score_matrix, dtype=np.float64)
@@ -174,19 +166,6 @@ def _si_sdr_prepped(est: np.ndarray, ref: np.ndarray) -> float:
     target = alpha * ref
     noise = est - target
     return _db_ratio(float(np.dot(target, target)), float(np.dot(noise, noise)))
-
-
-def bss_decompose(est, refs, target_index: int):
-    """(SDR, SIR, SAR) of an estimate against a reference set.
-
-    The target part is the scalar projection onto the chosen reference;
-    interference is the rest of the projection onto span{refs}; artifacts
-    are whatever lies outside that span.
-    """
-    if not 0 <= target_index < len(refs):
-        raise ValueError(f"target index {target_index} out of range")
-    prepped = _prep(est, *refs)
-    return _bss_prepped(prepped[0], prepped[1:], target_index)
 
 
 def _bss_prepped(est: np.ndarray, refs, j: int):

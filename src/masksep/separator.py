@@ -61,7 +61,8 @@ class SeparatorModel:
 
 @dataclass
 class ForwardCache:
-    """Intermediates a matching backward pass needs."""
+    """Intermediates a matching backward pass needs. ``features`` is bins x
+    inputs, the transpose of the input-major buffer forward() fills."""
 
     features: np.ndarray
     pre1: np.ndarray
@@ -116,13 +117,16 @@ def init_model(
     )
 
 
-def _softplus(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # max(x, 0) + log1p(exp(-|x|)): stable for any magnitude
+def _softplus(x: np.ndarray, out: np.ndarray, keep_x: bool) -> np.ndarray:
+    # max(x, 0) + log1p(exp(-|x|)): stable for any magnitude. Without
+    # keep_x, max(x, 0) is formed in x itself instead of a temporary.
+    # (np.copysign would fold abs and negative into one pass, but numpy
+    # does not vectorize it and it runs several times slower.)
     np.abs(x, out=out)
     np.negative(out, out)
     np.exp(out, out)
     np.log1p(out, out)
-    out += np.maximum(x, 0.0)
+    out += np.maximum(x, 0.0, out=None if keep_x else x)
     return out
 
 
@@ -131,16 +135,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exactly 0 there, which is the right limit
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
-
-
-def patch_features(log_mag: np.ndarray, context: int) -> np.ndarray:
-    """The context x context patch around every bin of the zero-padded
-    grid, as an F x T x context x context view (no copy)."""
-    half = context // 2
-    f, t = log_mag.shape
-    padded = np.zeros((f + 2 * half, t + 2 * half), dtype=log_mag.dtype)
-    padded[half : half + f, half : half + t] = log_mag
-    return np.lib.stride_tricks.sliding_window_view(padded, (context, context))
 
 
 def _slab_rows(f: int, t: int) -> int:
@@ -181,24 +175,28 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
     slab = f if keep_cache else _slab_rows(f, t)
     bounds = list(range(0, f - slab + 1, slab)) + [f]
     cap = (f - bounds[-2]) * t
-    # row (i, j) of a slab: the flattened patch around bin (i, j),
-    # i / (F - 1), query
-    features = np.empty((cap, model.input_dim), dtype=dtype)
-    features[:, n_patch + 1 :] = query
+    # input-major features, one row per input and one column per bin of a
+    # slab: row di * c + dj is the patch offset (di, dj), one contiguous
+    # copy of the zero-padded grid shifted by it; then i / (F - 1), then
+    # the query. BLAS packs a transposed operand as it packs a row-major
+    # one, so the first layer rounds as the bin-major product does.
+    features = np.empty((model.input_dim, cap), dtype=dtype)
+    features[n_patch + 1 :] = query[:, None]
     pre1 = np.empty((cap, model.hidden_width), dtype=dtype)
     hidden = np.empty_like(pre1)
     pre2 = np.empty((f * t, model.k_sources), dtype=dtype)
-    patches = patch_features(log_mag, c)
+    padded = np.pad(log_mag, c // 2)
     freq = np.arange(f, dtype=dtype) / max(f - 1, 1)
     for r0, r1 in zip(bounds, bounds[1:]):
         n = (r1 - r0) * t
-        grid = features[:n].reshape(r1 - r0, t, model.input_dim)
-        np.copyto(grid[:, :, :n_patch].reshape(r1 - r0, t, c, c),
-                  patches[r0:r1])
-        grid[:, :, n_patch] = freq[r0:r1, None]
-        np.matmul(features[:n], model.w1, out=pre1[:n])
+        grid = features[:, :n].reshape(model.input_dim, r1 - r0, t)
+        for di in range(c):
+            for dj in range(c):
+                grid[di * c + dj] = padded[r0 + di : r1 + di, dj : dj + t]
+        grid[n_patch] = freq[r0:r1, None]
+        np.matmul(features[:, :n].T, model.w1, out=pre1[:n])
         pre1[:n] += model.b1
-        _softplus(pre1[:n], out=hidden[:n])
+        _softplus(pre1[:n], out=hidden[:n], keep_x=keep_cache)
         out = pre2[r0 * t : r1 * t]
         for k in range(model.k_sources):
             np.matmul(hidden[:n], model.w2[:, k], out=out[:, k])
@@ -208,7 +206,7 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
     if not keep_cache:
         return proposal, None
     cache = ForwardCache(
-        features=features,
+        features=features.T,
         pre1=pre1,
         hidden=hidden,
         proposal_flat=proposal_flat,

@@ -189,8 +189,8 @@ def istft(s: Spectrogram, target_len: int | None = None) -> Waveform:
     out = _overlap_add(frames, cfg.hop)
     envelope = _overlap_add(np.broadcast_to(window**2, frames.shape), cfg.hop)
     total = out.shape[0]
-    nonzero = envelope > _NOLA_EPS
-    out[nonzero] /= envelope[nonzero]
+    # samples where the envelope vanishes are left as summed
+    np.divide(out, envelope, out=out, where=envelope > _NOLA_EPS)
 
     pad = cfg.window_size // 2
     if pad + target_len > total:
@@ -208,8 +208,9 @@ def apply_mask_reconstruct(mix: Spectrogram, m: Mask) -> Waveform:
             f"mask shape {m.values.shape} does not match "
             f"spectrogram shape {mix.bins.shape}"
         )
+    # frame-major like stft's bins, so istft's irfft reads whole frames
     masked = Spectrogram(
-        bins=m.values * mix.bins,
+        bins=np.multiply(m.values, mix.bins, order="F"),
         config=mix.config,
         sample_rate=mix.sample_rate,
         num_samples=mix.num_samples,

@@ -21,8 +21,8 @@ from .spectral import Waveform
 RATE_POLICIES = ("reject", "resample", "accept")
 
 
-def read_wav(path, expected_rate: int = 16000, rate_policy: str = "reject") -> Waveform:
-    """Read a mono WAV file and apply the sample-rate policy."""
+def _read_checked(path, expected_rate: int, rate_policy: str):
+    """(rate, samples as stored) after every check read_wav makes."""
     if rate_policy not in RATE_POLICIES:
         raise ValueError(f"rate_policy must be one of {RATE_POLICIES}")
     with open(path, "rb") as fh:
@@ -52,28 +52,36 @@ def read_wav(path, expected_rate: int = 16000, rate_policy: str = "reject") -> W
     # checked before the cast, which warns on a signaling NaN
     if data.dtype.kind == "f" and not np.isfinite(data).all():
         raise ValueError(f"{path}: WAV file holds non-finite samples")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    elif data.dtype == np.float64:
-        samples = data.copy()
-    else:
+    if data.dtype not in (np.int16, np.float32, np.float64):
         raise ValueError(
             f"{path}: unsupported sample format {data.dtype}; "
             "use PCM 16-bit or IEEE float-32"
         )
-    if rate != expected_rate:
-        if rate_policy == "reject":
-            raise ValueError(
-                f"{path}: sample rate {rate} != expected {expected_rate} "
-                "(pass rate_policy='resample' to convert)"
-            )
-        if rate_policy == "resample":
-            g = np.gcd(int(rate), int(expected_rate))
-            samples = resample_poly(samples, expected_rate // g, rate // g)
-            rate = expected_rate
+    if rate != expected_rate and rate_policy == "reject":
+        raise ValueError(
+            f"{path}: sample rate {rate} != expected {expected_rate} "
+            "(pass rate_policy='resample' to convert)"
+        )
+    return rate, data
+
+
+def read_wav(path, expected_rate: int = 16000, rate_policy: str = "reject") -> Waveform:
+    """Read a mono WAV file and apply the sample-rate policy."""
+    rate, data = _read_checked(path, expected_rate, rate_policy)
+    samples = data.astype(np.float64)
+    if data.dtype == np.int16:
+        samples /= 32768.0
+    if rate != expected_rate and rate_policy == "resample":
+        g = np.gcd(int(rate), int(expected_rate))
+        samples = resample_poly(samples, expected_rate // g, rate // g)
+        rate = expected_rate
     return Waveform(samples=samples, sample_rate=int(rate))
+
+
+def check_wav(path, expected_rate: int = 16000, rate_policy: str = "reject") -> int:
+    """Make every check read_wav makes and return the file's sample count,
+    without building its waveform."""
+    return _read_checked(path, expected_rate, rate_policy)[1].shape[0]
 
 
 def write_wav(path, w: Waveform) -> None:

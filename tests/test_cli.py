@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 import masksep
 from masksep.cli import main
 from masksep.separator import load_model
+from masksep.spectral import Waveform
+from masksep.wavio import write_wav
 
 
 @pytest.fixture(scope="module")
@@ -649,9 +651,6 @@ class TestSeparate:
         assert not (tmp_path / "est").exists()
 
     def test_too_short_mixture_is_named(self, trained_run, tmp_path, capsys):
-        from masksep.spectral import Waveform
-        from masksep.wavio import write_wav
-
         short = tmp_path / "short.wav"
         write_wav(short, Waveform(np.full(300, 0.1), 16000))
         qfile = tmp_path / "q.json"
@@ -664,6 +663,32 @@ class TestSeparate:
         assert code == 2
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert f"{short}: waveform too short: 300 samples" in err
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda wav: wav.write_bytes(wav.read_bytes()[:1000]),
+         "truncated WAV file"),
+        (lambda wav: write_wav(wav, Waveform(np.full(300, 0.1), 16000)),
+         "waveform too short: 300 samples"),
+    ])
+    def test_bad_mixture_mid_split_writes_nothing(self, small_dataset,
+                                                  trained_run, tmp_path,
+                                                  capsys, damage, named):
+        dataset = tmp_path / "ds"
+        shutil.copytree(small_dataset, dataset)
+        records = [json.loads(line) for line in
+                   (dataset / "manifest.jsonl").read_text().splitlines()]
+        train = [r for r in records if r["split"] == "train"]
+        wav = dataset / train[len(train) // 2]["mixture"]
+        damage(wav)
+        code = main(["separate", "--checkpoint",
+                     str(trained_run / "checkpoints" / "best.json"),
+                     "--dataset", str(dataset), "--split", "train",
+                     "--out", str(tmp_path / "est")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert f"{wav}: {named}" in err
+        assert not (tmp_path / "est").exists()
 
     def test_identity_like_checkpoint_on_all_ones_proposal(self, small_dataset,
                                                            tmp_path):
@@ -861,9 +886,6 @@ class TestEval:
         assert (a / "report.jsonl").read_bytes() == (b / "report.jsonl").read_bytes()
 
     def test_all_skipped_is_runtime_error(self, small_dataset, tmp_path):
-        from masksep.spectral import Waveform
-        from masksep.wavio import write_wav
-
         silent = tmp_path / "silent.wav"
         write_wav(silent, Waveform(np.zeros(4096), 16000))
         loud = tmp_path / "loud.wav"

@@ -9,13 +9,12 @@ from masksep.metrics import (
     ENERGY_GUARD,
     SENTINEL_DB,
     aggregate,
-    bss_decompose,
     optimal_assignment,
-    si_sdr,
     si_sdri,
     UtteranceEval,
 )
 from masksep.spectral import Waveform
+from oracles import bss_decompose, si_sdr
 
 
 def wave(arr, rate=16000):

@@ -293,6 +293,8 @@ class TestKernelsMatchPlainFormulas:
         ref, features, pre1, hidden = plain_forward(model, log_mag, query)
         assert proposal.dtype == ref.dtype == dtype
         assert np.array_equal(proposal, ref)
+        # input-major storage, read as bins x inputs
+        assert cache.features.T.flags.c_contiguous
         assert np.array_equal(cache.features, features)
         grads = backward(model, cache, upstream).as_dict()
         ref_grads = plain_backward(model, features, pre1, hidden, ref, upstream)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from masksep.errors import ConfigError
-from masksep.metrics import si_sdr
+from masksep import spectral
 from masksep.spectral import (
     Mask,
     Spectrogram,
@@ -22,6 +22,7 @@ from masksep.spectral import (
     log_compress,
     stft,
 )
+from oracles import si_sdr
 
 CFG = StftConfig(fft_size=1024, hop=256, window_size=1024)
 
@@ -259,14 +260,37 @@ class TestKernelsMatchPlainFormulas:
             # the frame-major rfft, transposed: the embedder's reductions
             # read this layout, and a C-order copy would round them apart
             assert s.bins.flags.f_contiguous
-            # a masked spectrogram, as the reward and separate paths see it
-            masked = Spectrogram(
-                np.random.default_rng(seed).uniform(0, 1, s.bins.shape) * s.bins,
-                cfg, s.sample_rate, n)
-            for target_len in (n, n // 3):
-                rec = istft(masked, target_len=target_len)
-                assert np.array_equal(rec.samples, plain_istft(masked, target_len)), \
-                    f"samples, length {n}, target_len {target_len}"
+            # a masked spectrogram, as the reward and separate paths see it,
+            # inverted from either layout to the bits of the C-order loop;
+            # the envelope vanishes only at the padded signal's first
+            # sample, which no target_len returns, and the longest one
+            # reaches the last sample the frames cover
+            m = np.random.default_rng(seed).uniform(0, 1, s.bins.shape)
+            masked = Spectrogram(np.ascontiguousarray(m * s.bins), cfg,
+                                 s.sample_rate, n)
+            frame_major = Spectrogram(np.asfortranarray(masked.bins), cfg,
+                                      s.sample_rate, n)
+            covered = (s.bins.shape[1] - 1) * hop + window_size
+            longest = covered - window_size // 2
+            for target_len in (n, n // 3, longest):
+                ref = plain_istft(masked, target_len)
+                for spec in (masked, frame_major):
+                    rec = istft(spec, target_len=target_len)
+                    assert np.array_equal(rec.samples, ref), \
+                        f"samples, length {n}, target_len {target_len}"
+            rec = apply_mask_reconstruct(s, Mask(m))
+            assert np.array_equal(rec.samples, plain_istft(masked, n))
+
+    def test_masked_spectrogram_is_frame_major(self, monkeypatch):
+        # a C-order product rounds the same but makes irfft read strided
+        # frames, so only its layout shows that regression
+        seen = []
+        real_istft = spectral.istft
+        monkeypatch.setattr(spectral, "istft",
+                            lambda s: seen.append(s) or real_istft(s))
+        mix = stft(_rand_wave(5000, 7), CFG)
+        apply_mask_reconstruct(mix, Mask(np.full(mix.bins.shape, 0.5)))
+        assert seen[0].bins.flags.f_contiguous
 
     @pytest.mark.parametrize("window_size", [8, 15, 16, 33, 64])
     def test_config_check_matches_envelope_loop(self, window_size):

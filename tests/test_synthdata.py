@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from masksep.metrics import si_sdr
 from masksep.spectral import StftConfig, Waveform, apply_mask_reconstruct, stft
 from masksep.synthdata import (
     DEFAULT_CLASSES,
@@ -15,6 +14,7 @@ from masksep.synthdata import (
     generate_source,
     make_mixture,
 )
+from oracles import si_sdr
 
 CFG = StftConfig(1024, 256, 1024)
 
