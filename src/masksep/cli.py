@@ -21,7 +21,7 @@ import ctypes
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -194,16 +194,8 @@ def cmd_train_rl(args) -> int:
         log_path=run_dir / "logs" / "train.jsonl",
         checkpoint_dir=run_dir / "checkpoints",
     )
-    elapsed = time.perf_counter() - started
-    summary = {
-        "steps_run": result.steps_run,
-        "best_step": result.best_step,
-        "best_val_reward": result.best_val_reward,
-        "initial_val_reward": result.initial_val_reward,
-        "final_val_reward": result.final_val_reward,
-        "stopped_early": result.stopped_early,
-        "elapsed_seconds": elapsed,
-    }
+    summary = {**asdict(result),
+               "elapsed_seconds": time.perf_counter() - started}
     (run_dir / "reports" / "run_summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=1) + "\n"
     )

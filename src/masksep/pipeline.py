@@ -32,23 +32,70 @@ class Dataset:
     records: list
     store: EmbeddingStore
     embedder: AudioFeatureEmbedder
-    meta: dict
 
     def split(self, name: str) -> list:
         return [r for r in self.records if r["split"] == name]
 
 
+def _jsonl_records(path: Path):
+    """(line number, record) for each non-blank line of a JSON-lines file;
+    ValueError naming the file and the line where it is not UTF-8 text or a
+    line is not a JSON object."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
+    # split at newlines only: str.splitlines also splits at U+2028 and
+    # other separators that a JSON string may hold unescaped
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{path}: line {lineno}: not a JSON record ({exc.msg}, "
+                f"column {exc.colno})"
+            ) from None
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}: line {lineno}: not a JSON object")
+        yield lineno, rec
+
+
+# what each key the package reads from a dataset manifest record must hold
+_RECORD_KEYS = {
+    **dict.fromkeys(("item_id", "split", "mixture", "target_class"),
+                    (str, "a string")),
+    "sample_rate": (int, "an integer"),
+    "references": (list, "a non-empty list of strings"),
+}
+
+
 def load_dataset(root) -> Dataset:
+    """The manifest, store and audio embedder of a ``synth`` directory.
+    Every manifest record is checked here; ValueError names the manifest
+    and the line of the first one that is unusable."""
     root = Path(root)
     manifest = root / "manifest.jsonl"
     if not manifest.exists():
         raise FileNotFoundError(f"no manifest.jsonl under {root}")
-    records = [json.loads(line) for line in manifest.read_text().splitlines()]
+    records = []
+    for lineno, rec in _jsonl_records(manifest):
+        for key, (kind, what) in _RECORD_KEYS.items():
+            if key not in rec:
+                raise ValueError(
+                    f"{manifest}: line {lineno}: record has no {key!r}")
+            value = rec[key]
+            if type(value) is not kind or kind is list and not (
+                    value and all(type(ref) is str for ref in value)):
+                raise ValueError(f"{manifest}: line {lineno}: {key!r} is "
+                                 f"{value!r}, not {what}")
+        records.append(rec)
     store = load_store(root / "embeddings.embd")
     embedder = AudioFeatureEmbedder.load(root / "audio_embedder.json")
-    meta = json.loads((root / "dataset.json").read_text())
-    return Dataset(root=root, records=records, store=store, embedder=embedder,
-                   meta=meta)
+    return Dataset(root=root, records=records, store=store, embedder=embedder)
 
 
 def _crop_start(item_id: str, seed: int, total: int, segment: int) -> int:
@@ -110,7 +157,7 @@ def prepare_train_items(
             target_audio_embed = dataset.embedder.embed(ideal_recon)
 
         magnitude = np.abs(mix_spec.bins)
-        weight = (magnitude / max(magnitude.sum(), 1e-12))[:, :, None]
+        weight = magnitude / max(magnitude.sum(), 1e-12)
         items.append(
             TrainItem(
                 item_id=rec["item_id"],
@@ -124,7 +171,7 @@ def prepare_train_items(
                     text=dataset.store.get("text", rec["item_id"]),
                     video=dataset.store.get("video", rec["item_id"]),
                 ),
-                ideal_mask=irm.values[:, :, None],
+                ideal_mask=irm.values,
                 bce_weight=weight,
             )
         )
@@ -153,7 +200,7 @@ def separate_waveform(
     """Mask the mixture with the deterministic proposal and resynthesize."""
     spec = stft(mix, stft_cfg)
     proposal, _ = forward(model, log_compress(spec), query, keep_cache=False)
-    return apply_mask_reconstruct(spec, Mask(proposal[:, :, 0]))
+    return apply_mask_reconstruct(spec, Mask(proposal))
 
 
 def separate_split(
@@ -193,18 +240,9 @@ def evaluate_manifest(manifest_path, with_bss: bool = False) -> list[UtteranceEv
     """Score every record of an evaluation manifest."""
     path = Path(manifest_path)
     utterances = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{path}: line {lineno}: not a JSON record ({exc.msg}, "
-                f"column {exc.colno})"
-            ) from None
+    for lineno, rec in _jsonl_records(path):
         for key in ("references", "estimates", "mixture"):
-            if not isinstance(rec, dict) or key not in rec:
+            if key not in rec:
                 raise ValueError(f"{path}: line {lineno}: record has no {key!r}")
         refs = [read_wav(p, rate_policy="accept") for p in rec["references"]]
         ests = [read_wav(p, rate_policy="accept") for p in rec["estimates"]]

@@ -48,6 +48,7 @@ from .separator import (
     backward,
     forward,
     save_model,
+    warm_start_supervised,
 )
 from .spectral import Mask, Spectrogram, apply_mask_reconstruct
 
@@ -112,8 +113,9 @@ class TrainItem:
     """One prepared training example: a mixture crop plus its query and
     reward-side target embeddings.
 
-    ``ideal_mask``/``bce_weight`` back the optional supervised warm start
-    (ideal ratio mask of the crop and normalized magnitude weights)."""
+    ``ideal_mask``/``bce_weight`` back the supervised warm start: the
+    crop's ideal ratio mask and its magnitudes normalized to sum to 1,
+    both F x T."""
 
     item_id: str
     category: str
@@ -121,8 +123,8 @@ class TrainItem:
     log_mag: np.ndarray
     query: np.ndarray
     targets: RewardTargets
-    ideal_mask: np.ndarray | None = None
-    bce_weight: np.ndarray | None = None
+    ideal_mask: np.ndarray
+    bce_weight: np.ndarray
 
 
 @dataclass
@@ -241,11 +243,7 @@ def objective_and_grads(
             d_p += (cfg.entropy_coef / n_items) * entropy_grad(new)
 
         grads = backward(model, cache, -d_p)  # the loss is -J
-        if total is None:
-            total = grads
-        else:
-            for name in ("w1", "b1", "w2", "b2"):
-                setattr(total, name, getattr(total, name) + getattr(grads, name))
+        total = grads if total is None else total + grads
 
     j = float(np.mean(values_all)) + cfg.entropy_coef * float(np.mean(entropies))
     return ObjectiveResult(
@@ -303,7 +301,7 @@ def train_step(
         masks, logps = [], []
         for _ in range(cfg.mc_samples):
             ps = sample(params_old, rng, clamp_eps=cfg.sample_clamp)
-            wav = apply_mask_reconstruct(item.mix_spec, Mask(ps.mask[:, :, 0]))
+            wav = apply_mask_reconstruct(item.mix_spec, Mask(ps.mask))
             masks.append(ps.mask)
             logps.append(ps.log_prob)
             rewards_flat.append(reward_ctx.reward(item, wav))
@@ -366,7 +364,7 @@ def train_step(
 def proposal_mask(model: SeparatorModel, item: TrainItem) -> Mask:
     """Deterministic inference mask: the proposal itself (the per-bin mode)."""
     proposal, _ = forward(model, item.log_mag, item.query, keep_cache=False)
-    return Mask(proposal[:, :, 0])
+    return Mask(proposal)
 
 
 def evaluate_mean_reward(
@@ -399,27 +397,14 @@ def warm_start(
     """Supervised pretraining phase: weighted BCE toward the items' ideal
     ratio masks, mirroring how the supervised baseline initializes the
     separator before policy optimization."""
-    from .separator import warm_start_supervised
-
-    usable = [
-        it for it in train_items
-        if it.ideal_mask is not None and it.bce_weight is not None
-    ]
-    if not usable:
-        raise ValueError("warm start requires items with ideal_mask/bce_weight")
-    state = AdamWState()
+    size = min(8, len(train_items))
     batches = []
-    size = min(8, len(usable))
     for _ in range(cfg.warm_start_steps):
-        idx = rng.choice(len(usable), size=size, replace=False)
-        batches.append(
-            [
-                (usable[i].log_mag, usable[i].query,
-                 usable[i].ideal_mask, usable[i].bce_weight)
-                for i in idx
-            ]
-        )
-    return warm_start_supervised(model, batches, state, lr=cfg.warm_start_lr)
+        idx = rng.choice(len(train_items), size=size, replace=False)
+        batches.append([(it.log_mag, it.query, it.ideal_mask, it.bce_weight)
+                        for it in (train_items[i] for i in idx)])
+    return warm_start_supervised(model, batches, AdamWState(),
+                                 lr=cfg.warm_start_lr)
 
 
 def train_loop(
@@ -460,35 +445,23 @@ def train_loop(
     steps_run = 0
 
     with open(log_path, "w") as log:
-        log.write(
-            json.dumps(
-                {"event": "validation", "step": 0, "val_reward": initial_val},
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        def write(record: dict) -> None:
+            log.write(json.dumps(record, sort_keys=True) + "\n")
+
+        write({"event": "validation", "step": 0, "val_reward": initial_val})
         for step in range(cfg.steps):
             size = min(cfg.batch_size, len(train_items))
             idx = rng.choice(len(train_items), size=size, replace=False)
             batch = [train_items[i] for i in idx]
             report = train_step(model, opt_state, batch, cfg, rng, reward_ctx,
                                 step_index=step)
-            log.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
+            write(report.to_dict())
             steps_run = step + 1
 
             if (step + 1) % cfg.val_interval == 0:
                 val_reward = evaluate_mean_reward(model, val_items, reward_ctx)
-                log.write(
-                    json.dumps(
-                        {
-                            "event": "validation",
-                            "step": step + 1,
-                            "val_reward": val_reward,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+                write({"event": "validation", "step": step + 1,
+                       "val_reward": val_reward})
                 if val_reward > best_val:
                     best_val = val_reward
                     best_step = step + 1

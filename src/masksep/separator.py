@@ -44,8 +44,10 @@ class SeparatorModel:
     context: int
     hidden_width: int
     query_dim: int
-    k_sources: int = 1
     version: int = 0
+    # one output column: a query names one target. Checkpoints still record
+    # the count as an hparam, and the benchmark's FLOP counters read it.
+    k_sources = 1
 
     @property
     def input_dim(self) -> int:
@@ -86,13 +88,16 @@ class ParamGrads:
     def as_dict(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
+    def __add__(self, other: ParamGrads) -> ParamGrads:
+        return ParamGrads(*(getattr(self, name) + getattr(other, name)
+                            for name in PARAM_NAMES))
+
 
 def init_model(
     rng: np.random.Generator,
     context: int = 5,
     hidden_width: int = 32,
     query_dim: int = 16,
-    k_sources: int = 1,
     dtype=np.float64,
 ) -> SeparatorModel:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
@@ -108,12 +113,11 @@ def init_model(
     return SeparatorModel(
         w1=rng.uniform(-s1, s1, size=(in_dim, hidden_width)).astype(dtype),
         b1=rng.uniform(-s1, s1, size=hidden_width).astype(dtype),
-        w2=rng.uniform(-s2, s2, size=(hidden_width, k_sources)).astype(dtype),
-        b2=rng.uniform(-s2, s2, size=k_sources).astype(dtype),
+        w2=rng.uniform(-s2, s2, size=(hidden_width, 1)).astype(dtype),
+        b2=rng.uniform(-s2, s2, size=1).astype(dtype),
         context=context,
         hidden_width=hidden_width,
         query_dim=query_dim,
-        k_sources=k_sources,
     )
 
 
@@ -146,7 +150,7 @@ def _slab_rows(f: int, t: int) -> int:
 
 def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
             keep_cache: bool = True):
-    """Proposal tensor (F, T, K) plus the cache backward() consumes.
+    """Proposal grid (F, T) plus the cache backward() consumes.
 
     Computation runs in the model's parameter dtype. With ``keep_cache``
     false the cache is None, and the grid runs through the network in
@@ -171,7 +175,7 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
     # row its own way, and a product with a few columns also by the size
     # of the call. So every slab but the last is a multiple of 64 bins,
     # the last one, ending where the grid ends, takes the remainder, and
-    # the output layer is one matrix-vector product per source.
+    # the output layer is one matrix-vector product.
     slab = f if keep_cache else _slab_rows(f, t)
     bounds = list(range(0, f - slab + 1, slab)) + [f]
     cap = (f - bounds[-2]) * t
@@ -184,7 +188,7 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
     features[n_patch + 1 :] = query[:, None]
     pre1 = np.empty((cap, model.hidden_width), dtype=dtype)
     hidden = np.empty_like(pre1)
-    pre2 = np.empty((f * t, model.k_sources), dtype=dtype)
+    pre2 = np.empty(f * t, dtype=dtype)
     padded = np.pad(log_mag, c // 2)
     freq = np.arange(f, dtype=dtype) / max(f - 1, 1)
     for r0, r1 in zip(bounds, bounds[1:]):
@@ -198,11 +202,10 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
         pre1[:n] += model.b1
         _softplus(pre1[:n], out=hidden[:n], keep_x=keep_cache)
         out = pre2[r0 * t : r1 * t]
-        for k in range(model.k_sources):
-            np.matmul(hidden[:n], model.w2[:, k], out=out[:, k])
+        np.matmul(hidden[:n], model.w2[:, 0], out=out)
         out += model.b2
     proposal_flat = _sigmoid(pre2)
-    proposal = proposal_flat.reshape(f, t, model.k_sources)
+    proposal = proposal_flat.reshape(f, t)
     if not keep_cache:
         return proposal, None
     cache = ForwardCache(
@@ -210,7 +213,7 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
         pre1=pre1,
         hidden=hidden,
         proposal_flat=proposal_flat,
-        grid_shape=(f, t, model.k_sources),
+        grid_shape=(f, t),
         model_ref=model,
         model_version=model.version,
     )
@@ -228,17 +231,14 @@ def backward(
         raise ValueError(
             f"upstream shape {upstream.shape} != proposal shape {cache.grid_shape}"
         )
-    n = cache.features.shape[0]
-    up_flat = upstream.reshape(n, model.k_sources)
-
     p = cache.proposal_flat
-    d_pre2 = up_flat * p * (1.0 - p)
-    d_w2 = cache.hidden.T @ d_pre2
-    d_b2 = d_pre2.sum(axis=0)
-    # d_hidden = d_pre2 @ w2.T, summed over the K sources without a GEMM:
-    # for K = 1 it is the rank-1 outer product, the same single product
-    # per entry a K = 1 GEMM computes, at a fraction of its overhead
-    d_hidden = np.einsum("nk,hk->nh", d_pre2, model.w2)
+    d_pre2 = upstream.reshape(-1) * p * (1.0 - p)
+    d_w2 = (cache.hidden.T @ d_pre2)[:, None]
+    d_b2 = d_pre2.sum(keepdims=True)
+    # d_hidden = d_pre2 @ w2.T, the rank-1 outer product; einsum forms it
+    # with the same single product per entry as np.outer or broadcasting,
+    # at well under their cost
+    d_hidden = np.einsum("n,h->nh", d_pre2, model.w2[:, 0])
     # d_pre1 = d_hidden * sigmoid(pre1), the sigmoid formed in one buffer
     sig = np.negative(cache.pre1)
     with np.errstate(over="ignore"):
@@ -289,9 +289,9 @@ def save_model(path, model: SeparatorModel) -> None:
 
 def load_model(path) -> SeparatorModel:
     """Load a separator checkpoint; ValueError naming the path and the
-    hparam or array when one is missing, an hparam is not an integer, or an
-    array's shape disagrees with the hparams, is not float32 or float64 like
-    w1, or holds a non-finite value."""
+    hparam or array when one is missing, an hparam is not an integer,
+    k_sources is not 1, or an array's shape disagrees with the hparams, is
+    not float32 or float64 like w1, or holds a non-finite value."""
     kind, hparams, arrays = checkpoint.load_checkpoint(path)
     if kind != "separator":
         raise ValueError(f"{path} holds a {kind!r} checkpoint, not a separator")
@@ -304,11 +304,14 @@ def load_model(path) -> SeparatorModel:
                 f"{path}: hparam {key} is {hparams[key]!r}, not an integer"
             )
         dims[key] = hparams[key]
+    if dims.pop("k_sources") != 1:
+        raise ValueError(f"{path}: hparam k_sources is {hparams['k_sources']}, "
+                         f"not 1")
     model = SeparatorModel(**{name: arrays.get(name) for name in PARAM_NAMES},
                            **dims)
-    hidden, k = model.hidden_width, model.k_sources
+    hidden = model.hidden_width
     expected = {"w1": (model.input_dim, hidden), "b1": (hidden,),
-                "w2": (hidden, k), "b2": (k,)}
+                "w2": (hidden, 1), "b2": (1,)}
     for name, shape in expected.items():
         arr = getattr(model, name)
         if arr is None:
@@ -360,12 +363,7 @@ def warm_start_supervised(
             # backward cancels the denominator, keeping this conditioned
             upstream = weight * (p - target) / (p * (1.0 - p)) / len(batch)
             grads = backward(model, cache, upstream)
-            if total_grads is None:
-                total_grads = grads
-            else:
-                for name in PARAM_NAMES:
-                    setattr(total_grads, name,
-                            getattr(total_grads, name) + getattr(grads, name))
+            total_grads = grads if total_grads is None else total_grads + grads
         apply_adamw_step(
             model, total_grads, state, lr=lr, weight_decay=weight_decay,
             clip_norm=clip_norm,

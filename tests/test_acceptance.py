@@ -143,7 +143,7 @@ def test_criterion_2_gradient_fidelity():
                            hidden_width=8, query_dim=4)
         log_mag = rng.uniform(0, 2, size=(6, 5))
         query = rng.standard_normal(4)
-        upstream = rng.standard_normal((6, 5, 1))
+        upstream = rng.standard_normal((6, 5))
         _, cache = forward(model, log_mag, query)
         grads = backward(model, cache, upstream)
         for name in ("w1", "b1", "w2", "b2"):
@@ -231,7 +231,8 @@ def test_criterion_2_gradient_fidelity():
     for i in range(2):
         item = TrainItem(item_id=f"fd{i}", category="x", mix_spec=None,
                          log_mag=rng.uniform(0, 2, (2, 2)),
-                         query=rng.standard_normal(2), targets=RewardTargets())
+                         query=rng.standard_normal(2), targets=RewardTargets(),
+                         ideal_mask=None, bce_weight=None)
         proposal_old, _ = forward(old, item.log_mag, item.query)
         params_old = params_from_proposal(proposal_old, 9.0)
         ps = sample(params_old, np.random.default_rng(10 + i))
@@ -281,7 +282,8 @@ def test_criterion_3_ppo_mechanics():
         items.append(rl.TrainItem(item_id=f"m{i}", category="c", mix_spec=spec,
                                   log_mag=log_compress(spec),
                                   query=rng.standard_normal(4),
-                                  targets=RewardTargets()))
+                                  targets=RewardTargets(), ideal_mask=None,
+                                  bce_weight=None))
 
     class FixedReward:
         def __init__(self, values):

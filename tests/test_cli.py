@@ -41,7 +41,7 @@ def dataset_with_embedder(small_dataset, root, edit):
     audio_embedder.json checkpoint went through ``edit``; returns the
     embedder's path."""
     root.mkdir()
-    for name in ("manifest.jsonl", "embeddings.embd", "dataset.json"):
+    for name in ("manifest.jsonl", "embeddings.embd"):
         shutil.copy(small_dataset / name, root / name)
     payload = json.loads((small_dataset / "audio_embedder.json").read_text())
     edit(payload)
@@ -526,7 +526,7 @@ class TestSeparate:
                "id": 21 + id_len // 2, "vector": len(data) - 6}[where]
         dataset = tmp_path / "cut"
         dataset.mkdir()
-        for name in ("manifest.jsonl", "audio_embedder.json", "dataset.json"):
+        for name in ("manifest.jsonl", "audio_embedder.json"):
             shutil.copy(small_dataset / name, dataset / name)
         (dataset / "embeddings.embd").write_bytes(data[:cut])
         code = main(["separate", "--checkpoint",
@@ -541,7 +541,7 @@ class TestSeparate:
         ("hparams", "context", 3, "array w1"),
         ("hparams", "query_dim", 8, "array w1"),
         ("hparams", "hidden_width", 4, "array w1"),
-        ("hparams", "k_sources", 2, "array w2"),
+        ("hparams", "k_sources", 2, "hparam k_sources is 2, not 1"),
         ("arrays", "b2", None, "array b2"),
         ("hparams", "context", None, "hparam context"),
     ])
@@ -648,6 +648,44 @@ class TestSeparate:
         assert code == 2
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert str(embedder) in err and named in err
+        assert not (tmp_path / "est").exists()
+
+    @pytest.mark.parametrize("damage, named", [
+        *[(f"no {key}", f"record has no {key!r}") for key in (
+            "item_id", "split", "mixture", "target_class", "sample_rate",
+            "references")],
+        ("sample_rate 16000.0", "'sample_rate' is 16000.0, not an integer"),
+        ("references []", "'references' is [], not a non-empty list"),
+        ("list line", "not a JSON object"),
+        ("cut line", "not a JSON record"),
+        ("non-UTF-8 byte", "not UTF-8 text"),
+    ])
+    def test_bad_manifest_record_writes_nothing(self, small_dataset,
+                                                trained_run, tmp_path, capsys,
+                                                damage, named):
+        dataset = tmp_path / "ds"
+        dataset.mkdir()
+        for name in ("embeddings.embd", "audio_embedder.json"):
+            shutil.copy(small_dataset / name, dataset / name)
+        lines = (small_dataset / "manifest.jsonl").read_bytes().splitlines()
+        rec = json.loads(lines[1])
+        if damage.startswith("no "):
+            del rec[damage[3:]]
+        elif damage.startswith(("sample_rate", "references")):
+            key, value = damage.split(" ")
+            rec[key] = json.loads(value)
+        lines[1] = {"list line": b"[1, 2]", "cut line": lines[1][:40],
+                    "non-UTF-8 byte": lines[1].replace(b"train", b"tr\xffin")
+                    }.get(damage, json.dumps(rec).encode())
+        manifest = dataset / "manifest.jsonl"
+        manifest.write_bytes(b"\n".join(lines) + b"\n")
+        code = main(["separate", "--checkpoint",
+                     str(trained_run / "checkpoints" / "best.json"),
+                     "--dataset", str(dataset), "--out", str(tmp_path / "est")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert f"{manifest}: line 2: {named}" in err
         assert not (tmp_path / "est").exists()
 
     def test_too_short_mixture_is_named(self, trained_run, tmp_path, capsys):
@@ -884,6 +922,27 @@ class TestEval:
                          "--out", str(out), "--seed", "9"]) == 0
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
         assert (a / "report.jsonl").read_bytes() == (b / "report.jsonl").read_bytes()
+
+    def test_sir_counts_the_rest_of_the_mixture(self, sep_out, tmp_path):
+        # separate's manifest lists the target alone; its SIR is then taken
+        # against the rest of the mixture, not saturated at the sentinel
+        from masksep.metrics import SENTINEL_DB
+        from masksep.wavio import read_wav
+        from oracles import bss_decompose
+
+        out = tmp_path / "eval"
+        assert main(["eval", "--manifest", str(sep_out / "eval_manifest.jsonl"),
+                     "--out", str(out), "--with-bss"]) == 0
+        rec = json.loads(
+            (sep_out / "eval_manifest.jsonl").read_text().splitlines()[0])
+        report = json.loads((out / "report.jsonl").read_text().splitlines()[0])
+        assert report["item_id"] == rec["item_id"]
+        est, target, mix = (read_wav(p) for p in (
+            rec["estimates"][0], rec["references"][0], rec["mixture"]))
+        rest = Waveform(mix.samples - target.samples, mix.sample_rate)
+        _, sir, _ = bss_decompose(est, [target, rest], 0)
+        assert report["sir"] == [pytest.approx(sir, abs=1e-9)]
+        assert abs(sir) < SENTINEL_DB
 
     def test_all_skipped_is_runtime_error(self, small_dataset, tmp_path):
         silent = tmp_path / "silent.wav"

@@ -257,6 +257,30 @@ class TestBssDecompose:
         with pytest.raises(ValueError, match="ill-conditioned"):
             bss_decompose(r, refs, 0)
 
+    def test_si_sdri_spans_the_listed_references(self):
+        # every source listed: the mixture adds nothing to the span
+        refs = self.orthonormal_refs()
+        mix = wave(refs[0].samples + refs[1].samples)
+        est =wave(refs[0].samples + 0.5 * refs[1].samples)
+        est2 = wave(refs[1].samples + 0.25 * refs[0].samples)
+        out = si_sdri([est, est2], refs, mix, with_bss=True)
+        assert out.sir == [bss_decompose(est, refs, 0)[1],
+                           bss_decompose(est2, refs, 1)[1]]
+        assert out.sir[0] == pytest.approx(10 * np.log10(4.0), abs=1e-9)
+
+    def test_si_sdri_counts_the_unlisted_rest_as_interference(self):
+        # only the target listed, as separate's manifests do: the rest of
+        # the mixture is the interferer. est = r1 + r2 / 2 gives
+        # SIR = 10 log10(1 / 0.25) where the target alone would saturate
+        r1, r2 = self.orthonormal_refs()
+        mix = wave(r1.samples + r2.samples)
+        est = wave(r1.samples + 0.5 * r2.samples)
+        out = si_sdri([est], [r1], mix, with_bss=True)
+        rest = wave(mix.samples - r1.samples)
+        assert out.sir == [bss_decompose(est, [r1, rest], 0)[1]]
+        assert out.sir[0] == pytest.approx(10 * np.log10(4.0), abs=1e-9)
+        assert out.sar[0] == SENTINEL_DB
+
 
 class TestAggregate:
     def utterance(self, value, category=None, skipped=False):

@@ -1,6 +1,7 @@
 """Dataset loading and item-preparation glue."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -34,6 +35,17 @@ class TestLoadDataset:
         with pytest.raises(FileNotFoundError):
             pipeline.load_dataset(tmp_path)
 
+    def test_line_separator_inside_a_record(self, dataset, tmp_path):
+        # a JSON string may hold U+2028 unescaped; only "\n" ends a record
+        for name in ("embeddings.embd", "audio_embedder.json"):
+            shutil.copy(dataset.root / name, tmp_path / name)
+        records = [dict(r) for r in dataset.records]
+        records[0]["target_class"] += "\u2028"
+        (tmp_path / "manifest.jsonl").write_text("".join(
+            json.dumps(r, ensure_ascii=False) + "\n" for r in records),
+            encoding="utf-8")
+        assert pipeline.load_dataset(tmp_path).records == records
+
 
 class TestPrepareTrainItems:
     def test_items_carry_reward_targets_and_irm(self, dataset):
@@ -44,7 +56,8 @@ class TestPrepareTrainItems:
             assert item.targets.audio is not None
             assert item.targets.text is not None
             assert item.targets.video is not None
-            assert item.ideal_mask.shape == (*item.mix_spec.bins.shape, 1)
+            assert item.ideal_mask.shape == item.mix_spec.bins.shape
+            assert item.bce_weight.shape == item.mix_spec.bins.shape
             assert item.bce_weight.sum() == pytest.approx(1.0)
 
     def test_crops_are_seed_deterministic(self, dataset):

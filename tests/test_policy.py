@@ -318,8 +318,8 @@ class TestSharedTables:
                 return _fn(x)
             monkeypatch.setattr(policy, name, counted)
         rng = np.random.default_rng(14)
-        params = params_from_proposal(rng.uniform(size=(f, t, 1)), 9.0)
-        mask = rng.uniform(0.05, 0.95, size=(f, t, 1))
+        params = params_from_proposal(rng.uniform(size=(f, t)), 9.0)
+        mask = rng.uniform(0.05, 0.95, size=(f, t))
         log_prob(params, mask)
         entropy(params)
         log_prob_grad(params, mask)

@@ -62,8 +62,8 @@ def toy_world():
                     text=oracle.embed("text", target_cls, instance_seed=i),
                     video=oracle.embed("video", target_cls, instance_seed=i),
                 ),
-                ideal_mask=irm.values[:, :, None],
-                bce_weight=(magnitude / magnitude.sum())[:, :, None],
+                ideal_mask=irm.values,
+                bce_weight=magnitude / magnitude.sum(),
             )
         )
     reward_ctx = RewardContext(embedder=audio_embedder, mode="pooled")
@@ -167,6 +167,8 @@ def toy_sampled_batch(model, old, kappa, cfg, seed=0, carry_forward=False):
             log_mag=rng.uniform(0.0, 2.0, size=(2, 2)),
             query=rng.standard_normal(2),
             targets=None,
+            ideal_mask=None,
+            bce_weight=None,
         )
         items.append(item)
     batch = []
