@@ -45,6 +45,17 @@ EXIT_RUNTIME = 3
 EXIT_IO = 4
 
 
+def _read_json(path) -> object:
+    """The JSON value of a UTF-8 file; ValueError naming the file when it
+    holds something else."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from None
+
+
 def _config(args, defaults: dict, bounds: dict, required=()) -> dict:
     """The command's configuration: each key of ``defaults`` takes its flag
     (the parsed argument of the same name), else its value in the
@@ -53,7 +64,7 @@ def _config(args, defaults: dict, bounds: dict, required=()) -> dict:
     default's kind and its entry in ``bounds`` before anything is written."""
     file_cfg = {}
     if args.config is not None:
-        file_cfg = json.loads(Path(args.config).read_text())
+        file_cfg = _read_json(args.config)
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: config file must hold a JSON object")
     for key in file_cfg:
@@ -87,7 +98,8 @@ def _echo_config(run_dir: Path, command: str, cfg: dict) -> None:
 def _check_split(dataset: pipeline.Dataset, name: str) -> None:
     if not dataset.split(name):
         splits = ", ".join(sorted({r["split"] for r in dataset.records}))
-        raise ConfigError(f"split {name!r} names no record of {dataset.root}; "
+        raise ConfigError(f"split {name!r} names no record of "
+                          f"{dataset.root / 'manifest.jsonl'}; "
                           f"its splits are: {splits}")
 
 
@@ -97,7 +109,11 @@ def _check_mixtures(dataset: pipeline.Dataset, name: str,
     be separated stops the run before it writes anything."""
     for rec in dataset.split(name):
         path = dataset.root / rec["mixture"]
-        n = check_wav(path, expected_rate=rec["sample_rate"])
+        try:
+            n = check_wav(path, expected_rate=rec["sample_rate"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{dataset.root / 'manifest.jsonl'}: item "
+                              f"{rec['item_id']!r}: {exc}") from None
         if n < stft_cfg.window_size:
             raise ConfigError(f"{path}: waveform too short: {n} samples < "
                               f"window_size {stft_cfg.window_size}")
@@ -172,8 +188,7 @@ def cmd_train_rl(args) -> int:
     _check_split(dataset, "val")
     train_items = pipeline.prepare_train_items(dataset, "train", rl_cfg, stft_cfg)
     val_items = pipeline.prepare_train_items(dataset, "val", rl_cfg, stft_cfg)
-    reward_ctx = rl.RewardContext(embedder=dataset.embedder,
-                                  mode=rl_cfg.reward_mode)
+    reward_ctx = rl.RewardContext(embedder=dataset.embedder)
     run_dir = Path(cfg["run_dir"])
     _echo_config(run_dir, "train-rl", cfg)
     (run_dir / "logs").mkdir(exist_ok=True)
@@ -339,7 +354,7 @@ def _load_query(spec: str, dataset) -> np.ndarray:
                 f"with id {item_id!r}"
             )
         return dataset.store.get(modality, item_id)
-    data = json.loads(Path(spec).read_text())
+    data = _read_json(spec)
     vector = data.get("vector") if isinstance(data, dict) else data
     try:
         vector = np.asarray(vector, dtype=np.float64)
@@ -495,7 +510,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DivergenceError, NonFiniteGradientError) as exc:

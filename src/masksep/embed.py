@@ -120,6 +120,9 @@ def _take_text(data: bytes, offset: int, size: int, path, what: str):
 
 
 def load_store(path) -> EmbeddingStore:
+    """Read a store; ValueError naming the path, and the record where there
+    is one, when the file is cut or garbled, its dimension is 0, or a
+    vector is non-finite or a duplicate."""
     data = Path(path).read_bytes()
     if data[:4] != STORE_MAGIC:
         raise ValueError(f"{path}: bad magic, not an embedding store")
@@ -127,6 +130,8 @@ def load_store(path) -> EmbeddingStore:
     version, dim, count = struct.unpack("<HIQ", header)
     if version != STORE_VERSION:
         raise ValueError(f"{path}: unsupported store version {version}")
+    if dim == 0:
+        raise ValueError(f"{path}: store dimension is 0")
     store = EmbeddingStore(dim)
     for index in range(count):
         record = f"record {index}"
@@ -140,8 +145,13 @@ def load_store(path) -> EmbeddingStore:
         label, offset = _take_text(data, offset, label_len, path,
                                    f"{record} class")
         raw_vec, offset = _take(data, offset, 4 * dim, path, f"{record} vector")
-        store.add(MODALITIES[code], item_id, label,
-                  np.frombuffer(raw_vec, dtype="<f4"))
+        vector = np.frombuffer(raw_vec, dtype="<f4")
+        if not np.isfinite(vector).all():
+            raise ValueError(f"{path}: {record} vector holds non-finite values")
+        try:
+            store.add(MODALITIES[code], item_id, label, vector)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {record}: {exc}") from None
     if offset != len(data):
         raise ValueError(f"{path}: trailing bytes after {count} records")
     return store

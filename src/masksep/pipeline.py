@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 
 from .align import GapEntry
-from .embed import AudioFeatureEmbedder, EmbeddingStore, load_store
+from .embed import MODALITIES, AudioFeatureEmbedder, EmbeddingStore, load_store
 from .metrics import UtteranceEval, si_sdri
-from .reward import RewardTargets, query_mixup
+from .reward import modality_vector
 from .rl import RlConfig, TrainItem
 from .separator import SeparatorModel, forward
 from .spectral import (
@@ -64,37 +64,68 @@ def _jsonl_records(path: Path):
         yield lineno, rec
 
 
+_STRING = ((str,), "a string")
+_PATHS = ((list,), "a non-empty list of strings")
+
 # what each key the package reads from a dataset manifest record must hold
 _RECORD_KEYS = {
-    **dict.fromkeys(("item_id", "split", "mixture", "target_class"),
-                    (str, "a string")),
-    "sample_rate": (int, "an integer"),
-    "references": (list, "a non-empty list of strings"),
+    **dict.fromkeys(("item_id", "split", "mixture", "target_class"), _STRING),
+    "sample_rate": ((int,), "an integer"),
+    "references": _PATHS,
 }
+
+# the same for an evaluation manifest record
+_EVAL_KEYS = {
+    "mixture": _STRING,
+    "references": _PATHS,
+    "estimates": _PATHS,
+    "item_id": _STRING,
+    "category": ((str, type(None)), "a string or null"),
+}
+
+
+def _check_record(path: Path, lineno: int, rec: dict, keys: dict,
+                  optional=()) -> None:
+    """ValueError naming the file and the line where ``rec`` lacks a key
+    of ``keys`` that is not ``optional``, or holds a value of another kind
+    (a list must hold strings and at least one)."""
+    for key, (kinds, what) in keys.items():
+        if key not in rec:
+            if key in optional:
+                continue
+            raise ValueError(f"{path}: line {lineno}: record has no {key!r}")
+        value = rec[key]
+        if type(value) not in kinds or type(value) is list and not (
+                value and all(type(item) is str for item in value)):
+            raise ValueError(f"{path}: line {lineno}: {key!r} is {value!r}, "
+                             f"not {what}")
 
 
 def load_dataset(root) -> Dataset:
     """The manifest, store and audio embedder of a ``synth`` directory.
-    Every manifest record is checked here; ValueError names the manifest
-    and the line of the first one that is unusable."""
+    ValueError names the file, and the line of a manifest record, where a
+    record is unusable, an item lacks a vector in the store, or the
+    embedder's dimension is not the store's."""
     root = Path(root)
     manifest = root / "manifest.jsonl"
     if not manifest.exists():
         raise FileNotFoundError(f"no manifest.jsonl under {root}")
+    store_path = root / "embeddings.embd"
+    embedder_path = root / "audio_embedder.json"
+    store = load_store(store_path)
+    embedder = AudioFeatureEmbedder.load(embedder_path)
+    if embedder.dim != store.dimension:
+        raise ValueError(f"{embedder_path}: embedder dim {embedder.dim} is not "
+                         f"the dimension {store.dimension} of {store_path}")
     records = []
     for lineno, rec in _jsonl_records(manifest):
-        for key, (kind, what) in _RECORD_KEYS.items():
-            if key not in rec:
+        _check_record(manifest, lineno, rec, _RECORD_KEYS)
+        for modality in MODALITIES:
+            if (modality, rec["item_id"]) not in store:
                 raise ValueError(
-                    f"{manifest}: line {lineno}: record has no {key!r}")
-            value = rec[key]
-            if type(value) is not kind or kind is list and not (
-                    value and all(type(ref) is str for ref in value)):
-                raise ValueError(f"{manifest}: line {lineno}: {key!r} is "
-                                 f"{value!r}, not {what}")
+                    f"{manifest}: line {lineno}: {store_path} has no "
+                    f"{modality} vector for item {rec['item_id']!r}")
         records.append(rec)
-    store = load_store(root / "embeddings.embd")
-    embedder = AudioFeatureEmbedder.load(root / "audio_embedder.json")
     return Dataset(root=root, records=records, store=store, embedder=embedder)
 
 
@@ -115,11 +146,9 @@ def hash_id(item_id: str) -> int:
 
 
 def _query_vector(modality: str, store: EmbeddingStore, item_id: str) -> np.ndarray:
-    if modality == "mixup":
-        return query_mixup(store.get("audio", item_id),
-                           store.get("video", item_id),
-                           store.get("text", item_id))
-    return store.get(modality, item_id)
+    return modality_vector(modality, store.get("audio", item_id),
+                           store.get("text", item_id),
+                           store.get("video", item_id))
 
 
 def prepare_train_items(
@@ -128,10 +157,10 @@ def prepare_train_items(
     cfg: RlConfig,
     stft_cfg: StftConfig,
 ) -> list[TrainItem]:
-    """Crop each item (fixed, seeded), transform, and cache the reward-side
-    target embeddings. The reward's audio target is the reconstruction of
-    the target source through its ideal ratio mask, matching how targets
-    are formed during training."""
+    """Crop each item (fixed, seeded), transform, and build its query and
+    its reward target once. The reward's audio embedding is that of the
+    target source's reconstruction through its ideal ratio mask, matching
+    how estimates are formed during training."""
     items = []
     for rec in dataset.split(split):
         mix = read_wav(dataset.root / rec["mixture"],
@@ -166,10 +195,11 @@ def prepare_train_items(
                 log_mag=log_compress(mix_spec),
                 query=_query_vector(cfg.query_modality, dataset.store,
                                     rec["item_id"]),
-                targets=RewardTargets(
-                    audio=target_audio_embed,
-                    text=dataset.store.get("text", rec["item_id"]),
-                    video=dataset.store.get("video", rec["item_id"]),
+                reward_target=modality_vector(
+                    cfg.reward_mode,
+                    target_audio_embed,
+                    dataset.store.get("text", rec["item_id"]),
+                    dataset.store.get("video", rec["item_id"]),
                 ),
                 ideal_mask=irm.values,
                 bce_weight=weight,
@@ -237,26 +267,34 @@ def separate_split(
 
 
 def evaluate_manifest(manifest_path, with_bss: bool = False) -> list[UtteranceEval]:
-    """Score every record of an evaluation manifest."""
+    """Score every record of an evaluation manifest. ValueError names the
+    manifest and the line of a record that is unusable, names a file that
+    cannot be read, or cannot be scored."""
     path = Path(manifest_path)
     utterances = []
     for lineno, rec in _jsonl_records(path):
-        for key in ("references", "estimates", "mixture"):
-            if key not in rec:
-                raise ValueError(f"{path}: line {lineno}: record has no {key!r}")
-        refs = [read_wav(p, rate_policy="accept") for p in rec["references"]]
-        ests = [read_wav(p, rate_policy="accept") for p in rec["estimates"]]
-        mix = read_wav(rec["mixture"], rate_policy="accept")
-        utterances.append(
-            si_sdri(
-                ests,
-                refs,
-                mix,
-                item_id=rec.get("item_id", ""),
-                category=rec.get("category"),
-                with_bss=with_bss,
+        _check_record(path, lineno, rec, _EVAL_KEYS,
+                      optional=("item_id", "category"))
+        refs, ests = rec["references"], rec["estimates"]
+        if len(refs) != len(ests):
+            raise ValueError(f"{path}: line {lineno}: {len(refs)} references "
+                             f"but {len(ests)} estimates")
+        try:
+            refs = [read_wav(p, rate_policy="accept") for p in refs]
+            ests = [read_wav(p, rate_policy="accept") for p in ests]
+            mix = read_wav(rec["mixture"], rate_policy="accept")
+            utterances.append(
+                si_sdri(
+                    ests,
+                    refs,
+                    mix,
+                    item_id=rec.get("item_id", ""),
+                    category=rec.get("category"),
+                    with_bss=with_bss,
+                )
             )
-        )
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return utterances
 
 

@@ -2,12 +2,11 @@
 
 Cosine similarity of the separated audio's embedding against a target:
 one modality's embedding, the average of all three ("mixup"), or their
-elementwise product ("pooled").
+elementwise product ("pooled"). ``modality_vector`` makes that choice for
+the reward target and for the separator's query alike.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,46 +35,19 @@ def cosine_sim(u, v) -> float:
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
-def query_mixup(q_a, q_v, q_t) -> np.ndarray:
-    """Equal-weight average of per-modality query embeddings."""
-    q_a = _as_vector(q_a, "q_a")
-    q_v = _as_vector(q_v, "q_v")
-    q_t = _as_vector(q_t, "q_t")
-    return (q_a + q_v + q_t) / 3.0
-
-
-@dataclass(frozen=True)
-class RewardTargets:
-    """Target-side embeddings a separated estimate is scored against."""
-
-    audio: np.ndarray | None = None
-    text: np.ndarray | None = None
-    video: np.ndarray | None = None
-
-    def require(self, *names):
-        missing = [n for n in names if getattr(self, n) is None]
-        if missing:
-            raise ValueError(f"reward mode needs target embeddings: {missing}")
-
-
-def composite_reward(mode: str, e_sep, targets: RewardTargets) -> float:
-    """Scalar reward for a separated-audio embedding under the given mode."""
-    if mode not in REWARD_MODES:
-        raise ValueError(f"mode must be one of {REWARD_MODES}, got {mode!r}")
-    if mode == "audio":
-        targets.require("audio")
-        return cosine_sim(e_sep, targets.audio)
-    if mode == "text":
-        targets.require("text")
-        return cosine_sim(e_sep, targets.text)
-    if mode == "video":
-        targets.require("video")
-        return cosine_sim(e_sep, targets.video)
-    if mode == "mixup":
-        targets.require("audio", "video", "text")
-        return cosine_sim(e_sep, query_mixup(targets.audio, targets.video,
-                                             targets.text))
-    targets.require("audio", "text", "video")
-    return cosine_sim(e_sep, _as_vector(targets.audio, "audio")
-                      * _as_vector(targets.text, "text")
-                      * _as_vector(targets.video, "video"))
+def modality_vector(modality: str, audio, text, video) -> np.ndarray:
+    """The vector a query modality or reward mode names: one modality's
+    embedding, the equal-weight average of all three ("mixup"), or their
+    elementwise product ("pooled")."""
+    if modality not in REWARD_MODES:
+        raise ValueError(
+            f"mode must be one of {REWARD_MODES}, got {modality!r}")
+    vectors = {"audio": audio, "text": text, "video": video}
+    if modality in vectors:
+        return _as_vector(vectors[modality], modality)
+    audio = _as_vector(audio, "audio")
+    text = _as_vector(text, "text")
+    video = _as_vector(video, "video")
+    if modality == "mixup":
+        return (audio + video + text) / 3.0
+    return audio * text * video

@@ -35,12 +35,7 @@ from .policy import (
     params_from_proposal,
     sample,
 )
-from .reward import (
-    QUERY_MODALITIES,
-    REWARD_MODES,
-    RewardTargets,
-    composite_reward,
-)
+from .reward import QUERY_MODALITIES, REWARD_MODES, cosine_sim
 from .separator import (
     ParamGrads,
     SeparatorModel,
@@ -111,7 +106,7 @@ class RlConfig:
 @dataclass
 class TrainItem:
     """One prepared training example: a mixture crop plus its query and
-    reward-side target embeddings.
+    the reward mode's target vector.
 
     ``ideal_mask``/``bce_weight`` back the supervised warm start: the
     crop's ideal ratio mask and its magnitudes normalized to sum to 1,
@@ -122,7 +117,7 @@ class TrainItem:
     mix_spec: Spectrogram
     log_mag: np.ndarray
     query: np.ndarray
-    targets: RewardTargets
+    reward_target: np.ndarray
     ideal_mask: np.ndarray
     bce_weight: np.ndarray
 
@@ -132,13 +127,11 @@ class RewardContext:
     """Everything needed to turn a reconstruction into a scalar reward."""
 
     embedder: object  # AudioFeatureEmbedder
-    mode: str = "pooled"
 
     def reward(self, item: TrainItem, waveform) -> float:
         if float(np.max(np.abs(waveform.samples))) == 0.0:
             return -1.0  # silent output: worst case rather than an abort
-        e_sep = self.embedder.embed(waveform)
-        return composite_reward(self.mode, e_sep, item.targets)
+        return cosine_sim(self.embedder.embed(waveform), item.reward_target)
 
 
 def normalize_advantages(a, eps: float) -> np.ndarray:
@@ -370,7 +363,7 @@ def proposal_mask(model: SeparatorModel, item: TrainItem) -> Mask:
 def evaluate_mean_reward(
     model: SeparatorModel, items: list[TrainItem], reward_ctx: RewardContext
 ) -> float:
-    """Mean composite reward of deterministic-proposal reconstructions."""
+    """Mean reward of deterministic-proposal reconstructions."""
     total = 0.0
     for item in items:
         wav = apply_mask_reconstruct(item.mix_spec, proposal_mask(model, item))

@@ -1,10 +1,16 @@
 """Log-gamma, digamma and trigamma for positive real arguments.
 
 Implemented from scratch (Lanczos series for log-gamma, upward recurrence
-plus asymptotic Bernoulli series for the polygammas) so the Beta-policy
-numerics carry no dependency beyond numpy. Accuracy is close to machine
-precision on [1e-3, 1e6]; see tests/test_special.py for the reference
-values the implementation is held to.
+plus asymptotic Bernoulli series for the polygammas) because scipy's
+trigamma is slow on the policy's tables. On the 9,235-element table of one
+513 x 9 crop (arguments 1 + kappa P and 1 + kappa (1 - P), kappa 4 to 9;
+one thread, scipy 1.17.1, numpy 2.4.6, an Intel Xeon core),
+``scipy.special.polygamma(1, x)`` and ``zeta(2, x)`` take 2.4 to 2.7 ms
+against 0.28 ms here, about +35 ms per 16-item policy step. The other two
+are no faster here: ``scipy.special.gammaln`` takes 214 to 236 us against
+195 to 238 us, and ``psi`` 140 to 191 us against 265 to 280 us. Accuracy is
+close to machine precision on [1e-3, 1e6]; see tests/test_special.py for
+the reference values the implementation is held to.
 """
 
 from __future__ import annotations

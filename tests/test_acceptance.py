@@ -216,7 +216,6 @@ def test_criterion_2_gradient_fidelity():
 
     # end-to-end policy-step gradient on a 4-bin toy, <= 1e-3
     from masksep.policy import sample
-    from masksep.reward import RewardTargets
     from masksep.rl import RlConfig, SampledItem, TrainItem, objective_and_grads
 
     cfg = RlConfig(entropy_coef=0.1)
@@ -231,7 +230,7 @@ def test_criterion_2_gradient_fidelity():
     for i in range(2):
         item = TrainItem(item_id=f"fd{i}", category="x", mix_spec=None,
                          log_mag=rng.uniform(0, 2, (2, 2)),
-                         query=rng.standard_normal(2), targets=RewardTargets(),
+                         query=rng.standard_normal(2), reward_target=None,
                          ideal_mask=None, bce_weight=None)
         proposal_old, _ = forward(old, item.log_mag, item.query)
         params_old = params_from_proposal(proposal_old, 9.0)
@@ -261,7 +260,6 @@ def test_criterion_2_gradient_fidelity():
 
 
 def test_criterion_3_ppo_mechanics():
-    from masksep.reward import RewardTargets
     from masksep.rl import (
         RlConfig,
         clipped_surrogate,
@@ -282,7 +280,7 @@ def test_criterion_3_ppo_mechanics():
         items.append(rl.TrainItem(item_id=f"m{i}", category="c", mix_spec=spec,
                                   log_mag=log_compress(spec),
                                   query=rng.standard_normal(4),
-                                  targets=RewardTargets(), ideal_mask=None,
+                                  reward_target=None, ideal_mask=None,
                                   bce_weight=None))
 
     class FixedReward:

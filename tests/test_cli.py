@@ -19,6 +19,12 @@ from hypothesis import strategies as st
 
 import masksep
 from masksep.cli import main
+from masksep.embed import (
+    AudioFeatureEmbedder,
+    EmbeddingStore,
+    load_store,
+    save_store,
+)
 from masksep.separator import load_model
 from masksep.spectral import Waveform
 from masksep.wavio import write_wav
@@ -357,6 +363,27 @@ def test_bad_flag_is_one_line(capsys, argv, named):
     assert exc.value.code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith("configuration error: ") and named in err
+
+
+@pytest.mark.parametrize("content, named", [
+    (b'{"seed": 1 "x": 2}', "not JSON (Expecting ',' delimiter"),
+    (b"\xff\xfe{\x00}\x00", "not UTF-8 text (byte 0)"),
+])
+@pytest.mark.parametrize("flag", ["--config", "--query"])
+def test_unreadable_json_file_is_named(corrupt_case, tmp_path, capsys, flag,
+                                       content, named):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = ["separate", "--checkpoint", str(corrupt_case["checkpoint"]),
+            "--dataset", str(corrupt_case["dataset"]),
+            "--mixture", str(corrupt_case["mixture"]),
+            "--query", corrupt_case["query"], "--out", str(tmp_path / "o.wav")]
+    code = main(argv + [flag, str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert f"{bad}: {named}" in err
+    assert not (tmp_path / "o.wav").exists()
 
 
 def test_help_keeps_usage(capsys):
@@ -728,6 +755,25 @@ class TestSeparate:
         assert f"{wav}: {named}" in err
         assert not (tmp_path / "est").exists()
 
+    def test_missing_mixture_mid_split_is_named(self, small_dataset,
+                                                trained_run, tmp_path, capsys):
+        dataset = tmp_path / "ds"
+        shutil.copytree(small_dataset, dataset)
+        rec = next(json.loads(line) for line in
+                   (dataset / "manifest.jsonl").read_text().splitlines()
+                   if json.loads(line)["split"] == "test")
+        (dataset / rec["mixture"]).unlink()
+        code = main(["separate", "--checkpoint",
+                     str(trained_run / "checkpoints" / "best.json"),
+                     "--dataset", str(dataset), "--out", str(tmp_path / "est")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert f"{dataset / 'manifest.jsonl'}: item {rec['item_id']!r}: " in err
+        assert "No such file or directory" in err
+        assert str(dataset / rec["mixture"]) in err
+        assert not (tmp_path / "est").exists()
+
     def test_identity_like_checkpoint_on_all_ones_proposal(self, small_dataset,
                                                            tmp_path):
         # saturate the output bias so the proposal is ~1 everywhere: the
@@ -893,6 +939,113 @@ class TestCorruptFiles:
         assert_clean_or_named(code, err, ckpt)
 
 
+def _unknown_item(path):
+    path.write_text(path.read_text().replace('"item_0000"', '"item_9999"', 1))
+
+
+def _narrow_embedder(path):
+    embedder = AudioFeatureEmbedder.load(path)
+    embedder.dim, embedder.projection = 8, embedder.projection[:8]
+    embedder.save(path)
+
+
+def _zero_dimension(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:6] + struct.pack("<I", 0) + data[10:])
+
+
+def _nan_text_vectors(path):
+    store = load_store(path)
+    edited = EmbeddingStore(store.dimension)
+    for modality, item_id, label, vec in store.items():
+        edited.add(modality, item_id, label,
+                   vec * np.nan if modality == "text" else vec)
+    save_store(edited, path)
+
+
+DATASET_DAMAGE = {
+    "unknown item": ("manifest.jsonl", _unknown_item,
+                     "line 1: {ds}/embeddings.embd has no audio vector for "
+                     "item 'item_9999'"),
+    "embedder dim": ("audio_embedder.json", _narrow_embedder,
+                     "embedder dim 8 is not the dimension 16 of "
+                     "{ds}/embeddings.embd"),
+    "zero dimension": ("embeddings.embd", _zero_dimension,
+                       "store dimension is 0"),
+    "nan vector": ("embeddings.embd", _nan_text_vectors,
+                   "record 1 vector holds non-finite values"),
+}
+
+
+@pytest.mark.parametrize("damage", DATASET_DAMAGE)
+@pytest.mark.parametrize("command", ["train-rl", "train-align", "separate"])
+def test_unusable_dataset_is_rejected_at_load(small_dataset, trained_run,
+                                              tmp_path, capsys, command,
+                                              damage):
+    name, edit, named = DATASET_DAMAGE[damage]
+    ds = tmp_path / "ds"
+    shutil.copytree(small_dataset, ds)
+    edit(ds / name)
+    out = tmp_path / "out"
+    argv = {
+        "train-rl": ["train-rl", "--run-dir", str(out)],
+        "train-align": ["train-align", "--run-dir", str(out)],
+        "separate": ["separate", "--out", str(out), "--checkpoint",
+                     str(trained_run / "checkpoints" / "best.json")],
+    }[command]
+    code = main(argv + ["--dataset", str(ds)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert f"{ds / name}: " in err and named.format(ds=ds) in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(small_dataset, tmp_path_factory):
+    """A copy of the dataset whose files a fuzz example may overwrite and
+    must restore."""
+    root = tmp_path_factory.mktemp("fuzz_ds") / "ds"
+    shutil.copytree(small_dataset, root)
+    return root
+
+
+# manifest: anywhere; store: favour its first 64 bytes, the header and the
+# first record; embedder
+# checkpoint JSON, keys sorted: favour the hparams in its last 400 bytes
+DATASET_POS = {
+    "manifest.jsonl": st.integers(0, 1 << 20),
+    "embeddings.embd": WAV_POS,
+    "audio_embedder.json": CKPT_POS,
+}
+
+
+@pytest.mark.parametrize("name", DATASET_POS)
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_dataset_file(fuzz_dataset, trained_run, name, data):
+    pos = DATASET_POS[name]
+    cut = data.draw(st.none() | pos, label="cut")
+    flips = data.draw(st.lists(st.tuples(pos, st.integers(0, 255)),
+                               max_size=3), label="flips")
+    path = fuzz_dataset / name
+    original = path.read_bytes()
+    out = fuzz_dataset.parent / "out"
+    path.write_bytes(corrupted(original, cut, flips))
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main(["separate", "--checkpoint",
+                         str(trained_run / "checkpoints" / "best.json"),
+                         "--dataset", str(fuzz_dataset), "--out", str(out)])
+        event(f"exit {code}")
+        assert_clean_or_named(code, err.getvalue(), path)
+        assert code == 0 or not out.exists()
+    finally:
+        path.write_bytes(original)
+        shutil.rmtree(out, ignore_errors=True)
+
+
 @pytest.fixture(scope="module")
 def sep_out(small_dataset, trained_run, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_eval") / "sep"
@@ -973,6 +1126,60 @@ class TestEval:
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert f"{manifest}: line 2" in err and repr(missing) in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad, named", [
+        ({"references": 5}, "'references' is 5, not a non-empty list of"),
+        ({"references": []}, "'references' is [], not a non-empty list of"),
+        ({"mixture": 3}, "'mixture' is 3, not a string"),
+        ({"estimates": [7]}, "'estimates' is [7], not a non-empty list of"),
+        ({"category": [1]}, "'category' is [1], not a string or null"),
+        ({"category": 7}, "'category' is 7, not a string or null"),
+        ({"item_id": None}, "'item_id' is None, not a string"),
+        ({"estimates": ["a.wav", "b.wav"]}, "1 references but 2 estimates"),
+        ({"mixture": "no-such.wav"}, "No such file or directory"),
+    ])
+    def test_record_value_of_wrong_kind_is_config_error(self, sep_out,
+                                                        tmp_path, capsys,
+                                                        bad, named):
+        lines = (sep_out / "eval_manifest.jsonl").read_text().splitlines()
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(
+            "\n".join([lines[0], json.dumps({**json.loads(lines[0]), **bad})])
+            + "\n")
+        code = main(["eval", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert f"{manifest}: line 2: " in err and named in err
+        assert not (tmp_path / "out").exists()
+
+    @FUZZ
+    @given(key=st.sampled_from(
+               ["item_id", "category", "mixture", "references", "estimates"]),
+           value=st.one_of(
+               st.none(), st.booleans(), st.integers(), st.floats(),
+               st.text(max_size=8),
+               st.lists(st.one_of(st.integers(), st.text(max_size=8)),
+                        max_size=3),
+               st.dictionaries(st.text(max_size=4), st.integers(),
+                               max_size=2)))
+    def test_fuzzed_record_value(self, sep_out, key, value):
+        line = (sep_out / "eval_manifest.jsonl").read_text().splitlines()[0]
+        manifest = sep_out.parent / "fuzz.jsonl"
+        manifest.write_text(json.dumps({**json.loads(line), key: value}) + "\n")
+        out = sep_out.parent / "fuzz_out"
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(["eval", "--manifest", str(manifest),
+                             "--out", str(out)])
+            event(f"exit {code}")
+            assert_clean_or_named(code, err.getvalue(), manifest)
+            assert code == 0 or not out.exists()
+        finally:
+            shutil.rmtree(out, ignore_errors=True)
 
 
     @pytest.mark.parametrize("bad, named", [

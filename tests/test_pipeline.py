@@ -53,9 +53,8 @@ class TestPrepareTrainItems:
         items = pipeline.prepare_train_items(dataset, "train", cfg, STFT)
         assert items
         for item in items:
-            assert item.targets.audio is not None
-            assert item.targets.text is not None
-            assert item.targets.video is not None
+            assert item.reward_target.shape == (dataset.store.dimension,)
+            assert np.all(np.isfinite(item.reward_target))
             assert item.ideal_mask.shape == item.mix_spec.bins.shape
             assert item.bce_weight.shape == item.mix_spec.bins.shape
             assert item.bce_weight.sum() == pytest.approx(1.0)
@@ -85,6 +84,14 @@ class TestPrepareTrainItems:
             rec = dataset.split("val")[0]
             expected = dataset.store.get(modality, rec["item_id"])
             assert np.array_equal(items[0].query, expected)
+
+    def test_reward_mode_selection(self, dataset):
+        rec = dataset.split("val")[0]
+        for mode in ("text", "video"):
+            cfg = rl.RlConfig(segment_samples=4096, reward_mode=mode)
+            items = pipeline.prepare_train_items(dataset, "val", cfg, STFT)
+            expected = dataset.store.get(mode, rec["item_id"])
+            assert np.array_equal(items[0].reward_target, expected)
 
     def test_segment_shorter_than_window_rejected(self, dataset):
         cfg = rl.RlConfig(segment_samples=256)

@@ -1,9 +1,10 @@
-"""Cosine rewards, query mixup and pooled-anchor contracts."""
+"""Cosine rewards, the mixup and pooled-anchor vectors, and the modality
+choice."""
 
 import numpy as np
 import pytest
 
-from masksep.reward import RewardTargets, composite_reward, cosine_sim, query_mixup
+from masksep.reward import cosine_sim, modality_vector
 
 
 def unit(v):
@@ -57,18 +58,19 @@ class TestUnimodal:
 class TestQueryMixup:
     def test_equal_inputs(self):
         q = np.array([0.5, -0.5, 1.0])
-        assert np.allclose(query_mixup(q, q, q), q)
+        assert np.allclose(modality_vector("mixup", q, q, q), q)
 
     def test_convex_hull(self):
         rng = np.random.default_rng(4)
         qa, qv, qt = (rng.standard_normal(8) for _ in range(3))
-        out = query_mixup(qa, qv, qt)
+        out = modality_vector("mixup", qa, qt, qv)
         coeffs = np.linalg.lstsq(np.stack([qa, qv, qt]).T, out, rcond=None)[0]
         assert np.allclose(coeffs, 1.0 / 3.0)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="q_v"):
-            query_mixup(np.ones(3), np.array([1.0, np.nan, 0.0]), np.ones(3))
+        with pytest.raises(ValueError, match="video"):
+            modality_vector("mixup", np.ones(3), np.ones(3),
+                            np.array([1.0, np.nan, 0.0]))
 
 
 def _fused_anchor_oracle(audio, text, video):
@@ -96,71 +98,60 @@ class TestAgainstGeneralForms:
 
     def test_pooled_reward_bitwise(self):
         for e, a, t, v in self.draws(13):
-            got = composite_reward("pooled", e, RewardTargets(a, t, v))
+            got = cosine_sim(e, modality_vector("pooled", a, t, v))
             want = cosine_sim(e, _fused_anchor_oracle(a, t, v))
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_mixup_reward_and_query_bitwise(self):
         for e, a, t, v in self.draws(14):
             want_q = _weighted_mixup_oracle(a, v, t)
-            assert query_mixup(a, v, t).tobytes() == want_q.tobytes()
-            got = composite_reward("mixup", e, RewardTargets(a, t, v))
+            got_q = modality_vector("mixup", a, t, v)
+            assert got_q.tobytes() == want_q.tobytes()
+            got = cosine_sim(e, got_q)
             want = cosine_sim(e, want_q)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestCompositeReward:
-    def targets(self, d=8, seed=7):
+    def vectors(self, d=8, seed=7):
         rng = np.random.default_rng(seed)
-        return RewardTargets(
-            audio=unit(rng.standard_normal(d)),
-            text=unit(rng.standard_normal(d)),
-            video=unit(rng.standard_normal(d)),
-        )
+        return tuple(unit(rng.standard_normal(d)) for _ in range(3))
 
     def test_audio_mode_reduces_to_unimodal(self):
-        t = self.targets()
-        e = unit(np.random.default_rng(8).standard_normal(8))
-        assert composite_reward("audio", e, t) == cosine_sim(e, t.audio)
+        a, t, v = self.vectors()
+        for name, want in (("audio", a), ("text", t), ("video", v)):
+            assert modality_vector(name, a, t, v).tobytes() == want.tobytes()
 
     def test_pooled_symmetric_uniform_case(self):
         # all targets equal to e_sep = uniform positive unit vector: the
         # Hadamard cube is proportional to the vector itself, cosine 1
         d = 16
         e = np.full(d, 1.0 / np.sqrt(d))
-        t = RewardTargets(audio=e, text=e, video=e)
-        assert composite_reward("pooled", e, t) == pytest.approx(1.0)
+        assert cosine_sim(e, modality_vector("pooled", e, e, e)) == \
+            pytest.approx(1.0)
 
     def test_pooled_scale_invariant_in_estimate(self):
-        t = self.targets()
+        target = modality_vector("pooled", *self.vectors())
         e = unit(np.random.default_rng(9).standard_normal(8))
-        a = composite_reward("pooled", e, t)
-        b = composite_reward("pooled", 7.3 * e, t)
-        assert a == pytest.approx(b, abs=1e-12)
+        assert cosine_sim(e, target) == pytest.approx(
+            cosine_sim(7.3 * e, target), abs=1e-12)
 
     def test_mixup_mode(self):
-        t = self.targets()
+        a, t, v = self.vectors()
         e = unit(np.random.default_rng(10).standard_normal(8))
-        mixed = query_mixup(t.audio, t.video, t.text)
-        assert composite_reward("mixup", e, t) == pytest.approx(
-            cosine_sim(e, mixed)
-        )
-
-    def test_missing_modality_rejected(self):
-        t = RewardTargets(audio=unit(np.ones(4)))
-        with pytest.raises(ValueError, match="target"):
-            composite_reward("pooled", unit(np.ones(4)), t)
-        with pytest.raises(ValueError, match="target"):
-            composite_reward("text", unit(np.ones(4)), t)
+        assert np.allclose(modality_vector("mixup", a, t, v), (a + t + v) / 3)
+        assert cosine_sim(e, modality_vector("mixup", a, t, v)) == \
+            pytest.approx(cosine_sim(e, (a + t + v) / 3))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            composite_reward("loudness", np.ones(4), self.targets())
+            modality_vector("loudness", *self.vectors())
 
     def test_all_modes_in_range(self):
         rng = np.random.default_rng(11)
-        t = self.targets(seed=12)
+        vectors = self.vectors(seed=12)
         for mode in ("audio", "text", "video", "mixup", "pooled"):
+            target = modality_vector(mode, *vectors)
             for _ in range(20):
-                r = composite_reward(mode, rng.standard_normal(8), t)
+                r = cosine_sim(rng.standard_normal(8), target)
                 assert -1.0 <= r <= 1.0

@@ -22,7 +22,7 @@ from masksep.rl import (
     train_loop,
     train_step,
 )
-from masksep.reward import RewardTargets
+from masksep.reward import modality_vector
 from masksep.separator import forward, init_model, load_model
 from masksep.spectral import StftConfig, Waveform, log_compress, stft
 from masksep.synthdata import DEFAULT_CLASSES, build_embedder
@@ -57,16 +57,17 @@ def toy_world():
                 mix_spec=mix_spec,
                 log_mag=log_compress(mix_spec),
                 query=oracle.embed("text", target_cls, instance_seed=i),
-                targets=RewardTargets(
-                    audio=oracle.embed("audio", target_cls, instance_seed=i),
-                    text=oracle.embed("text", target_cls, instance_seed=i),
-                    video=oracle.embed("video", target_cls, instance_seed=i),
+                reward_target=modality_vector(
+                    "pooled",
+                    oracle.embed("audio", target_cls, instance_seed=i),
+                    oracle.embed("text", target_cls, instance_seed=i),
+                    oracle.embed("video", target_cls, instance_seed=i),
                 ),
                 ideal_mask=irm.values,
                 bce_weight=magnitude / magnitude.sum(),
             )
         )
-    reward_ctx = RewardContext(embedder=audio_embedder, mode="pooled")
+    reward_ctx = RewardContext(embedder=audio_embedder)
     model = init_model(np.random.default_rng(1), context=3, hidden_width=8,
                        query_dim=16)
     return items, reward_ctx, model
@@ -166,7 +167,7 @@ def toy_sampled_batch(model, old, kappa, cfg, seed=0, carry_forward=False):
             mix_spec=None,
             log_mag=rng.uniform(0.0, 2.0, size=(2, 2)),
             query=rng.standard_normal(2),
-            targets=None,
+            reward_target=None,
             ideal_mask=None,
             bce_weight=None,
         )
