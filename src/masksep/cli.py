@@ -109,11 +109,7 @@ def _check_mixtures(dataset: pipeline.Dataset, name: str,
     be separated stops the run before it writes anything."""
     for rec in dataset.split(name):
         path = dataset.root / rec["mixture"]
-        try:
-            n = check_wav(path, expected_rate=rec["sample_rate"])
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"{dataset.root / 'manifest.jsonl'}: item "
-                              f"{rec['item_id']!r}: {exc}") from None
+        n = pipeline.read_item_wav(dataset, rec, rec["mixture"], check_wav)
         if n < stft_cfg.window_size:
             raise ConfigError(f"{path}: waveform too short: {n} samples < "
                               f"window_size {stft_cfg.window_size}")
@@ -247,13 +243,12 @@ def cmd_train_align(args) -> int:
     dataset = pipeline.load_dataset(cfg["dataset"])
     if cfg["gap_split"] != "all":
         _check_split(dataset, cfg["gap_split"])
+    entries = pipeline.gap_entries(dataset, cfg["gap_split"],
+                                   max_items=cfg["gap_items"])
     run_dir = Path(cfg["run_dir"])
     _echo_config(run_dir, "train-align", cfg)
     (run_dir / "checkpoints").mkdir(exist_ok=True)
     (run_dir / "reports").mkdir(exist_ok=True)
-
-    entries = pipeline.gap_entries(dataset, cfg["gap_split"],
-                                   max_items=cfg["gap_items"])
 
     initial = align.HeadSet.identity(dataset.store.dimension,
                                      tau_init=cfg["tau_init"])

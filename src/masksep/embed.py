@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
-from .spectral import StftConfig, Waveform, stft
+from .spectral import StftConfig, Waveform, analyze
 
 MODALITIES = ("audio", "text", "video")
 _MODALITY_CODE = {name: i for i, name in enumerate(MODALITIES)}
@@ -280,34 +280,38 @@ class AudioFeatureEmbedder:
     def feature_dim(self) -> int:
         return self.n_bands + self.N_EXTRA
 
-    def features(self, w: Waveform) -> np.ndarray:
-        if len(w) < self.fft_size:
-            raise ValueError(
-                f"waveform too short for the embedder: {len(w)} < {self.fft_size}"
-            )
+    def features(self, x: np.ndarray) -> list[np.ndarray]:
+        """The features of each row of an (N, L) sample stack, from one STFT
+        of all N. Each row reduces an F x T view laid out as ``stft``'s
+        bins are, so every sum keeps the order of a lone waveform's."""
+        if x.shape[1] < self.fft_size:
+            raise ValueError(f"waveform too short for the embedder: {x.shape[1]} "
+                             f"< {self.fft_size}")
         cfg, freqs, band_idx = _feature_layout(
             self.sample_rate, self.n_bands, self.fft_size, self.hop, self.fmin
         )
-        spec = stft(w, cfg)
-        mag = np.abs(spec.bins)
-        power = mag**2
-        total = power.sum()
-        if total <= 0.0:
-            raise ValueError("cannot embed a zero-energy waveform")
+        rows = []
+        for frame_mag in np.abs(analyze(x, cfg)):
+            mag = frame_mag.T
+            power = mag**2
+            total = power.sum()
+            if total <= 0.0:
+                raise ValueError("cannot embed a zero-energy waveform")
 
-        per_freq = power.sum(axis=1)
-        bands = np.bincount(band_idx, weights=per_freq, minlength=self.n_bands)
-        band_frac = bands / total
+            per_freq = power.sum(axis=1)
+            bands = np.bincount(band_idx, weights=per_freq, minlength=self.n_bands)
+            band_frac = bands / total
 
-        frame_norm = np.linalg.norm(mag, axis=0)
-        diff = np.linalg.norm(np.diff(mag, axis=1), axis=0)
-        denom = frame_norm[1:] + frame_norm[:-1]
-        flux = np.divide(diff, denom, out=np.zeros_like(diff), where=denom > 0.0)
-        centroid = float((freqs * per_freq).sum() / total) / (self.sample_rate / 2.0)
-
-        return np.concatenate(
-            [band_frac, [float(flux.mean()), float(flux.std()), centroid]]
-        )
+            frame_norm = np.linalg.norm(mag, axis=0)
+            diff = np.linalg.norm(np.diff(mag, axis=1), axis=0)
+            denom = frame_norm[1:] + frame_norm[:-1]
+            flux = np.divide(diff, denom, out=np.zeros_like(diff), where=denom > 0.0)
+            centroid = (float((freqs * per_freq).sum() / total)
+                        / (self.sample_rate / 2.0))
+            rows.append(np.concatenate(
+                [band_frac, [float(flux.mean()), float(flux.std()), centroid]]
+            ))
+        return rows
 
     def calibrate(self, prototypes, targets: dict, ridge: float = 1e-3) -> None:
         """Fit the linear projection so prototype features map onto the
@@ -319,7 +323,7 @@ class AudioFeatureEmbedder:
         feats = []
         rows = []
         for class_id, w in prototypes:
-            feats.append(self.features(w))
+            feats.append(self.features(w.samples[None])[0])
             rows.append(np.asarray(targets[class_id], dtype=np.float64))
         f = np.asarray(feats)
         t = np.asarray(rows)
@@ -329,9 +333,14 @@ class AudioFeatureEmbedder:
         self.projection = np.ascontiguousarray(np.linalg.solve(gram, f.T @ t).T)
 
     def embed(self, w: Waveform) -> np.ndarray:
+        return self.embed_rows(w.samples[None])[0]
+
+    def embed_rows(self, x: np.ndarray) -> list[np.ndarray]:
+        """The embedding of each row of an (N, L) sample stack, projected
+        row by row: BLAS rounds a row by its position in the call."""
         if self.projection is None:
             raise ValueError("embedder is not calibrated; call calibrate() first")
-        return unit_normalize(self.projection @ self.features(w))
+        return [unit_normalize(self.projection @ f) for f in self.features(x)]
 
     def save(self, path) -> None:
         if self.projection is None:

@@ -129,6 +129,17 @@ def load_dataset(root) -> Dataset:
     return Dataset(root=root, records=records, store=store, embedder=embedder)
 
 
+def read_item_wav(dataset: Dataset, rec: dict, path: str, reader=None):
+    """read_wav, or ``reader`` (wavio.check_wav), of a file a manifest record
+    names; ValueError naming the manifest and the item when that fails."""
+    try:
+        return (reader or read_wav)(dataset.root / path,
+                                    expected_rate=rec["sample_rate"])
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{dataset.root / 'manifest.jsonl'}: item "
+                         f"{rec['item_id']!r}: {exc}") from None
+
+
 def _crop_start(item_id: str, seed: int, total: int, segment: int) -> int:
     if segment >= total:
         return 0
@@ -163,10 +174,8 @@ def prepare_train_items(
     how estimates are formed during training."""
     items = []
     for rec in dataset.split(split):
-        mix = read_wav(dataset.root / rec["mixture"],
-                       expected_rate=rec["sample_rate"])
-        target_ref = read_wav(dataset.root / rec["references"][0],
-                              expected_rate=rec["sample_rate"])
+        mix = read_item_wav(dataset, rec, rec["mixture"])
+        target_ref = read_item_wav(dataset, rec, rec["references"][0])
         total = len(mix)
         segment = min(cfg.segment_samples, total)
         if segment < stft_cfg.window_size:
@@ -216,7 +225,7 @@ def separate_record(
     stft_cfg: StftConfig,
 ) -> Waveform:
     """Deterministic full-length inference for one manifest record."""
-    mix = read_wav(dataset.root / rec["mixture"], expected_rate=rec["sample_rate"])
+    mix = read_item_wav(dataset, rec, rec["mixture"])
     query = _query_vector(query_modality, dataset.store, rec["item_id"])
     return separate_waveform(model, mix, query, stft_cfg)
 
@@ -306,10 +315,8 @@ def gap_entries(dataset: Dataset, split: str = "all",
     records = dataset.records if split == "all" else dataset.split(split)
     entries = []
     for rec in records:
-        mix = read_wav(dataset.root / rec["mixture"],
-                       expected_rate=rec["sample_rate"])
-        target = read_wav(dataset.root / rec["references"][0],
-                          expected_rate=rec["sample_rate"])
+        mix = read_item_wav(dataset, rec, rec["mixture"])
+        target = read_item_wav(dataset, rec, rec["references"][0])
         entries.append(
             GapEntry(
                 text_vector=dataset.store.get("text", rec["item_id"]),

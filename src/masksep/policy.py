@@ -88,10 +88,10 @@ class BetaPolicyParams:
 
 @dataclass(frozen=True)
 class PolicySample:
-    """A sampled mask with its total log-density."""
+    """One policy's masks, stacked (n, *shape), and each one's log-density."""
 
-    mask: np.ndarray
-    log_prob: float
+    masks: np.ndarray
+    log_probs: list
 
 
 def params_from_proposal(p: np.ndarray, kappa: float) -> BetaPolicyParams:
@@ -102,20 +102,30 @@ def params_from_proposal(p: np.ndarray, kappa: float) -> BetaPolicyParams:
 
 
 def sample(
-    params: BetaPolicyParams,
+    policies: list[BetaPolicyParams],
     rng: np.random.Generator,
+    n: int = 1,
     clamp_eps: float = SAMPLE_CLAMP,
-) -> PolicySample:
-    """Draw one mask, clamp it into (0,1), and score it under the policy.
+) -> list[PolicySample]:
+    """Draw n masks from each policy, clamp them into (0,1), and score each
+    under its own policy.
 
+    One generator call draws every mask, policy after policy and mask after
+    mask in C order, which is the stream that one call per mask would draw.
     The log-density is recomputed on the clamped values so that downstream
     importance ratios refer to the mask actually used.
     """
     if not 0.0 < clamp_eps < 0.5:
         raise ValueError("clamp_eps must lie in (0, 0.5)")
-    draw = rng.beta(params.alpha, params.beta)
-    mask = np.clip(draw, clamp_eps, 1.0 - clamp_eps)
-    return PolicySample(mask=mask, log_prob=log_prob(params, mask))
+    alpha = np.concatenate([np.tile(p.alpha.ravel(), n) for p in policies])
+    beta = np.concatenate([np.tile(p.beta.ravel(), n) for p in policies])
+    draws = np.clip(rng.beta(alpha, beta), clamp_eps, 1.0 - clamp_eps)
+    ends = np.cumsum([n * p.alpha.size for p in policies])
+    out = []
+    for p, d in zip(policies, np.split(draws, ends[:-1])):
+        masks = d.reshape(n, *p.shape)
+        out.append(PolicySample(masks, [log_prob(p, m) for m in masks]))
+    return out
 
 
 def _check_mask(params: BetaPolicyParams, mask: np.ndarray) -> np.ndarray:

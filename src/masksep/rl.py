@@ -7,6 +7,11 @@ then takes one gradient step on the clipped surrogate with an entropy
 bonus. As in PPO's clip variant, the clip is the trust region; there is
 no KL penalty.
 
+The rollout batches all B x G masks of a step: one generator call samples
+them, one inverse FFT reconstructs them and one STFT feeds the embedder.
+Forward, backward and the Beta tables stay per item: BLAS rounds a row by
+its position in the call, and stacked table calls were slower.
+
 The frozen old policy is what sampling recorded: the (P, kappa) policy and
 the log-densities of the drawn masks. Updates are single-pass, so at the
 gradient step the live policy still equals the old one: the ratio is
@@ -45,9 +50,10 @@ from .separator import (
     save_model,
     warm_start_supervised,
 )
-from .spectral import Mask, Spectrogram, apply_mask_reconstruct
+from .spectral import Mask, Spectrogram, reconstruct
 
 RATIO_LOG_CLAMP = 20.0
+REWARD_BATCH_BINS = 1 << 20  # masked bins reconstructed and embedded at once
 
 
 @dataclass
@@ -124,14 +130,31 @@ class TrainItem:
 
 @dataclass
 class RewardContext:
-    """Everything needed to turn a reconstruction into a scalar reward."""
+    """Everything needed to turn reconstructions into scalar rewards."""
 
     embedder: object  # AudioFeatureEmbedder
 
-    def reward(self, item: TrainItem, waveform) -> float:
-        if float(np.max(np.abs(waveform.samples))) == 0.0:
-            return -1.0  # silent output: worst case rather than an abort
-        return cosine_sim(self.embedder.embed(waveform), item.reward_target)
+    def rewards(self, items: list[TrainItem], masks) -> np.ndarray:
+        """The reward of every mask, item after item: ``masks[i]`` stacks
+        item i's masks (G, F, T). Masks of equal-length crops are
+        reconstructed and embedded together, up to REWARD_BATCH_BINS bins a
+        batch. A silent reconstruction scores -1.0, the worst case."""
+        pairs = [(item, Mask(m)) for item, stack in zip(items, masks, strict=True)
+                 for m in stack]
+        out = np.full(len(pairs), -1.0)
+        batches = {}
+        for i, (item, _) in enumerate(pairs):
+            spec = item.mix_spec
+            batches.setdefault((spec.bins.shape, spec.num_samples), []).append(i)
+        for ((f, t), _), group in batches.items():
+            size = max(1, REWARD_BATCH_BINS // (f * t))
+            for idx in np.split(np.array(group), range(size, len(group), size)):
+                batch_items, batch_masks = zip(*(pairs[i] for i in idx))
+                waves = reconstruct([it.mix_spec for it in batch_items], batch_masks)
+                live = np.max(np.abs(waves), axis=1) != 0.0
+                for i, e in zip(idx[live], self.embedder.embed_rows(waves[live])):
+                    out[i] = cosine_sim(e, pairs[i][0].reward_target)
+        return out
 
 
 def normalize_advantages(a, eps: float) -> np.ndarray:
@@ -162,8 +185,8 @@ def clipped_surrogate(log_diff: float, adv: float, clip_epsilon: float):
 
 @dataclass
 class SampledItem:
-    """One item's sampled masks with their old-policy scores and
-    (normalized) advantages.
+    """One item's sampled masks (a (G, F, T) stack, or any sequence of
+    F x T masks) with their old-policy scores and (normalized) advantages.
 
     ``params_old`` (with the tables sampling built on it) and ``logp_old``
     are the frozen old policy. ``cache`` is the live-model forward pass that
@@ -285,36 +308,19 @@ def train_step(
     reconstructions, normalize advantages, step the live model."""
     kappa = cfg.kappa_at(step_index)
 
-    sampled_batch = []
-    rewards_flat = []
-    for item in items:
-        # one forward serves sampling now and the gradient pass later
-        proposal_old, cache = forward(model, item.log_mag, item.query)
-        params_old = params_from_proposal(proposal_old, kappa)
-        masks, logps = [], []
-        for _ in range(cfg.mc_samples):
-            ps = sample(params_old, rng, clamp_eps=cfg.sample_clamp)
-            wav = apply_mask_reconstruct(item.mix_spec, Mask(ps.mask))
-            masks.append(ps.mask)
-            logps.append(ps.log_prob)
-            rewards_flat.append(reward_ctx.reward(item, wav))
-        sampled_batch.append(
-            SampledItem(
-                item=item,
-                params_old=params_old,
-                masks=masks,
-                logp_old=logps,
-                cache=cache,
-            )
-        )
+    # one forward per item serves sampling now and the gradient pass later
+    proposals, caches = zip(*(forward(model, it.log_mag, it.query) for it in items))
+    policies = [params_from_proposal(p, kappa) for p in proposals]
+    samples = sample(policies, rng, cfg.mc_samples, clamp_eps=cfg.sample_clamp)
+    rewards = reward_ctx.rewards(items, [s.masks for s in samples])
 
-    mean_reward = float(np.mean(rewards_flat))
-    norm_adv = normalize_advantages(rewards_flat, cfg.grpo_eps)
-    pos = 0
-    for sampled in sampled_batch:
-        k = len(sampled.masks)
-        sampled.advantages = [float(a) for a in norm_adv[pos : pos + k]]
-        pos += k
+    mean_reward = float(np.mean(rewards))
+    adv = normalize_advantages(rewards, cfg.grpo_eps).reshape(len(items), -1)
+    sampled_batch = [
+        SampledItem(item=item, params_old=params, masks=s.masks, logp_old=s.log_probs,
+                    advantages=[float(a) for a in row], cache=cache)
+        for item, params, s, cache, row in zip(items, policies, samples, caches, adv)
+    ]
 
     result = objective_and_grads(model, sampled_batch, cfg, kappa)
     if not np.isfinite(result.objective):
@@ -354,20 +360,15 @@ def train_step(
     return report
 
 
-def proposal_mask(model: SeparatorModel, item: TrainItem) -> Mask:
-    """Deterministic inference mask: the proposal itself (the per-bin mode)."""
-    proposal, _ = forward(model, item.log_mag, item.query, keep_cache=False)
-    return Mask(proposal)
-
-
 def evaluate_mean_reward(
     model: SeparatorModel, items: list[TrainItem], reward_ctx: RewardContext
 ) -> float:
-    """Mean reward of deterministic-proposal reconstructions."""
+    """Mean reward of the reconstructions under the proposal (the mode)."""
+    masks = [forward(model, it.log_mag, it.query, keep_cache=False)[0][None]
+             for it in items]
     total = 0.0
-    for item in items:
-        wav = apply_mask_reconstruct(item.mix_spec, proposal_mask(model, item))
-        total += reward_ctx.reward(item, wav)
+    for r in reward_ctx.rewards(items, masks):
+        total += float(r)
     return total / len(items)
 
 

@@ -39,7 +39,8 @@ def _shared_window(length: int) -> np.ndarray:
 
 
 def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Sum of T frames of width W placed ``hop`` apart: (T-1)*hop + W samples.
+    """Sum of T frames of width W placed ``hop`` apart: (T-1)*hop + W samples,
+    for each (T, W) stack along any leading axes.
 
     Each frame is cut into ``ceil(W / hop)`` hop-sized blocks (the last one
     zero-padded) and block ``k`` of every frame is added in one slice-add.
@@ -48,15 +49,16 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     that start at +0.0 and so can never be -0.0, which leaves them as they
     are.
     """
-    n_frames, width = frames.shape
+    *lead, n_frames, width = frames.shape
     n_blocks = -(-width // hop)
     if width % hop:
-        frames = np.pad(frames, ((0, 0), (0, n_blocks * hop - width)))
-    blocks = frames.reshape(n_frames, n_blocks, hop)
-    out = np.zeros((n_frames + n_blocks - 1, hop))
+        frames = np.pad(frames, [(0, 0)] * (frames.ndim - 1)
+                        + [(0, n_blocks * hop - width)])
+    blocks = frames.reshape(*lead, n_frames, n_blocks, hop)
+    out = np.zeros((*lead, n_frames + n_blocks - 1, hop))
     for k in range(n_blocks - 1, -1, -1):
-        out[k : k + n_frames] += blocks[:, k]
-    return out.reshape(-1)[: (n_frames - 1) * hop + width]
+        out[..., k : k + n_frames, :] += blocks[..., k, :]
+    return out.reshape(*lead, -1)[..., : (n_frames - 1) * hop + width]
 
 
 @dataclass(frozen=True)
@@ -158,6 +160,16 @@ class Mask:
         object.__setattr__(self, "values", values)
 
 
+def analyze(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    """Frame-major (N, T, F) centered STFT of every row of an (N, L) sample
+    stack, through one reflect pad, one strided frame view and one rfft."""
+    pad = cfg.window_size // 2
+    x = np.pad(x, ((0, 0), (pad, pad)), mode="reflect")
+    # every hop-th window start: (L + 2 pad - window_size) // hop + 1 frames
+    frames = sliding_window_view(x, cfg.window_size, axis=1)[:, :: cfg.hop]
+    return np.fft.rfft(frames * cfg.window_array(), n=cfg.fft_size, axis=2)
+
+
 def stft(w: Waveform, cfg: StftConfig) -> Spectrogram:
     """Centered short-time Fourier transform of a waveform."""
     n = len(w)
@@ -165,30 +177,22 @@ def stft(w: Waveform, cfg: StftConfig) -> Spectrogram:
         raise ValueError(
             f"waveform too short: {n} samples < window_size {cfg.window_size}"
         )
-    pad = cfg.window_size // 2
-    x = np.pad(w.samples, pad, mode="reflect")
-    # every hop-th window start: (len(x) - window_size) // hop + 1 frames
-    frames = sliding_window_view(x, cfg.window_size)[:: cfg.hop] * cfg.window_array()
-    bins = np.fft.rfft(frames, n=cfg.fft_size, axis=1).T
-    return Spectrogram(bins=bins, config=cfg, sample_rate=w.sample_rate,
-                       num_samples=n)
+    return Spectrogram(bins=analyze(w.samples[None], cfg)[0].T, config=cfg,
+                       sample_rate=w.sample_rate, num_samples=n)
 
 
-def istft(s: Spectrogram, target_len: int | None = None) -> Waveform:
-    """Weighted overlap-add inverse of :func:`stft`."""
-    cfg = s.config
-    if target_len is None:
-        target_len = s.num_samples
+def _synthesize(frames: np.ndarray, cfg: StftConfig, target_len: int) -> np.ndarray:
+    """(N, target_len) weighted overlap-add of an (N, T, F) frame-major
+    stack through one irfft; the N rows share one envelope per call."""
     if target_len < 0:
         raise ValueError("target_len must be non-negative")
-
     window = cfg.window_array()
-    frames = np.fft.irfft(s.bins.T, n=cfg.fft_size, axis=1)[:, : cfg.window_size]
-    frames *= window[None, :]
+    frames = np.fft.irfft(frames, n=cfg.fft_size, axis=2)[..., : cfg.window_size]
+    frames *= window
 
     out = _overlap_add(frames, cfg.hop)
-    envelope = _overlap_add(np.broadcast_to(window**2, frames.shape), cfg.hop)
-    total = out.shape[0]
+    envelope = _overlap_add(np.broadcast_to(window**2, frames.shape[1:]), cfg.hop)
+    total = out.shape[1]
     # samples where the envelope vanishes are left as summed
     np.divide(out, envelope, out=out, where=envelope > _NOLA_EPS)
 
@@ -198,24 +202,38 @@ def istft(s: Spectrogram, target_len: int | None = None) -> Waveform:
             f"target_len {target_len} exceeds the {total - pad} samples "
             "covered by this spectrogram"
         )
-    return Waveform(samples=out[pad : pad + target_len], sample_rate=s.sample_rate)
+    return out[:, pad : pad + target_len]
+
+
+def istft(s: Spectrogram, target_len: int | None = None) -> Waveform:
+    """Weighted overlap-add inverse of :func:`stft`."""
+    if target_len is None:
+        target_len = s.num_samples
+    samples = _synthesize(s.bins.T[None], s.config, target_len)[0]
+    return Waveform(samples=samples, sample_rate=s.sample_rate)
+
+
+def reconstruct(mixes: list[Spectrogram], masks: list[Mask]) -> np.ndarray:
+    """Row i: mask i under mixture i's phase, resynthesized. The mixtures
+    share one configuration, shape and length, and their masked bins go
+    through one irfft, stacked frame-major like stft's bins."""
+    first = (mixes[0].config, mixes[0].bins.shape, mixes[0].num_samples)
+    stack = np.empty((len(masks), *first[1][::-1]), dtype=np.complex128)
+    for k, (mix, m) in enumerate(zip(mixes, masks, strict=True)):
+        if m.values.shape != mix.bins.shape:
+            raise ValueError(f"mask shape {m.values.shape} does not match "
+                             f"spectrogram shape {mix.bins.shape}")
+        if (mix.config, mix.bins.shape, mix.num_samples) != first:
+            raise ValueError("a batch's mixtures must share their configuration, "
+                             "shape and length")
+        np.multiply(m.values, mix.bins, out=stack[k].T, order="F")
+    return _synthesize(stack, first[0], first[2])
 
 
 def apply_mask_reconstruct(mix: Spectrogram, m: Mask) -> Waveform:
     """Apply a magnitude mask under the mixture phase and resynthesize."""
-    if m.values.shape != mix.bins.shape:
-        raise ValueError(
-            f"mask shape {m.values.shape} does not match "
-            f"spectrogram shape {mix.bins.shape}"
-        )
-    # frame-major like stft's bins, so istft's irfft reads whole frames
-    masked = Spectrogram(
-        bins=np.multiply(m.values, mix.bins, order="F"),
-        config=mix.config,
-        sample_rate=mix.sample_rate,
-        num_samples=mix.num_samples,
-    )
-    return istft(masked)
+    return Waveform(samples=reconstruct([mix], [m])[0],
+                    sample_rate=mix.sample_rate)
 
 
 def ideal_ratio_mask(target: Spectrogram, mix: Spectrogram,

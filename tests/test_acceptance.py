@@ -234,9 +234,9 @@ def test_criterion_2_gradient_fidelity():
                          ideal_mask=None, bce_weight=None)
         proposal_old, _ = forward(old, item.log_mag, item.query)
         params_old = params_from_proposal(proposal_old, 9.0)
-        ps = sample(params_old, np.random.default_rng(10 + i))
+        (ps,) = sample([params_old], np.random.default_rng(10 + i))
         batch.append(SampledItem(item=item, params_old=params_old,
-                                 masks=[ps.mask], logp_old=[ps.log_prob],
+                                 masks=ps.masks, logp_old=ps.log_probs,
                                  advantages=[float(rng.normal())]))
     result = objective_and_grads(model, batch, cfg, 9.0)
     worst = 0.0
@@ -287,8 +287,8 @@ def test_criterion_3_ppo_mechanics():
         def __init__(self, values):
             self.values = list(values)
 
-        def reward(self, item, wav):
-            return self.values.pop(0)
+        def rewards(self, items, masks):
+            return np.array([self.values.pop(0) for stack in masks for _ in stack])
 
     # ratio exactly 1 and zero clipping at a single-pass gradient step,
     # where the live policy still equals the sampled one

@@ -407,6 +407,28 @@ def test_corrupt_dataset_leaves_no_run_dir(small_dataset, tmp_path,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["train-rl", "train-align"])
+def test_missing_dataset_wav_names_manifest_and_item(small_dataset, tmp_path,
+                                                     capsys, command):
+    # as separate --dataset and eval answer it: exit 2, one line naming the
+    # manifest, the item and the file, and no run directory
+    dataset = tmp_path / "ds"
+    shutil.copytree(small_dataset, dataset)
+    rec = next(json.loads(line) for line in
+               (dataset / "manifest.jsonl").read_text().splitlines()
+               if json.loads(line)["split"] == "train")
+    (dataset / rec["mixture"]).unlink()
+    code = main([command, "--dataset", str(dataset), "--run-dir",
+                 str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert f"{dataset / 'manifest.jsonl'}: item {rec['item_id']!r}: " in err
+    assert "No such file or directory" in err
+    assert str(dataset / rec["mixture"]) in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.fixture(scope="module")
 def trained_run(small_dataset, tmp_path_factory):
     run = tmp_path_factory.mktemp("cli_run") / "run"

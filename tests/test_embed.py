@@ -22,6 +22,7 @@ from masksep.embed import (
 )
 from masksep.spectral import Waveform
 from masksep.synthdata import DEFAULT_CLASSES, build_embedder, calibration_prototypes
+from oracles import audio_embedding, audio_features
 
 
 class TestOracleEmbedder:
@@ -118,6 +119,33 @@ class TestAudioFeatureEmbedder:
         assert np.array_equal(loaded.projection, audio.projection)
         w = Waveform(np.random.default_rng(7).standard_normal(4096), 16000)
         assert np.array_equal(loaded.embed(w), audio.embed(w))
+
+    def test_full_length_embedding_matches_per_waveform_path(self, embedders):
+        # a separated mixture's length: 256 frames through the batched STFT
+        _, audio = embedders
+        w = Waveform(np.random.default_rng(12).standard_normal(65535) * 0.1,
+                     16000)
+        assert np.array_equal(audio.features(w.samples[None])[0],
+                              audio_features(audio, w))
+        assert np.array_equal(audio.embed(w), audio_embedding(audio, w))
+
+    def test_rows_embed_as_they_would_alone(self, embedders):
+        # 2048-sample crops, as a policy step's reconstructions are
+        _, audio = embedders
+        x = np.random.default_rng(13).standard_normal((5, 2048))
+        x[3] *= 1e-3
+        rows = audio.embed_rows(x)
+        assert len(rows) == 5
+        for row, samples in zip(rows, x):
+            alone = audio_embedding(audio, Waveform(samples, 16000))
+            assert np.array_equal(row, alone)
+
+    def test_silent_row_rejected(self, embedders):
+        _, audio = embedders
+        x = np.random.default_rng(14).standard_normal((3, 2048))
+        x[1] = 0.0
+        with pytest.raises(ValueError, match="zero-energy"):
+            audio.embed_rows(x)
 
     def test_mixture_sits_between_classes(self, embedders):
         oracle, audio = embedders

@@ -22,6 +22,7 @@ from masksep.policy import (
     sample,
 )
 from masksep.special import log_gamma
+from oracles import sample_mask
 
 
 def beta_log_pdf(alpha, beta, m):
@@ -139,27 +140,44 @@ class TestLogProb:
 class TestSampling:
     def test_high_concentration_tracks_proposal(self):
         params = params_from_proposal(np.full(1000, 0.7), 1e6)
-        ps = sample(params, np.random.default_rng(1))
-        assert abs(ps.mask.mean() - 0.7) < 1e-2
+        (ps,) = sample([params], np.random.default_rng(1))
+        assert abs(ps.masks.mean() - 0.7) < 1e-2
 
     def test_uniform_case_mean(self):
         params = BetaPolicyParams(np.full(100_000, 0.5), 0.0)
-        ps = sample(params, np.random.default_rng(2))
+        (ps,) = sample([params], np.random.default_rng(2))
         # 3 sigma of the mean of U(0,1) over n draws
-        assert abs(ps.mask.mean() - 0.5) < 3 * np.sqrt(1 / 12 / 100_000)
+        assert abs(ps.masks.mean() - 0.5) < 3 * np.sqrt(1 / 12 / 100_000)
 
     def test_seed_determinism(self):
         params = params_from_proposal(np.random.default_rng(3).uniform(size=50), 9.0)
-        a = sample(params, np.random.default_rng(42))
-        b = sample(params, np.random.default_rng(42))
-        assert np.array_equal(a.mask, b.mask)
-        assert a.log_prob == b.log_prob
+        (a,) = sample([params], np.random.default_rng(42))
+        (b,) = sample([params], np.random.default_rng(42))
+        assert np.array_equal(a.masks, b.masks)
+        assert a.log_probs == b.log_probs
 
     def test_samples_clamped_inside_open_interval(self):
         params = params_from_proposal(np.zeros(10_000), 9.0)
-        ps = sample(params, np.random.default_rng(4))
-        assert ps.mask.min() >= 1e-5 and ps.mask.max() <= 1 - 1e-5
-        assert np.isfinite(ps.log_prob)
+        (ps,) = sample([params], np.random.default_rng(4))
+        assert ps.masks.min() >= 1e-5 and ps.masks.max() <= 1 - 1e-5
+        assert np.isfinite(ps.log_probs[0])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_one_call_draws_the_per_mask_stream(self, n):
+        # policies of different shapes, as crops of different lengths give
+        gen = np.random.default_rng(5)
+        policies = [params_from_proposal(gen.uniform(size=shape), kappa)
+                    for shape, kappa in (((7, 3), 9.0), ((7, 5), 4.0),
+                                         ((7, 3), 0.5))]
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        out = sample(policies, rng, n, clamp_eps=1e-3)
+        for params, ps in zip(policies, out):
+            assert ps.masks.shape == (n, *params.shape)
+            for mask, logp in zip(ps.masks, ps.log_probs):
+                ref_mask, ref_logp = sample_mask(params, ref_rng, 1e-3)
+                assert np.array_equal(mask, ref_mask)
+                assert logp == ref_logp
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestEntropy:

@@ -24,8 +24,9 @@ from masksep.rl import (
 )
 from masksep.reward import modality_vector
 from masksep.separator import forward, init_model, load_model
-from masksep.spectral import StftConfig, Waveform, log_compress, stft
+from masksep.spectral import Mask, StftConfig, Waveform, log_compress, stft
 from masksep.synthdata import DEFAULT_CLASSES, build_embedder
+from oracles import mask_reward, mean_reward_per_item, reconstruct_one, train_step_per_item
 
 TOY_STFT = StftConfig(fft_size=256, hop=64, window_size=256)
 
@@ -176,13 +177,13 @@ def toy_sampled_batch(model, old, kappa, cfg, seed=0, carry_forward=False):
     for item in items:
         proposal_old, cache = forward(old, item.log_mag, item.query)
         params_old = params_from_proposal(proposal_old, kappa)
-        ps = sample(params_old, rng)
+        (ps,) = sample([params_old], rng)
         batch.append(
             SampledItem(
                 item=item,
                 params_old=params_old,
-                masks=[ps.mask],
-                logp_old=[ps.log_prob],
+                masks=ps.masks,
+                logp_old=ps.log_probs,
                 advantages=[float(rng.normal())],
                 cache=cache if carry_forward else None,
             )
@@ -286,8 +287,8 @@ class _ConstantReward:
     def __init__(self, value=0.5):
         self.value = value
 
-    def reward(self, item, waveform):
-        return self.value
+    def rewards(self, items, masks):
+        return np.full(sum(len(stack) for stack in masks), self.value)
 
 
 class TestTrainStep:
@@ -477,3 +478,118 @@ def test_evaluate_mean_reward_deterministic(toy_world):
     b = evaluate_mean_reward(model, items, reward_ctx)
     assert a == b
     assert -1.0 <= a <= 1.0
+
+
+PARAMS = ("w1", "b1", "w2", "b2")
+
+
+class TestBatchedRollout:
+    """The step samples, reconstructs and embeds every mask of the batch
+    together; the per-item loop in ``oracles`` is the reference."""
+
+    @pytest.mark.parametrize("mc_samples", [1, 3])
+    def test_step_matches_per_item_loop_bitwise(self, toy_world, mc_samples):
+        items, reward_ctx, model = toy_world
+        cfg = RlConfig(batch_size=4, mc_samples=mc_samples, steps=8)
+        runs = []
+        for step, ctx in ((train_step, reward_ctx),
+                          (train_step_per_item, reward_ctx.embedder)):
+            live, opt = copy.deepcopy(model), AdamWState()
+            rng = np.random.default_rng(8)
+            reports = [step(live, opt, items[k : k + 4], cfg, rng, ctx,
+                            step_index=k) for k in range(2)]
+            runs.append((reports, rng.bit_generator.state, live))
+        (reports, state, live), (ref_reports, ref_state, ref_live) = runs
+        assert reports == ref_reports
+        assert state == ref_state
+        for name in PARAMS:
+            assert getattr(live, name).tobytes() == getattr(ref_live, name).tobytes()
+
+    def test_validation_matches_per_item_sum_bitwise(self, toy_world):
+        items, reward_ctx, model = toy_world
+        assert evaluate_mean_reward(model, items, reward_ctx) == \
+            mean_reward_per_item(model, items, reward_ctx.embedder)
+
+    def test_silent_mask_scores_minus_one_alone(self, toy_world):
+        items, reward_ctx, _ = toy_world
+        rng = np.random.default_rng(9)
+        masks = [rng.uniform(0.05, 0.95, (2, *item.mix_spec.bins.shape))
+                 for item in items[:3]]
+        masks[1][0] = 0.0
+        rewards = reward_ctx.rewards(items[:3], masks)
+        assert rewards.shape == (6,)
+        assert rewards[2] == -1.0
+        silent = [np.zeros((1, *item.mix_spec.bins.shape)) for item in items[:2]]
+        assert reward_ctx.rewards(items[:2], silent).tolist() == [-1.0, -1.0]
+        for k, (item, stack) in enumerate(zip(items[:3], masks)):
+            for g, mask in enumerate(stack):
+                wav = reconstruct_one(item.mix_spec, Mask(mask))
+                assert rewards[2 * k + g] == mask_reward(reward_ctx.embedder,
+                                                         item, wav)
+
+    @pytest.mark.parametrize("budget,batches", [(None, [6]), (2, [2, 2, 2]),
+                                                (4, [4, 2]), (0.5, [1] * 6)])
+    def test_batches_split_at_the_bin_budget(self, toy_world, monkeypatch,
+                                             budget, batches):
+        from masksep import rl
+
+        items, reward_ctx, _ = toy_world
+        f, t = items[0].mix_spec.bins.shape
+        if budget is not None:
+            monkeypatch.setattr(rl, "REWARD_BATCH_BINS", int(budget * f * t))
+        sizes = []
+        real = rl.reconstruct
+        monkeypatch.setattr(rl, "reconstruct",
+                            lambda mixes, masks: sizes.append(len(masks))
+                            or real(mixes, masks))
+        rng = np.random.default_rng(12)
+        masks = [rng.uniform(0.05, 0.95, (2, f, t)) for _ in items[:3]]
+        rewards = reward_ctx.rewards(items[:3], masks)
+        assert sizes == batches
+        for k, (item, stack) in enumerate(zip(items[:3], masks)):
+            for g, mask in enumerate(stack):
+                wav = reconstruct_one(item.mix_spec, Mask(mask))
+                assert rewards[2 * k + g] == mask_reward(reward_ctx.embedder,
+                                                         item, wav)
+
+    def test_crops_of_different_lengths_in_one_call(self, toy_world):
+        items, reward_ctx, _ = toy_world
+        short = copy.copy(items[0])
+        wave = Waveform(np.random.default_rng(10).standard_normal(3000), 16000)
+        short.mix_spec = stft(wave, TOY_STFT)
+        batch = [items[1], short, items[2]]
+        masks = [np.full((1, *item.mix_spec.bins.shape), 0.5) for item in batch]
+        rewards = reward_ctx.rewards(batch, masks)
+        for r, item, stack in zip(rewards, batch, masks):
+            wav = reconstruct_one(item.mix_spec, Mask(stack[0]))
+            assert r == mask_reward(reward_ctx.embedder, item, wav)
+
+    @pytest.mark.parametrize("bad,match", [
+        (np.nan, "non-finite"),
+        (1.5, r"\[0, 1\]"),
+        (-0.5, r"\[0, 1\]"),
+    ])
+    def test_bad_mask_in_a_batch_rejected(self, toy_world, bad, match):
+        items, reward_ctx, _ = toy_world
+        masks = [np.full((2, *item.mix_spec.bins.shape), 0.5)
+                 for item in items[:3]]
+        masks[2][1, 3, 4] = bad
+        with pytest.raises(ValueError, match=match):
+            reward_ctx.rewards(items[:3], masks)
+
+    def test_mask_of_another_shape_rejected(self, toy_world):
+        items, reward_ctx, _ = toy_world
+        f, t = items[0].mix_spec.bins.shape
+        masks = [np.full((1, f, t), 0.5), np.full((1, f, t - 1), 0.5)]
+        with pytest.raises(ValueError, match="does not match"):
+            reward_ctx.rewards(items[:2], masks)
+
+    def test_crop_too_short_for_the_embedder_rejected(self, toy_world):
+        items, reward_ctx, _ = toy_world
+        short = copy.copy(items[0])
+        wave = Waveform(np.random.default_rng(11).standard_normal(300), 16000)
+        short.mix_spec = stft(wave, TOY_STFT)
+        masks = [np.full((1, *item.mix_spec.bins.shape), 0.5)
+                 for item in (items[1], short)]
+        with pytest.raises(ValueError, match="too short for the embedder"):
+            reward_ctx.rewards([items[1], short], masks)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from masksep.errors import ConfigError
-from masksep import spectral
 from masksep.spectral import (
     Mask,
     Spectrogram,
@@ -20,6 +19,7 @@ from masksep.spectral import (
     ideal_ratio_mask,
     istft,
     log_compress,
+    reconstruct,
     stft,
 )
 from oracles import si_sdr
@@ -285,12 +285,36 @@ class TestKernelsMatchPlainFormulas:
         # a C-order product rounds the same but makes irfft read strided
         # frames, so only its layout shows that regression
         seen = []
-        real_istft = spectral.istft
-        monkeypatch.setattr(spectral, "istft",
-                            lambda s: seen.append(s) or real_istft(s))
+        real_irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft",
+                            lambda a, **kw: seen.append(a) or real_irfft(a, **kw))
         mix = stft(_rand_wave(5000, 7), CFG)
         apply_mask_reconstruct(mix, Mask(np.full(mix.bins.shape, 0.5)))
-        assert seen[0].bins.flags.f_contiguous
+        assert seen[0].shape == (1,) + mix.bins.T.shape
+        assert seen[0].flags.c_contiguous
+
+    @pytest.mark.parametrize("fft_size,hop,window_size", CONFIGS)
+    def test_batched_reconstruction_bitwise(self, fft_size, hop, window_size):
+        # every row of one batched reconstruction is the per-frame loop's
+        # inverse of its own masked spectrogram
+        cfg = StftConfig(fft_size=fft_size, hop=hop, window_size=window_size)
+        rng = np.random.default_rng(fft_size + hop)
+        mixes = [stft(_rand_wave(5000, 300 + k), cfg) for k in range(3)]
+        masks = [Mask(rng.uniform(0, 1, mixes[0].bins.shape)) for _ in range(5)]
+        owners = [0, 0, 1, 2, 1]
+        rows = reconstruct([mixes[k] for k in owners], masks)
+        assert rows.shape == (5, 5000)
+        for row, k, m in zip(rows, owners, masks):
+            masked = Spectrogram(m.values * mixes[k].bins, cfg, 16000, 5000)
+            assert np.array_equal(row, plain_istft(masked, 5000))
+
+    def test_batch_of_mixed_configurations_rejected(self):
+        other = StftConfig(fft_size=1024, hop=128, window_size=1024)
+        mixes = [stft(_rand_wave(4096, 10), CFG), stft(_rand_wave(4096, 11), other)]
+        masks = [Mask(np.full(mixes[0].bins.shape, 0.5)),
+                 Mask(np.full(mixes[1].bins.shape, 0.5))]
+        with pytest.raises(ValueError, match="must share"):
+            reconstruct(mixes, masks)
 
     @pytest.mark.parametrize("window_size", [8, 15, 16, 33, 64])
     def test_config_check_matches_envelope_loop(self, window_size):
