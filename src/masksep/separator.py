@@ -7,6 +7,11 @@ affine layers with a softplus rectifier in between and a sigmoid output
 map this to a proposal in (0,1). The architecture is deliberately tiny so
 every gradient can be checked against finite differences.
 
+The query is the same in every bin, so its share of the first layer is
+one row, ``query @ w1[query rows] + b1``, that a constant-1 input picks
+up: the first-layer products run over the patch, the frequency and that
+1, and the query rows of the first-layer gradient are an outer product.
+
 The frequency coordinate is what lets a per-bin model express
 query-conditional band gates; a local magnitude patch alone carries no
 absolute-frequency information.
@@ -64,12 +69,13 @@ class SeparatorModel:
 @dataclass
 class ForwardCache:
     """Intermediates a matching backward pass needs. ``features`` is bins x
-    inputs, the transpose of the input-major buffer forward() fills."""
+    [patch, frequency, 1], the transpose of the input-major buffer forward()
+    fills; ``query`` is the query in the parameter dtype."""
 
     features: np.ndarray
-    pre1: np.ndarray
     hidden: np.ndarray
     proposal_flat: np.ndarray
+    query: np.ndarray
     grid_shape: tuple
     model_ref: object
     model_version: int
@@ -102,11 +108,14 @@ def init_model(
 ) -> SeparatorModel:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
 
-    Forward/backward run in the parameter dtype; float32 halves training
-    cost while gradient-checked paths stay on the float64 default.
+    Forward/backward run in the parameter dtype, float32 or float64;
+    float32 halves training cost while gradient-checked paths stay on the
+    float64 default.
     """
     if context < 1 or context % 2 == 0:
         raise ValueError("context must be a positive odd integer")
+    if np.dtype(dtype) not in (np.float32, np.float64):
+        raise ValueError(f"dtype {np.dtype(dtype)} is not float32 or float64")
     in_dim = context * context + 1 + query_dim
     s1 = 1.0 / np.sqrt(in_dim)
     s2 = 1.0 / np.sqrt(hidden_width)
@@ -121,16 +130,16 @@ def init_model(
     )
 
 
-def _softplus(x: np.ndarray, out: np.ndarray, keep_x: bool) -> np.ndarray:
-    # max(x, 0) + log1p(exp(-|x|)): stable for any magnitude. Without
-    # keep_x, max(x, 0) is formed in x itself instead of a temporary.
-    # (np.copysign would fold abs and negative into one pass, but numpy
-    # does not vectorize it and it runs several times slower.)
-    np.abs(x, out=out)
-    np.negative(out, out)
+def _softplus(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # max(x, 0) + log1p(exp(-|x|)): stable for any magnitude. -|x| is x
+    # with its sign bit set, one pass over an integer view of the same
+    # width (np.copysign is not vectorized and runs several times slower);
+    # max(x, 0) is formed in x itself, which no caller reads afterwards
+    ints = np.dtype(f"i{x.itemsize}")
+    np.bitwise_or(x.view(ints), np.iinfo(ints).min, out=out.view(ints))
     np.exp(out, out)
     np.log1p(out, out)
-    out += np.maximum(x, 0.0, out=None if keep_x else x)
+    out += np.maximum(x, 0.0, out=x)
     return out
 
 
@@ -159,7 +168,7 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
     """
     dtype = model.w1.dtype
     log_mag = np.asarray(log_mag, dtype=dtype)
-    query = np.asarray(query, dtype=dtype)
+    query = np.array(query, dtype=dtype)
     if log_mag.ndim != 2:
         raise ValueError(f"log_mag must be F x T, got shape {log_mag.shape}")
     if query.shape != (model.query_dim,):
@@ -175,17 +184,23 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
     # row its own way, and a product with a few columns also by the size
     # of the call. So every slab but the last is a multiple of 64 bins,
     # the last one, ending where the grid ends, takes the remainder, and
-    # the output layer is one matrix-vector product.
+    # the output layer is one matrix-vector product. The first layer's
+    # query rows and bias are summed into one row of w_eff before any bin
+    # sees them, so its bits differ in the last place from a product over
+    # every input plus a bias pass.
     slab = f if keep_cache else _slab_rows(f, t)
     bounds = list(range(0, f - slab + 1, slab)) + [f]
     cap = (f - bounds[-2]) * t
+    w_eff = np.concatenate([model.w1[: n_patch + 1],
+                            (query @ model.w1[n_patch + 1 :] + model.b1)[None]])
     # input-major features, one row per input and one column per bin of a
     # slab: row di * c + dj is the patch offset (di, dj), one contiguous
-    # copy of the zero-padded grid shifted by it; then i / (F - 1), then
-    # the query. BLAS packs a transposed operand as it packs a row-major
-    # one, so the first layer rounds as the bin-major product does.
-    features = np.empty((model.input_dim, cap), dtype=dtype)
-    features[n_patch + 1 :] = query[:, None]
+    # copy of the zero-padded grid shifted by it; then i / (F - 1), then a
+    # constant 1 that picks up w_eff's last row. BLAS packs a transposed
+    # operand as it packs a row-major one, so the first layer rounds as
+    # the bin-major product does.
+    features = np.empty((n_patch + 2, cap), dtype=dtype)
+    features[n_patch + 1] = 1.0
     pre1 = np.empty((cap, model.hidden_width), dtype=dtype)
     hidden = np.empty_like(pre1)
     pre2 = np.empty(f * t, dtype=dtype)
@@ -193,14 +208,13 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
     freq = np.arange(f, dtype=dtype) / max(f - 1, 1)
     for r0, r1 in zip(bounds, bounds[1:]):
         n = (r1 - r0) * t
-        grid = features[:, :n].reshape(model.input_dim, r1 - r0, t)
+        grid = features[:, :n].reshape(n_patch + 2, r1 - r0, t)
         for di in range(c):
             for dj in range(c):
                 grid[di * c + dj] = padded[r0 + di : r1 + di, dj : dj + t]
         grid[n_patch] = freq[r0:r1, None]
-        np.matmul(features[:, :n].T, model.w1, out=pre1[:n])
-        pre1[:n] += model.b1
-        _softplus(pre1[:n], out=hidden[:n], keep_x=keep_cache)
+        np.matmul(features[:, :n].T, w_eff, out=pre1[:n])
+        _softplus(pre1[:n], out=hidden[:n])
         out = pre2[r0 * t : r1 * t]
         np.matmul(hidden[:n], model.w2[:, 0], out=out)
         out += model.b2
@@ -210,9 +224,9 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
         return proposal, None
     cache = ForwardCache(
         features=features.T,
-        pre1=pre1,
         hidden=hidden,
         proposal_flat=proposal_flat,
+        query=query,
         grid_shape=(f, t),
         model_ref=model,
         model_version=model.version,
@@ -235,20 +249,21 @@ def backward(
     d_pre2 = upstream.reshape(-1) * p * (1.0 - p)
     d_w2 = (cache.hidden.T @ d_pre2)[:, None]
     d_b2 = d_pre2.sum(keepdims=True)
-    # d_hidden = d_pre2 @ w2.T, the rank-1 outer product; einsum forms it
-    # with the same single product per entry as np.outer or broadcasting,
-    # at well under their cost
-    d_hidden = np.einsum("n,h->nh", d_pre2, model.w2[:, 0])
-    # d_pre1 = d_hidden * sigmoid(pre1), the sigmoid formed in one buffer
-    sig = np.negative(cache.pre1)
-    with np.errstate(over="ignore"):
-        np.exp(sig, out=sig)
-    sig += 1.0
-    np.divide(1.0, sig, out=sig)
-    d_hidden *= sig
-    d_pre1 = d_hidden
-    d_w1 = cache.features.T @ d_pre1
-    d_b1 = d_pre1.sum(axis=0)
+    # d_pre1 = (d_pre2 @ w2.T) * sigmoid(pre1), with sigmoid(x) =
+    # 1 - exp(-softplus(x)) = -expm1(-hidden) read from the cached
+    # activation; einsum forms the rank-1 product with -w2 in one pass,
+    # with the same single product per entry as np.outer or broadcasting
+    d_pre1 = np.einsum("n,h->nh", d_pre2, -model.w2[:, 0])
+    sig = np.negative(cache.hidden)
+    np.expm1(sig, out=sig)
+    d_pre1 *= sig
+    # one product over [patch, frequency, 1] gives the patch and frequency
+    # rows of d_w1 and, from the constant 1, d_b1; the query rows of d_w1
+    # are the query times d_b1
+    n_fixed = model.context * model.context + 1
+    d_fixed = cache.features.T @ d_pre1
+    d_b1 = d_fixed[n_fixed]
+    d_w1 = np.concatenate([d_fixed[:n_fixed], np.outer(cache.query, d_b1)])
     return ParamGrads(w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2)
 
 

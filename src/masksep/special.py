@@ -1,21 +1,23 @@
 """Log-gamma, digamma and trigamma for positive real arguments.
 
-Implemented from scratch (Lanczos series for log-gamma, upward recurrence
-plus asymptotic Bernoulli series for the polygammas) because scipy's
-trigamma is slow on the policy's tables. On the 9,235-element table of one
-513 x 9 crop (arguments 1 + kappa P and 1 + kappa (1 - P), kappa 4 to 9;
-one thread, scipy 1.17.1, numpy 2.4.6, an Intel Xeon core),
+Log-gamma (Lanczos series) and trigamma (upward recurrence plus an
+asymptotic Bernoulli series) are implemented here because scipy is slower
+on the policy's tables. On the 9,235-element table of one 513 x 9 crop
+(arguments 1 + kappa P and 1 + kappa (1 - P), kappa 4 to 9; one thread,
+scipy 1.17.1, numpy 2.4.6, an Intel Xeon core),
 ``scipy.special.polygamma(1, x)`` and ``zeta(2, x)`` take 2.4 to 2.7 ms
-against 0.28 ms here, about +35 ms per 16-item policy step. The other two
-are no faster here: ``scipy.special.gammaln`` takes 214 to 236 us against
-195 to 238 us, and ``psi`` 140 to 191 us against 265 to 280 us. Accuracy is
-close to machine precision on [1e-3, 1e6]; see tests/test_special.py for
-the reference values the implementation is held to.
+against 0.28 ms here, about +35 ms per 16-item policy step, and
+``scipy.special.gammaln`` takes 214 to 236 us against 195 to 238 us.
+Digamma is scipy's ``psi``, which is faster there: 140 to 191 us against
+265 to 280 us for the same recurrence and series. Accuracy is close to
+machine precision on [1e-3, 1e6]; see tests/test_special.py for the
+reference values the functions are held to.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import psi
 
 # Lanczos approximation, g = 7, 9 coefficients.
 _LANCZOS_G = 7.0
@@ -34,19 +36,6 @@ _LANCZOS_COEF = np.array(
 )
 
 _HALF_LOG_TWO_PI = 0.9189385332046727417803297364056176
-
-# psi(x) ~ ln x - 1/(2x) - sum B_{2n} / (2n x^{2n}); coefficients of x^{-2n}.
-_DIGAMMA_ASYMPT = np.array(
-    [
-        -1.0 / 12.0,
-        1.0 / 120.0,
-        -1.0 / 252.0,
-        1.0 / 240.0,
-        -1.0 / 132.0,
-        691.0 / 32760.0,
-        -1.0 / 12.0,
-    ]
-)
 
 # psi'(x) ~ 1/x + 1/(2x^2) + sum B_{2n} x^{-2n-1}; coefficients of x^{-2n-1}.
 _TRIGAMMA_ASYMPT = np.array(
@@ -127,29 +116,7 @@ def digamma(x):
     """psi(x) = d/dx ln Gamma(x), elementwise, for x > 0."""
     x = np.asarray(x, dtype=np.float64)
     _validate_positive(x, "digamma")
-    scalar = x.ndim == 0
-    y = np.atleast_1d(x)
-
-    # branch-free recurrence: shift every argument up by the cutoff, then
-    # evaluate the asymptotic series where it is uniformly accurate
-    # acc = -sum_k 1 / (y + k);  y' = y + cutoff
-    # result = acc + log(y') - 0.5 / y' + series(1 / y'^2)
-    acc = np.zeros_like(y)
-    tmp = np.empty_like(y)
-    for k in range(int(_RECURRENCE_CUTOFF)):
-        np.add(y, k, out=tmp)
-        np.divide(1.0, tmp, out=tmp)
-        acc -= tmp
-    shifted = np.add(y, _RECURRENCE_CUTOFF, out=tmp)
-
-    inv = np.divide(1.0, shifted)
-    inv2 = inv * inv
-    series = _asymptotic_series(_DIGAMMA_ASYMPT, inv2)
-    acc += np.log(shifted, out=shifted)
-    inv *= 0.5
-    acc -= inv
-    acc += series
-    return acc[0] if scalar else acc
+    return psi(x)
 
 
 def trigamma(x):

@@ -73,6 +73,12 @@ class TestForward:
         with pytest.raises(ValueError, match="query"):
             forward(m, log_mag, np.zeros(7))
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.complex128])
+    def test_init_rejects_other_dtypes(self, dtype):
+        # the parameter dtypes load_model accepts are the only ones
+        with pytest.raises(ValueError, match="float32 or float64"):
+            init_model(np.random.default_rng(0), dtype=dtype)
+
     def test_determinism(self):
         m = small_model(seed=6)
         log_mag, query = rand_input(6)
@@ -228,58 +234,142 @@ class TestBackward:
 
 
 
-def plain_forward(model, log_mag, query):
-    """The straightforward formulas the in-place forward() must reproduce
-    bit for bit: (proposal, features, pre1, hidden)."""
+def _patches(model, log_mag):
+    """Bin-major flattened context x context patches and the frequency
+    coordinate of every bin, in the parameter dtype."""
     dtype = model.w1.dtype
     log_mag = np.asarray(log_mag, dtype=dtype)
     f, t = log_mag.shape
     c = model.context
     padded = np.pad(log_mag, c // 2, mode="constant")
     patches = np.lib.stride_tricks.sliding_window_view(padded, (c, c))
-    features = np.empty((f * t, model.input_dim), dtype=dtype)
-    features[:, : c * c] = patches.reshape(f * t, c * c)
-    features[:, c * c] = np.repeat(np.arange(f, dtype=dtype) / max(f - 1, 1), t)
-    features[:, c * c + 1 :] = np.asarray(query, dtype=dtype)
-    pre1 = features @ model.w1 + model.b1
-    hidden = np.maximum(pre1, 0.0) + np.log1p(np.exp(-np.abs(pre1)))
+    freq = np.repeat(np.arange(f, dtype=dtype) / max(f - 1, 1), t)
+    return patches.reshape(f * t, c * c), freq
+
+
+def _head(model, hidden):
     pre2 = hidden @ model.w2[:, 0] + model.b2
-    proposal = 1.0 / (1.0 + np.exp(-pre2))
-    return proposal.reshape(f, t), features, pre1, hidden
+    return 1.0 / (1.0 + np.exp(-pre2))
 
 
-def plain_backward(model, features, pre1, hidden, proposal, upstream):
-    """The straightforward gradients backward() must reproduce bit for bit."""
-    up = np.asarray(upstream, dtype=model.w1.dtype).reshape(-1)
+def plain_forward(model, log_mag, query):
+    """The straightforward formulas the in-place forward() must reproduce
+    bit for bit: (proposal, features, hidden), with features bin-major
+    [patch, frequency, 1] and the query folded into the bias row."""
+    dtype = model.w1.dtype
+    patches, freq = _patches(model, log_mag)
+    n_fixed = patches.shape[1] + 1
+    features = np.column_stack([patches, freq, np.ones_like(freq)])
+    q = np.asarray(query, dtype=dtype)
+    w_eff = np.vstack([model.w1[:n_fixed],
+                       q @ model.w1[n_fixed:] + model.b1])
+    pre1 = features @ w_eff
+    hidden = np.maximum(pre1, 0.0) + np.log1p(np.exp(-np.abs(pre1)))
+    proposal = _head(model, hidden)
+    return proposal.reshape(np.shape(log_mag)), features, hidden
+
+
+def plain_backward(model, features, hidden, proposal, query, upstream):
+    """The straightforward gradients backward() must reproduce bit for bit:
+    the sigmoid is -expm1(-hidden), d_b1 is the constant-1 row of the
+    first-layer product and the query rows are outer(query, d_b1)."""
+    dtype = model.w1.dtype
+    up = np.asarray(upstream, dtype=dtype).reshape(-1)
     p = proposal.reshape(-1)
     d_pre2 = up * p * (1.0 - p)
     d_hidden = d_pre2[:, None] * model.w2[:, 0]
-    d_pre1 = d_hidden * (1.0 / (1.0 + np.exp(-pre1)))
-    return {"w1": features.T @ d_pre1, "b1": d_pre1.sum(axis=0),
+    d_pre1 = d_hidden * -np.expm1(-hidden)
+    d_fixed = features.T @ d_pre1
+    d_b1 = d_fixed[-1]
+    d_w1 = np.vstack([d_fixed[:-1],
+                      np.outer(np.asarray(query, dtype=dtype), d_b1)])
+    return {"w1": d_w1, "b1": d_b1,
             "w2": (hidden.T @ d_pre2)[:, None], "b2": d_pre2.sum(keepdims=True)}
+
+
+def all_inputs_forward_backward(model, log_mag, query, upstream):
+    """The first layer over all of [patch, frequency, query] plus a bias
+    pass, and its sigmoid from the pre-activation: the same function,
+    rounded another way. Returns the proposal and the gradients."""
+    dtype = model.w1.dtype
+    patches, freq = _patches(model, log_mag)
+    q = np.broadcast_to(np.asarray(query, dtype=dtype),
+                        (freq.size, model.query_dim))
+    features = np.column_stack([patches, freq, q])
+    pre1 = features @ model.w1 + model.b1
+    hidden = np.maximum(pre1, 0.0) + np.log1p(np.exp(-np.abs(pre1)))
+    proposal = _head(model, hidden)
+    d_pre2 = (np.asarray(upstream, dtype=dtype).reshape(-1)
+              * proposal * (1.0 - proposal))
+    d_pre1 = d_pre2[:, None] * model.w2[:, 0] * (1.0 / (1.0 + np.exp(-pre1)))
+    return proposal.reshape(np.shape(log_mag)), {
+        "w1": features.T @ d_pre1, "b1": d_pre1.sum(axis=0),
+        "w2": (hidden.T @ d_pre2)[:, None], "b2": d_pre2.sum(keepdims=True)}
+
+
+def training_crop(dtype):
+    """A 513 x 9 training crop, its query and an upstream gradient, with
+    the default architecture."""
+    model = init_model(np.random.default_rng(13), dtype=dtype)
+    rng = np.random.default_rng(14)
+    log_mag = rng.uniform(0.0, 3.0, size=(513, 9))
+    query = rng.standard_normal(model.query_dim)
+    upstream = rng.standard_normal((513, 9))
+    return model, log_mag, query, upstream
 
 
 class TestKernelsMatchPlainFormulas:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_and_backward_bitwise(self, dtype):
-        # one training crop: a 513 x 9 grid with the default architecture
-        model = init_model(np.random.default_rng(13), dtype=dtype)
-        rng = np.random.default_rng(14)
-        log_mag = rng.uniform(0.0, 3.0, size=(513, 9))
-        query = rng.standard_normal(model.query_dim)
-        upstream = rng.standard_normal((513, 9))
+        model, log_mag, query, upstream = training_crop(dtype)
         proposal, cache = forward(model, log_mag, query)
-        ref, features, pre1, hidden = plain_forward(model, log_mag, query)
+        ref, features, hidden = plain_forward(model, log_mag, query)
         assert proposal.dtype == ref.dtype == dtype
         assert np.array_equal(proposal, ref)
         # input-major storage, read as bins x inputs
         assert cache.features.T.flags.c_contiguous
         assert np.array_equal(cache.features, features)
+        assert np.array_equal(cache.hidden, hidden)
         grads = backward(model, cache, upstream).as_dict()
-        ref_grads = plain_backward(model, features, pre1, hidden, ref, upstream)
+        ref_grads = plain_backward(model, features, hidden, ref, query,
+                                   upstream)
         for name in ("w1", "b1", "w2", "b2"):
             assert grads[name].dtype == dtype
+            assert grads[name].shape == getattr(model, name).shape
             assert np.array_equal(grads[name], ref_grads[name]), name
+
+    @pytest.mark.parametrize("dtype, rel", [(np.float64, 1e-12),
+                                            (np.float32, 1e-5)])
+    def test_close_to_the_all_inputs_formulas(self, dtype, rel):
+        # folding the query into the bias row and reading the sigmoid off
+        # the activation only reorders roundings
+        model, log_mag, query, upstream = training_crop(dtype)
+        proposal, cache = forward(model, log_mag, query)
+        grads = backward(model, cache, upstream).as_dict()
+        ref, ref_grads = all_inputs_forward_backward(model, log_mag, query,
+                                                     upstream)
+        for name, got, want in [("proposal", proposal, ref)] + [
+                (name, grads[name], ref_grads[name])
+                for name in ("w1", "b1", "w2", "b2")]:
+            assert got.dtype == want.dtype == dtype
+            assert (np.abs(got - want).max()
+                    <= rel * np.abs(want).max()), name
+
+    def test_cache_holds_no_pre_activation(self):
+        # a 513 x 9 float32 crop: the cache's arrays hold the [patch,
+        # frequency, 1] features, the activation and the proposal, that is
+        # context^2 + 2 + hidden_width + 1 values a bin, plus the query
+        model, log_mag, query, _ = training_crop(np.float32)
+        _, cache = forward(model, log_mag, query)
+        buffers = {}
+        for value in vars(cache).values():
+            if isinstance(value, np.ndarray):
+                base = value if value.base is None else value.base
+                buffers[id(base)] = base.nbytes
+        bins = log_mag.size
+        per_bin = model.context ** 2 + 2 + model.hidden_width + 1
+        assert sum(buffers.values()) <= (per_bin * bins
+                                         + model.query_dim) * 4
 
 
 def params_equal(a, b):

@@ -88,23 +88,17 @@ def plain_log_gamma(x):
     return out
 
 
-def plain_polygamma(x, order):
+def plain_trigamma(x):
     """Upward recurrence plus asymptotic series, as plain formulas."""
     acc = np.zeros_like(x)
     for k in range(int(special._RECURRENCE_CUTOFF)):
-        if order == 0:
-            acc -= 1.0 / (x + k)
-        else:
-            acc += 1.0 / ((x + k) * (x + k))
+        acc += 1.0 / ((x + k) * (x + k))
     y = x + special._RECURRENCE_CUTOFF
     inv = 1.0 / y
     inv2 = inv * inv
     series = np.zeros_like(y)
-    coef = special._DIGAMMA_ASYMPT if order == 0 else special._TRIGAMMA_ASYMPT
-    for c in coef[::-1]:
+    for c in special._TRIGAMMA_ASYMPT[::-1]:
         series = (series + c) * inv2
-    if order == 0:
-        return acc + np.log(y) - 0.5 * inv + series
     return acc + inv + 0.5 * inv2 + series * inv
 
 
@@ -112,8 +106,7 @@ def test_kernels_match_plain_formulas_bitwise():
     x = np.exp(np.random.default_rng(3).uniform(np.log(1e-3), np.log(1e6),
                                                  20_000))
     assert np.array_equal(log_gamma(x), plain_log_gamma(x))
-    assert np.array_equal(digamma(x), plain_polygamma(x, 0))
-    assert np.array_equal(trigamma(x), plain_polygamma(x, 1))
+    assert np.array_equal(trigamma(x), plain_trigamma(x))
 
 
 def test_digamma_is_derivative_of_log_gamma():
