@@ -12,7 +12,7 @@ from .align import GapEntry
 from .embed import MODALITIES, AudioFeatureEmbedder, EmbeddingStore, load_store
 from .metrics import UtteranceEval, si_sdri
 from .reward import modality_vector
-from .rl import RlConfig, TrainItem
+from .rl import RlConfig, TrainItem, embed_reconstructions
 from .separator import SeparatorModel, forward
 from .spectral import (
     Mask,
@@ -171,9 +171,12 @@ def prepare_train_items(
     """Crop each item (fixed, seeded), transform, and build its query and
     its reward target once. The reward's audio embedding is that of the
     target source's reconstruction through its ideal ratio mask, matching
-    how estimates are formed during training."""
-    items = []
-    for rec in dataset.split(split):
+    how estimates are formed during training; equal-length crops are
+    reconstructed and embedded together, ``cfg.batch_size`` at a time, and
+    a silent reconstruction falls back to the item's stored audio vector."""
+    records = dataset.split(split)
+    mixes, masks = [], []
+    for rec in records:
         mix = read_item_wav(dataset, rec, rec["mixture"])
         target_ref = read_item_wav(dataset, rec, rec["references"][0])
         total = len(mix)
@@ -184,16 +187,15 @@ def prepare_train_items(
         mix_crop = Waveform(mix.samples[start : start + segment], mix.sample_rate)
         ref_crop = Waveform(target_ref.samples[start : start + segment],
                             target_ref.sample_rate)
+        mixes.append(stft(mix_crop, stft_cfg))
+        masks.append(ideal_ratio_mask(stft(ref_crop, stft_cfg), mixes[-1]))
+    embeds = embed_reconstructions(dataset.embedder, mixes, masks,
+                                   lambda f, t: cfg.batch_size)
 
-        mix_spec = stft(mix_crop, stft_cfg)
-        ref_spec = stft(ref_crop, stft_cfg)
-        irm = ideal_ratio_mask(ref_spec, mix_spec)
-        ideal_recon = apply_mask_reconstruct(mix_spec, irm)
-        if float(np.max(np.abs(ideal_recon.samples))) == 0.0:
-            target_audio_embed = dataset.store.get("audio", rec["item_id"])
-        else:
-            target_audio_embed = dataset.embedder.embed(ideal_recon)
-
+    items = []
+    for rec, mix_spec, irm, audio in zip(records, mixes, masks, embeds):
+        if audio is None:
+            audio = dataset.store.get("audio", rec["item_id"])
         magnitude = np.abs(mix_spec.bins)
         weight = magnitude / max(magnitude.sum(), 1e-12)
         items.append(
@@ -206,7 +208,7 @@ def prepare_train_items(
                                     rec["item_id"]),
                 reward_target=modality_vector(
                     cfg.reward_mode,
-                    target_audio_embed,
+                    audio,
                     dataset.store.get("text", rec["item_id"]),
                     dataset.store.get("video", rec["item_id"]),
                 ),

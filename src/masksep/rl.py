@@ -128,6 +128,26 @@ class TrainItem:
     bce_weight: np.ndarray
 
 
+def embed_reconstructions(embedder, mixes: list[Spectrogram], masks: list[Mask],
+                          batch_rows) -> list:
+    """The embedding of mask i resynthesized under mixture i's phase, or
+    None where that reconstruction is silent. Mixtures of one shape and
+    length are reconstructed and embedded together, ``batch_rows(F, T)``
+    of them at a time."""
+    out = [None] * len(masks)
+    groups = {}
+    for i, mix in enumerate(mixes):
+        groups.setdefault((mix.bins.shape, mix.num_samples), []).append(i)
+    for ((f, t), _), group in groups.items():
+        size = batch_rows(f, t)
+        for idx in np.split(np.array(group), range(size, len(group), size)):
+            waves = reconstruct([mixes[i] for i in idx], [masks[i] for i in idx])
+            live = np.max(np.abs(waves), axis=1) != 0.0
+            for i, e in zip(idx[live], embedder.embed_rows(waves[live])):
+                out[i] = e
+    return out
+
+
 @dataclass
 class RewardContext:
     """Everything needed to turn reconstructions into scalar rewards."""
@@ -141,20 +161,12 @@ class RewardContext:
         batch. A silent reconstruction scores -1.0, the worst case."""
         pairs = [(item, Mask(m)) for item, stack in zip(items, masks, strict=True)
                  for m in stack]
-        out = np.full(len(pairs), -1.0)
-        batches = {}
-        for i, (item, _) in enumerate(pairs):
-            spec = item.mix_spec
-            batches.setdefault((spec.bins.shape, spec.num_samples), []).append(i)
-        for ((f, t), _), group in batches.items():
-            size = max(1, REWARD_BATCH_BINS // (f * t))
-            for idx in np.split(np.array(group), range(size, len(group), size)):
-                batch_items, batch_masks = zip(*(pairs[i] for i in idx))
-                waves = reconstruct([it.mix_spec for it in batch_items], batch_masks)
-                live = np.max(np.abs(waves), axis=1) != 0.0
-                for i, e in zip(idx[live], self.embedder.embed_rows(waves[live])):
-                    out[i] = cosine_sim(e, pairs[i][0].reward_target)
-        return out
+        embeds = embed_reconstructions(
+            self.embedder, [item.mix_spec for item, _ in pairs],
+            [m for _, m in pairs],
+            lambda f, t: max(1, REWARD_BATCH_BINS // (f * t)))
+        return np.array([-1.0 if e is None else cosine_sim(e, item.reward_target)
+                         for (item, _), e in zip(pairs, embeds)])
 
 
 def normalize_advantages(a, eps: float) -> np.ndarray:

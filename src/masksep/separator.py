@@ -131,16 +131,15 @@ def init_model(
 
 
 def _softplus(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # max(x, 0) + log1p(exp(-|x|)): stable for any magnitude. -|x| is x
-    # with its sign bit set, one pass over an integer view of the same
-    # width (np.copysign is not vectorized and runs several times slower);
-    # max(x, 0) is formed in x itself, which no caller reads afterwards
-    ints = np.dtype(f"i{x.itemsize}")
-    np.bitwise_or(x.view(ints), np.iinfo(ints).min, out=out.view(ints))
+    # max(log1p(exp(min(x, L))), x), with L = ln(largest value) - 1 so
+    # that exp cannot overflow. Above L the log1p term is about L < x, and
+    # softplus(x) rounds to x there, so it is stable at any magnitude; -inf
+    # gives 0 and NaN propagates. Four passes, and x is left as it was.
+    cap = np.log(np.finfo(x.dtype).max) - 1.0
+    np.minimum(x, x.dtype.type(cap), out=out)
     np.exp(out, out)
     np.log1p(out, out)
-    out += np.maximum(x, 0.0, out=x)
-    return out
+    return np.maximum(out, x, out=out)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -204,7 +203,9 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
     pre1 = np.empty((cap, model.hidden_width), dtype=dtype)
     hidden = np.empty_like(pre1)
     pre2 = np.empty(f * t, dtype=dtype)
-    padded = np.pad(log_mag, c // 2)
+    half = c // 2
+    padded = np.zeros((f + 2 * half, t + 2 * half), dtype=dtype)
+    padded[half : half + f, half : half + t] = log_mag
     freq = np.arange(f, dtype=dtype) / max(f - 1, 1)
     for r0, r1 in zip(bounds, bounds[1:]):
         n = (r1 - r0) * t
@@ -251,17 +252,16 @@ def backward(
     d_b2 = d_pre2.sum(keepdims=True)
     # d_pre1 = (d_pre2 @ w2.T) * sigmoid(pre1), with sigmoid(x) =
     # 1 - exp(-softplus(x)) = -expm1(-hidden) read from the cached
-    # activation; einsum forms the rank-1 product with -w2 in one pass,
-    # with the same single product per entry as np.outer or broadcasting
-    d_pre1 = np.einsum("n,h->nh", d_pre2, -model.w2[:, 0])
+    # activation. Its rank-1 factor moves onto the product's operands:
+    # d_pre2 scales the [patch, frequency, 1] rows, -w2 the columns of
+    # the result. One product gives the patch and frequency rows of d_w1
+    # and, from the constant 1, d_b1; the query rows of d_w1 are the
+    # query times d_b1
     sig = np.negative(cache.hidden)
     np.expm1(sig, out=sig)
-    d_pre1 *= sig
-    # one product over [patch, frequency, 1] gives the patch and frequency
-    # rows of d_w1 and, from the constant 1, d_b1; the query rows of d_w1
-    # are the query times d_b1
     n_fixed = model.context * model.context + 1
-    d_fixed = cache.features.T @ d_pre1
+    d_fixed = (cache.features.T * d_pre2) @ sig
+    d_fixed *= -model.w2[:, 0]
     d_b1 = d_fixed[n_fixed]
     d_w1 = np.concatenate([d_fixed[:n_fixed], np.outer(cache.query, d_b1)])
     return ParamGrads(w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2)

@@ -5,7 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from masksep import checkpoint
 from masksep.align import (
     GapEntry,
     HeadSet,
@@ -432,6 +435,70 @@ class TestHeadCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"heads.json: .* no array {name}"):
             load_heads(path)
+
+    @pytest.mark.parametrize("name, value, named", [
+        ("text_weight", np.eye(5), "text_weight has shape (5, 5), expected "
+                                   "(6, 6)"),
+        ("vision_bias", np.zeros(7), "vision_bias has shape (7,), expected "
+                                     "(6,)"),
+        ("audio_bias", np.zeros((6, 1)), "audio_bias has shape (6, 1), not "
+                                         "(dim,)"),
+        ("audio_bias", np.zeros(5), "audio_weight has shape (6, 6), "
+                                    "expected (5, 5)"),
+        ("log_tau", np.array([0.1, 0.2]), "log_tau has shape (2,), expected "
+                                          "(1,)"),
+        ("log_tau", np.array([[0.1]]), "log_tau has shape (1, 1), expected "
+                                       "(1,)"),
+        ("audio_weight", np.eye(6, dtype=np.int64),
+         "audio_weight has dtype int64, not a float type"),
+        ("text_bias", np.full(6, np.nan), "text_bias holds non-finite"),
+        ("log_tau", np.array([np.inf]), "log_tau holds non-finite"),
+    ])
+    def test_unusable_array_is_named(self, tmp_path, name, value, named):
+        path = tmp_path / "heads.json"
+        save_heads(path, HeadSet.identity(6))
+        _, hparams, arrays = checkpoint.load_checkpoint(path)
+        checkpoint.save_checkpoint(path, "alignment_heads", hparams,
+                                   {**arrays, name: value})
+        with pytest.raises(ValueError) as err:
+            load_heads(path)
+        assert str(err.value).startswith(f"{path}: array {named}")
+
+    # positions favour the last 400 bytes, where the sorted keys put the
+    # container, hparams, kind and version
+    @settings(max_examples=50, derandomize=True, database=None,
+              deadline=None)
+    @given(cut=st.none() | st.integers(-400, 1 << 16),
+           flips=st.lists(st.tuples(st.integers(-400, 1 << 16),
+                                    st.integers(0, 255)), max_size=3))
+    def test_fuzzed_heads_load_or_are_named(self, heads_file, cut, flips):
+        data = heads_file.read_bytes()
+        out = bytearray(data if cut is None else data[: cut % (len(data) + 1)])
+        for pos, value in flips:
+            if out:
+                out[pos % len(out)] = value
+        path = heads_file.with_name("fuzz.json")
+        path.write_bytes(bytes(out))
+        try:
+            heads = load_heads(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            dim = heads.audio.bias.shape
+            for head in (heads.audio, heads.text, heads.vision):
+                assert head.weight.shape == dim * 2 and head.bias.shape == dim
+                assert np.isfinite(head.weight).all()
+                assert np.isfinite(head.bias).all()
+            assert np.isfinite(heads.temperature.log_tau)
+
+
+@pytest.fixture(scope="module")
+def heads_file(tmp_path_factory):
+    heads = HeadSet.identity(4, tau_init=0.3)
+    heads.text.weight[1, 2] = -0.25
+    path = tmp_path_factory.mktemp("heads") / "heads.json"
+    save_heads(path, heads)
+    return path
 
 
 class TestDiscriminationGap:

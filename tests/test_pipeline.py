@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from masksep import pipeline, rl
+from masksep.reward import modality_vector
 from masksep.separator import init_model
-from masksep.spectral import StftConfig
+from masksep.spectral import Mask, StftConfig, Waveform, apply_mask_reconstruct
 from masksep.synthdata import build_dataset
+from masksep.wavio import read_wav, write_wav
 
 STFT = StftConfig(512, 128, 512)
 
@@ -92,6 +94,40 @@ class TestPrepareTrainItems:
             items = pipeline.prepare_train_items(dataset, "val", cfg, STFT)
             expected = dataset.store.get(mode, rec["item_id"])
             assert np.array_equal(items[0].reward_target, expected)
+
+    def test_batched_reward_targets_match_one_item_builds(self, dataset):
+        # batch_size 3 splits the crops into several batches; each target
+        # must be the bytes of its item's reconstruction embedded alone
+        cfg = rl.RlConfig(segment_samples=4096, seed=1, batch_size=3)
+        items = pipeline.prepare_train_items(dataset, "train", cfg, STFT)
+        assert len(items) > 2 * cfg.batch_size
+        for item in items:
+            alone = dataset.embedder.embed(
+                apply_mask_reconstruct(item.mix_spec, Mask(item.ideal_mask)))
+            expected = modality_vector(
+                cfg.reward_mode, alone,
+                dataset.store.get("text", item.item_id),
+                dataset.store.get("video", item.item_id))
+            assert item.reward_target.tobytes() == expected.tobytes()
+
+    def test_silent_target_falls_back_to_stored_audio(self, dataset,
+                                                      tmp_path):
+        root = tmp_path / "ds"
+        shutil.copytree(dataset.root, root)
+        rec = dataset.split("train")[1]
+        ref = read_wav(root / rec["references"][0])
+        write_wav(root / rec["references"][0],
+                  Waveform(np.zeros_like(ref.samples), ref.sample_rate))
+        silent = pipeline.load_dataset(root)
+        cfg = rl.RlConfig(segment_samples=4096, seed=1, batch_size=2,
+                          reward_mode="audio")
+        items = pipeline.prepare_train_items(silent, "train", cfg, STFT)
+        assert np.array_equal(items[1].reward_target,
+                              silent.store.get("audio", rec["item_id"]))
+        others = pipeline.prepare_train_items(dataset, "train", cfg, STFT)
+        for i in (0, 2, 3):
+            assert np.array_equal(items[i].reward_target,
+                                  others[i].reward_target)
 
     def test_segment_shorter_than_window_rejected(self, dataset):
         cfg = rl.RlConfig(segment_samples=256)

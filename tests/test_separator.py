@@ -19,6 +19,7 @@ from masksep.optim import AdamWState, adamw_step, clip_by_global_norm
 from masksep.separator import (
     ParamGrads,
     _slab_rows,
+    _softplus,
     apply_adamw_step,
     backward,
     forward,
@@ -264,22 +265,23 @@ def plain_forward(model, log_mag, query):
     w_eff = np.vstack([model.w1[:n_fixed],
                        q @ model.w1[n_fixed:] + model.b1])
     pre1 = features @ w_eff
-    hidden = np.maximum(pre1, 0.0) + np.log1p(np.exp(-np.abs(pre1)))
+    cap = dtype.type(np.log(np.finfo(dtype).max) - 1.0)
+    hidden = np.maximum(np.log1p(np.exp(np.minimum(pre1, cap))), pre1)
     proposal = _head(model, hidden)
     return proposal.reshape(np.shape(log_mag)), features, hidden
 
 
 def plain_backward(model, features, hidden, proposal, query, upstream):
     """The straightforward gradients backward() must reproduce bit for bit:
-    the sigmoid is -expm1(-hidden), d_b1 is the constant-1 row of the
-    first-layer product and the query rows are outer(query, d_b1)."""
+    the sigmoid is -expm1(-hidden), whose rank-1 factor d_pre2 x w2 is
+    split between the features (rows) and the product's columns; d_b1 is
+    the constant-1 row of that product and the query rows are
+    outer(query, d_b1)."""
     dtype = model.w1.dtype
     up = np.asarray(upstream, dtype=dtype).reshape(-1)
     p = proposal.reshape(-1)
     d_pre2 = up * p * (1.0 - p)
-    d_hidden = d_pre2[:, None] * model.w2[:, 0]
-    d_pre1 = d_hidden * -np.expm1(-hidden)
-    d_fixed = features.T @ d_pre1
+    d_fixed = ((features.T * d_pre2) @ np.expm1(-hidden)) * -model.w2[:, 0]
     d_b1 = d_fixed[-1]
     d_w1 = np.vstack([d_fixed[:-1],
                       np.outer(np.asarray(query, dtype=dtype), d_b1)])
@@ -370,6 +372,39 @@ class TestKernelsMatchPlainFormulas:
         per_bin = model.context ** 2 + 2 + model.hidden_width + 1
         assert sum(buffers.values()) <= (per_bin * bins
                                          + model.query_dim) * 4
+
+
+# both signs of every scale: underflow, the float32 and float64 exp
+# limits (about 88.7 and 709.8), overflow, the infinities and NaN
+SOFTPLUS_EXTREMES = [-np.inf, -1e4, -200.0, -90.0, -20.0, 0.0, 20.0, 90.0,
+                     200.0, 1e4, np.inf, np.nan]
+
+
+class TestSoftplusExtremes:
+    # a RuntimeWarning, such as an overflow in exp, fails these tests
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stable_at_any_magnitude(self, dtype):
+        x = np.array(SOFTPLUS_EXTREMES, dtype=dtype)
+        arg = x.copy()
+        got = _softplus(arg, out=np.empty_like(x))
+        assert got.dtype == dtype
+        assert np.array_equal(arg, x, equal_nan=True)
+        assert got[0] == 0.0 and np.isnan(got[-1])
+        ordered = got[:-1]
+        assert np.all(ordered >= 0.0) and np.all(np.diff(ordered) >= 0.0)
+        above = x > np.log(np.finfo(dtype).max) - 1.0
+        assert above.sum() >= 2
+        assert np.array_equal(got[above], x[above])
+
+    @pytest.mark.parametrize("keep_cache", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_huge_grid_gives_finite_proposals(self, dtype, keep_cache):
+        model, log_mag, query, _ = training_crop(dtype)
+        proposal, _ = forward(model, log_mag * 1e6, query,
+                              keep_cache=keep_cache)
+        assert np.all(np.isfinite(proposal))
+        assert proposal.min() >= 0.0 and proposal.max() <= 1.0
 
 
 def params_equal(a, b):
