@@ -18,7 +18,7 @@ VERSION = 1
 
 
 def _encode_array(arr: np.ndarray) -> dict:
-    arr = np.ascontiguousarray(arr)
+    arr = np.asarray(arr, order="C")
     le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
     return {
         "dtype": le.dtype.str,

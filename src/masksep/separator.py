@@ -131,22 +131,30 @@ def init_model(
 
 
 def _softplus(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # max(log1p(exp(min(x, L))), x), with L = ln(largest value) - 1 so
-    # that exp cannot overflow. Above L the log1p term is about L < x, and
-    # softplus(x) rounds to x there, so it is stable at any magnitude; -inf
-    # gives 0 and NaN propagates. Four passes, and x is left as it was.
-    cap = np.log(np.finfo(x.dtype).max) - 1.0
-    np.minimum(x, x.dtype.type(cap), out=out)
-    np.exp(out, out)
+    # log1p(exp(x)), then x itself wherever x > L = ln(largest value) - 1:
+    # there exp may overflow to inf, and softplus(x) rounds to x. Below L
+    # this is bitwise max(log1p(exp(min(x, L))), x), since the log1p term
+    # exceeds x by more than rounding. One reduction decides whether any
+    # bin needs the fix-up (an F x 0 grid has no max); NaN takes that
+    # branch and stays NaN, -inf gives 0, and x is left as it was.
+    cap = x.dtype.type(np.log(np.finfo(x.dtype).max) - 1.0)
+    with np.errstate(over="ignore"):
+        np.exp(x, out)
     np.log1p(out, out)
-    return np.maximum(out, x, out=out)
+    if x.size and not x.max() <= cap:
+        np.copyto(out, x, where=x > cap)
+    return out
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp may overflow for very negative inputs; the result saturates to
-    # exactly 0 there, which is the right limit
+    # 1 / (1 + exp(-x)) in place, with no temporaries; exp may overflow for
+    # very negative inputs, and the result saturates to exactly 0 there,
+    # which is the right limit
+    np.negative(x, out=x)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(x, out=x)
+    x += 1.0
+    return np.reciprocal(x, out=x)
 
 
 def _slab_rows(f: int, t: int) -> int:
@@ -166,7 +174,7 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
     proposal is bitwise the same either way.
     """
     dtype = model.w1.dtype
-    log_mag = np.asarray(log_mag, dtype=dtype)
+    log_mag = np.asarray(log_mag)
     query = np.array(query, dtype=dtype)
     if log_mag.ndim != 2:
         raise ValueError(f"log_mag must be F x T, got shape {log_mag.shape}")

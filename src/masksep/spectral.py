@@ -253,4 +253,5 @@ def ideal_ratio_mask(target: Spectrogram, mix: Spectrogram,
 
 def log_compress(s: Spectrogram) -> np.ndarray:
     """ln(1 + |X|), the separator's input representation."""
-    return np.log1p(np.abs(s.bins))
+    mag = np.abs(s.bins)
+    return np.log1p(mag, out=mag)

@@ -375,9 +375,11 @@ class TestKernelsMatchPlainFormulas:
 
 
 # both signs of every scale: underflow, the float32 and float64 exp
-# limits (about 88.7 and 709.8), overflow, the infinities and NaN
-SOFTPLUS_EXTREMES = [-np.inf, -1e4, -200.0, -90.0, -20.0, 0.0, 20.0, 90.0,
-                     200.0, 1e4, np.inf, np.nan]
+# limits (about 88.7 and 709.8), overflow, the infinities and NaN. 88.0
+# (float32) and 709.0 (float64) lie above L = ln(dtype max) - 1, where
+# softplus returns x, but below the limit, where exp does not overflow
+SOFTPLUS_EXTREMES = [-np.inf, -1e4, -200.0, -90.0, -20.0, 0.0, 20.0, 88.0,
+                     90.0, 200.0, 709.0, 1e4, np.inf, np.nan]
 
 
 class TestSoftplusExtremes:
@@ -396,6 +398,17 @@ class TestSoftplusExtremes:
         above = x > np.log(np.finfo(dtype).max) - 1.0
         assert above.sum() >= 2
         assert np.array_equal(got[above], x[above])
+
+    @pytest.mark.parametrize("dtype, lo, hi", [(np.float32, -120.0, 12.0),
+                                               (np.float64, -800.0, 30.0)])
+    def test_dense_grid_matches_four_passes(self, dtype, lo, hi):
+        # plain_forward's max(log1p(exp(min(x, L))), x), bit for bit, from
+        # exp's underflow to where softplus(x) - x is a few ulps
+        x = np.linspace(lo, hi, 2_000_001).astype(dtype)
+        cap = dtype(np.log(np.finfo(dtype).max) - 1.0)
+        want = np.maximum(np.log1p(np.exp(np.minimum(x, cap))), x)
+        got = _softplus(x, out=np.empty_like(x))
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("keep_cache", [True, False])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -523,6 +536,21 @@ class TestCheckpoint:
         again = tmp_path / "again.json"
         save_model(again, load_model(path))
         assert again.read_bytes() == data
+
+    def test_container_keeps_every_shape(self, tmp_path):
+        from masksep.checkpoint import load_checkpoint, save_checkpoint
+
+        arrays = {"scalar": np.array(0.5), "empty": np.zeros(0, np.float32),
+                  "row": np.arange(3, dtype=np.int64),
+                  "transposed": np.arange(6.0).reshape(2, 3).T}
+        path = tmp_path / "shapes.json"
+        save_checkpoint(path, "shapes", {}, arrays)
+        _, _, loaded = load_checkpoint(path)
+        assert loaded["scalar"].shape == ()
+        for name, arr in arrays.items():
+            assert loaded[name].dtype == arr.dtype, name
+            assert loaded[name].shape == arr.shape, name
+            assert np.array_equal(loaded[name], arr), name
 
     def test_kind_mismatch_rejected(self, tmp_path):
         from masksep.checkpoint import save_checkpoint
