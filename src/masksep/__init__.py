@@ -20,6 +20,9 @@ Subpackage map:
 - ``metrics``    SI-SDR / SI-SDRi, permutation assignment, SDR/SIR/SAR
 - ``synthdata``  seeded synthetic dataset generation
 - ``pipeline``   dataset loading and item preparation for training/eval
+- ``checkpoint`` the checkpoint container, and the one checked reader every
+                 checkpoint kind loads through
+- ``errors``     shared exception types and the config value check
 - ``cli``        command-line entry points
 """
 

@@ -539,38 +539,22 @@ def save_heads(path, heads: HeadSet) -> None:
     )
 
 
+def _head_shapes(dim) -> dict:
+    """Each head's (dim, dim) weight and (dim,) bias, then log_tau's (1,)."""
+    shapes = {}
+    for head in HEAD_OF_MODALITY.values():
+        shapes[f"{head}_weight"], shapes[f"{head}_bias"] = (dim, dim), (dim,)
+    return {**shapes, "log_tau": (1,)}
+
+
 def load_heads(path) -> HeadSet:
-    """Load alignment heads; ValueError naming the path and the array when
-    one is missing, is not a finite float array, or has a shape that does
-    not fit the audio bias's (dim,) or, for log_tau, (1,)."""
-    kind, _, arrays = checkpoint.load_checkpoint(path)
-    if kind != "alignment_heads":
-        raise ValueError(f"{path} holds a {kind!r} checkpoint, not alignment heads")
-    names = ("audio_weight", "audio_bias", "text_weight", "text_bias",
-             "vision_weight", "vision_bias", "log_tau")
-    for name in names:
-        if name not in arrays:
-            raise ValueError(
-                f"{path}: alignment heads checkpoint has no array {name}")
-        if arrays[name].dtype.kind != "f":
-            raise ValueError(f"{path}: array {name} has dtype "
-                             f"{arrays[name].dtype}, not a float type")
-        if not np.isfinite(arrays[name]).all():
-            raise ValueError(f"{path}: array {name} holds non-finite values")
-    dim = arrays["audio_bias"].shape
-    if len(dim) != 1:
-        raise ValueError(f"{path}: array audio_bias has shape {dim}, not "
-                         f"(dim,)")
-    for name in names:
-        shape = ((1,) if name == "log_tau" else
-                 dim * 2 if name.endswith("_weight") else dim)
-        if arrays[name].shape != shape:
-            raise ValueError(f"{path}: array {name} has shape "
-                             f"{arrays[name].shape}, expected {shape}")
+    """Load alignment heads through checkpoint.load_checked, with the
+    shapes the ``dim`` hparam gives."""
+    _, arrays = checkpoint.load_checked(path, "alignment_heads",
+                                        {"dim": int}, _head_shapes)
     return HeadSet(
-        audio=ProjectionHead(arrays["audio_weight"], arrays["audio_bias"]),
-        text=ProjectionHead(arrays["text_weight"], arrays["text_bias"]),
-        vision=ProjectionHead(arrays["vision_weight"], arrays["vision_bias"]),
+        **{head: ProjectionHead(arrays[f"{head}_weight"], arrays[f"{head}_bias"])
+           for head in HEAD_OF_MODALITY.values()},
         temperature=Temperature(log_tau=float(arrays["log_tau"][0])),
     )
 

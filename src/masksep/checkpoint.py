@@ -2,13 +2,17 @@
 
 Round-trips are bit-exact because array payloads are the little-endian raw
 bytes, not decimal renderings. The same container holds separator models,
-alignment heads and audio-embedder parameters, distinguished by ``kind``.
+alignment heads and audio-embedder parameters, distinguished by ``kind``,
+and every one of them is read through ``load_checked``: each kind declares
+its hparams and the array shapes they give, and the rules for a usable
+checkpoint are stated once, here.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -80,3 +84,52 @@ def load_checkpoint(path):
                 f"{path}: array {name!r} is corrupt ({exc!r})"
             ) from None
     return payload["kind"], payload["hparams"], arrays
+
+
+def load_checked(path, kind: str, hparams: dict, shapes):
+    """(hparams, arrays) of the ``kind`` checkpoint at ``path``; ValueError
+    names the path and the hparam or array at fault. ``hparams`` maps each
+    hparam to int or float (an integer is read as a float there): it must
+    be there, of that type, positive and finite. ``shapes(**hparams)``
+    gives each array's shape, in order, or a ValueError for a rule of the
+    kind's own. Each array must be there, float32 or float64 like the
+    first, of its shape and finite."""
+    found, raw, arrays = load_checkpoint(path)
+    noun = kind.replace("_", " ")
+    if found != kind:
+        raise ValueError(f"{path} holds a {found!r} checkpoint, not {kind!r}")
+    values = {}
+    for key, wanted in hparams.items():
+        if key not in raw:
+            raise ValueError(f"{path}: {noun} checkpoint has no hparam {key}")
+        value = raw[key]
+        if (type(value) not in ((int, float) if wanted is float else (int,))
+                or not 0 < value < math.inf):
+            raise ValueError(
+                f"{path}: hparam {key} is {value!r}, not a positive finite "
+                f"{'number' if wanted is float else 'integer'}"
+            )
+        values[key] = wanted(value)
+    try:
+        expected = shapes(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    checked = {}
+    for name, shape in expected.items():
+        if name not in arrays:
+            raise ValueError(f"{path}: {noun} checkpoint has no array {name}")
+        arr = arrays[name]
+        first = next(iter(checked.values()), arr)
+        if arr.dtype not in (np.float32, np.float64):
+            raise ValueError(f"{path}: array {name} has dtype {arr.dtype}, "
+                             f"not float32 or float64")
+        if arr.dtype != first.dtype:
+            raise ValueError(f"{path}: array {name} has dtype {arr.dtype}, "
+                             f"not {first.dtype} like the arrays before it")
+        if arr.shape != shape:
+            raise ValueError(f"{path}: array {name} has shape {arr.shape}, "
+                             f"expected {shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: array {name} holds non-finite values")
+        checked[name] = arr
+    return values, checked

@@ -115,6 +115,12 @@ def _check_mixtures(dataset: pipeline.Dataset, name: str,
                               f"window_size {stft_cfg.window_size}")
 
 
+def _check_query_dim(checkpoint, model, dim: int, source) -> None:
+    if model.query_dim != dim:
+        raise ConfigError(f"{checkpoint}: query_dim {model.query_dim} is not "
+                          f"the dimension {dim} of {source}")
+
+
 _STFT_DEFAULTS = {"fft_size": 1024, "hop": 256, "window_size": 1024}
 
 
@@ -386,6 +392,8 @@ def cmd_separate(args) -> int:
             raise ConfigError(f"{cfg['mixture']}: waveform too short: {len(mix)} "
                               f"samples < window_size {stft_cfg.window_size}")
         query = _load_query(cfg["query"], dataset)
+        _check_query_dim(cfg["checkpoint"], model, query.size,
+                         f"the query {cfg['query']}")
         est = pipeline.separate_waveform(model, mix, query, stft_cfg)
         out_path = Path(cfg["out"])
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -396,6 +404,8 @@ def cmd_separate(args) -> int:
     if cfg["dataset"] is None:
         raise ConfigError("separate needs --mixture or --dataset")
     dataset = pipeline.load_dataset(cfg["dataset"])
+    _check_query_dim(cfg["checkpoint"], model, dataset.store.dimension,
+                     dataset.root / "embeddings.embd")
     _check_split(dataset, cfg["split"])
     _check_mixtures(dataset, cfg["split"], stft_cfg)
     out = Path(cfg["out"])
@@ -505,9 +515,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (DivergenceError, NonFiniteGradientError) as exc:
         print(f"run diverged: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -361,45 +361,19 @@ class AudioFeatureEmbedder:
 
     @classmethod
     def load(cls, path) -> "AudioFeatureEmbedder":
-        """Load an embedder checkpoint; ValueError naming the path and the
-        hparam or array when one is missing, an hparam is not a positive
-        finite number (an integer where the field is one), the hparams give
-        no valid STFT, or the projection is not dim x (n_bands + 3) or holds
-        a non-finite value."""
-        kind, hparams, arrays = checkpoint.load_checkpoint(path)
-        if kind != "audio_embedder":
-            raise ValueError(f"{path} holds a {kind!r} checkpoint")
-        values = {}
-        for key in ("dim", "sample_rate", "n_bands", "fft_size", "hop", "fmin"):
-            if key not in hparams:
-                raise ValueError(
-                    f"{path}: audio embedder checkpoint has no hparam {key}")
-            value = hparams[key]
-            wanted = (int, float) if key == "fmin" else (int,)
-            if type(value) not in wanted or not 0 < value < np.inf:
-                raise ValueError(
-                    f"{path}: hparam {key} is {value!r}, not a positive finite "
-                    f"{'number' if key == 'fmin' else 'integer'}"
-                )
-            values[key] = float(value) if key == "fmin" else value
-        try:
-            _feature_layout(values["sample_rate"], values["n_bands"],
-                            values["fft_size"], values["hop"], values["fmin"])
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        embedder = cls(**values, projection=arrays.get("projection"))
-        projection = embedder.projection
-        if projection is None:
-            raise ValueError(
-                f"{path}: audio embedder checkpoint has no array projection")
-        if projection.shape != (embedder.dim, embedder.feature_dim):
-            raise ValueError(
-                f"{path}: array projection has shape {projection.shape}, but the "
-                f"hparams give {(embedder.dim, embedder.feature_dim)}"
-            )
-        if not np.isfinite(projection).all():
-            raise ValueError(f"{path}: array projection holds non-finite values")
-        return embedder
+        """Load an embedder checkpoint through checkpoint.load_checked."""
+
+        def shapes(dim, sample_rate, n_bands, fft_size, hop, fmin):
+            # the hparams must give a valid STFT
+            _feature_layout(sample_rate, n_bands, fft_size, hop, fmin)
+            return {"projection": (dim, n_bands + cls.N_EXTRA)}
+
+        values, arrays = checkpoint.load_checked(
+            path, "audio_embedder",
+            {"dim": int, "sample_rate": int, "n_bands": int, "fft_size": int,
+             "hop": int, "fmin": float},
+            shapes)
+        return cls(**values, **arrays)
 
 
 @dataclass

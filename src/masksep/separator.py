@@ -135,13 +135,13 @@ def _softplus(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     # there exp may overflow to inf, and softplus(x) rounds to x. Below L
     # this is bitwise max(log1p(exp(min(x, L))), x), since the log1p term
     # exceeds x by more than rounding. One reduction decides whether any
-    # bin needs the fix-up (an F x 0 grid has no max); NaN takes that
-    # branch and stays NaN, -inf gives 0, and x is left as it was.
+    # bin needs the fix-up; NaN takes that branch and stays NaN, -inf
+    # gives 0, and x is left as it was.
     cap = x.dtype.type(np.log(np.finfo(x.dtype).max) - 1.0)
     with np.errstate(over="ignore"):
         np.exp(x, out)
     np.log1p(out, out)
-    if x.size and not x.max() <= cap:
+    if not x.max() <= cap:
         np.copyto(out, x, where=x > cap)
     return out
 
@@ -176,8 +176,9 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
     dtype = model.w1.dtype
     log_mag = np.asarray(log_mag)
     query = np.array(query, dtype=dtype)
-    if log_mag.ndim != 2:
-        raise ValueError(f"log_mag must be F x T, got shape {log_mag.shape}")
+    if log_mag.ndim != 2 or 0 in log_mag.shape:
+        raise ValueError(f"log_mag must be a non-empty F x T grid, got shape "
+                         f"{log_mag.shape}")
     if query.shape != (model.query_dim,):
         raise ValueError(
             f"query dimension {query.shape} does not match model "
@@ -310,49 +311,26 @@ def save_model(path, model: SeparatorModel) -> None:
     )
 
 
+def _shapes(context, hidden_width, query_dim, k_sources) -> dict:
+    """The array shapes a separator checkpoint's hparams give; ValueError
+    for more than one output column or an even context (see init_model)."""
+    if k_sources != 1:
+        raise ValueError(f"hparam k_sources is {k_sources}, not 1")
+    if context % 2 == 0:
+        raise ValueError(f"hparam context is {context}, not odd")
+    return {"w1": (context * context + 1 + query_dim, hidden_width),
+            "b1": (hidden_width,), "w2": (hidden_width, 1), "b2": (1,)}
+
+
 def load_model(path) -> SeparatorModel:
-    """Load a separator checkpoint; ValueError naming the path and the
-    hparam or array when one is missing, an hparam is not an integer,
-    k_sources is not 1, or an array's shape disagrees with the hparams, is
-    not float32 or float64 like w1, or holds a non-finite value."""
-    kind, hparams, arrays = checkpoint.load_checkpoint(path)
-    if kind != "separator":
-        raise ValueError(f"{path} holds a {kind!r} checkpoint, not a separator")
-    dims = {}
-    for key in ("context", "hidden_width", "query_dim", "k_sources"):
-        if key not in hparams:
-            raise ValueError(f"{path}: separator checkpoint has no hparam {key}")
-        if type(hparams[key]) is not int:
-            raise ValueError(
-                f"{path}: hparam {key} is {hparams[key]!r}, not an integer"
-            )
-        dims[key] = hparams[key]
-    if dims.pop("k_sources") != 1:
-        raise ValueError(f"{path}: hparam k_sources is {hparams['k_sources']}, "
-                         f"not 1")
-    model = SeparatorModel(**{name: arrays.get(name) for name in PARAM_NAMES},
-                           **dims)
-    hidden = model.hidden_width
-    expected = {"w1": (model.input_dim, hidden), "b1": (hidden,),
-                "w2": (hidden, 1), "b2": (1,)}
-    for name, shape in expected.items():
-        arr = getattr(model, name)
-        if arr is None:
-            raise ValueError(f"{path}: separator checkpoint has no array {name}")
-        if arr.shape != shape:
-            raise ValueError(
-                f"{path}: array {name} has shape {arr.shape}, but the hparams "
-                f"give {shape}"
-            )
-        if arr.dtype != model.w1.dtype or arr.dtype not in (np.float32,
-                                                            np.float64):
-            raise ValueError(
-                f"{path}: array {name} has dtype {arr.dtype}, expected float32 "
-                f"or float64 like w1"
-            )
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{path}: array {name} holds non-finite values")
-    return model
+    """Load a separator checkpoint through checkpoint.load_checked."""
+    dims, arrays = checkpoint.load_checked(
+        path, "separator",
+        dict.fromkeys(("context", "hidden_width", "query_dim", "k_sources"),
+                      int),
+        _shapes)
+    del dims["k_sources"]
+    return SeparatorModel(**arrays, **dims)
 
 
 def warm_start_supervised(

@@ -441,16 +441,16 @@ class TestHeadCheckpoint:
                                    "(6, 6)"),
         ("vision_bias", np.zeros(7), "vision_bias has shape (7,), expected "
                                      "(6,)"),
-        ("audio_bias", np.zeros((6, 1)), "audio_bias has shape (6, 1), not "
-                                         "(dim,)"),
-        ("audio_bias", np.zeros(5), "audio_weight has shape (6, 6), "
-                                    "expected (5, 5)"),
+        ("audio_bias", np.zeros((6, 1)), "audio_bias has shape (6, 1), "
+                                         "expected (6,)"),
+        ("audio_bias", np.zeros(5), "audio_bias has shape (5,), expected "
+                                    "(6,)"),
         ("log_tau", np.array([0.1, 0.2]), "log_tau has shape (2,), expected "
                                           "(1,)"),
         ("log_tau", np.array([[0.1]]), "log_tau has shape (1, 1), expected "
                                        "(1,)"),
         ("audio_weight", np.eye(6, dtype=np.int64),
-         "audio_weight has dtype int64, not a float type"),
+         "audio_weight has dtype int64, not float32 or float64"),
         ("text_bias", np.full(6, np.nan), "text_bias holds non-finite"),
         ("log_tau", np.array([np.inf]), "log_tau holds non-finite"),
     ])

@@ -25,7 +25,7 @@ from masksep.embed import (
     load_store,
     save_store,
 )
-from masksep.separator import load_model
+from masksep.separator import init_model, load_model, save_model
 from masksep.spectral import Waveform
 from masksep.wavio import write_wav
 
@@ -593,6 +593,7 @@ class TestSeparate:
         ("hparams", "k_sources", 2, "hparam k_sources is 2, not 1"),
         ("arrays", "b2", None, "array b2"),
         ("hparams", "context", None, "hparam context"),
+        ("hparams", "context", -5, "hparam context is -5"),
     ])
     def test_checkpoint_disagreeing_with_hparams_is_config_error(
             self, small_dataset, trained_run, tmp_path, capsys, section, key,
@@ -613,6 +614,36 @@ class TestSeparate:
         assert code == 2
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert str(ckpt) in err and named in err
+        assert not (tmp_path / "sep").exists()
+
+    @pytest.mark.parametrize("mode", ["dataset", "mixture"])
+    def test_query_dim_mismatch_writes_nothing(self, small_dataset,
+                                               trained_run, tmp_path, capsys,
+                                               mode):
+        if mode == "dataset":
+            # an 8-dim checkpoint on the 16-dim store
+            ckpt = tmp_path / "q8.json"
+            save_model(ckpt, init_model(np.random.default_rng(0), context=3,
+                                        hidden_width=4, query_dim=8))
+            source = small_dataset / "embeddings.embd"
+            inputs = ["--dataset", str(small_dataset)]
+        else:
+            rec = json.loads(
+                (small_dataset / "manifest.jsonl").read_text().splitlines()[0]
+            )
+            ckpt = trained_run / "checkpoints" / "best.json"
+            source = tmp_path / "query.json"
+            source.write_text(json.dumps([0.5] * 5))
+            inputs = ["--mixture", str(small_dataset / rec["mixture"]),
+                      "--query", str(source)]
+        out = tmp_path / "est"
+        code = main(["separate", "--checkpoint", str(ckpt), *inputs,
+                     "--out", str(out if mode == "dataset" else out / "x.wav")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert str(ckpt) in err and str(source) in err and "query_dim" in err
+        assert not out.exists()
 
     def test_unknown_query_modality_writes_nothing(self, small_dataset,
                                                    trained_run, tmp_path,
@@ -920,7 +951,6 @@ class TestCorruptFiles:
         assert_clean_or_named(code, err, ckpt)
 
     def test_non_finite_weight_is_named(self, corrupt_case):
-        from masksep.separator import save_model
         model = load_model(corrupt_case["checkpoint"])
         model.b2[0] = np.nan
         ckpt = corrupt_case["dir"] / "nan.json"

@@ -74,6 +74,15 @@ class TestForward:
         with pytest.raises(ValueError, match="query"):
             forward(m, log_mag, np.zeros(7))
 
+    @pytest.mark.parametrize("keep_cache", [True, False])
+    @pytest.mark.parametrize("shape", [(0, 9), (513, 0)], ids=["0x9", "513x0"])
+    def test_empty_grid_is_named(self, shape, keep_cache):
+        with pytest.raises(ValueError) as err:
+            forward(small_model(), np.zeros(shape), np.zeros(4),
+                    keep_cache=keep_cache)
+        assert str(err.value) == (f"log_mag must be a non-empty F x T grid, "
+                                  f"got shape {shape}")
+
     @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.complex128])
     def test_init_rejects_other_dtypes(self, dtype):
         # the parameter dtypes load_model accepts are the only ones
