@@ -280,38 +280,40 @@ class AudioFeatureEmbedder:
     def feature_dim(self) -> int:
         return self.n_bands + self.N_EXTRA
 
-    def features(self, x: np.ndarray) -> list[np.ndarray]:
-        """The features of each row of an (N, L) sample stack, from one STFT
-        of all N. Each row reduces an F x T view laid out as ``stft``'s
-        bins are, so every sum keeps the order of a lone waveform's."""
+    def features(self, x: np.ndarray) -> np.ndarray:
+        """The (N, feature_dim) features of an (N, L) sample stack, from one
+        STFT of all N. Each reduction runs over the whole (N, T, F)
+        magnitude stack, along the axes of a lone waveform's F x T grid,
+        so every row keeps a lone waveform's summation order; the band
+        sums are one bincount per row."""
         if x.shape[1] < self.fft_size:
             raise ValueError(f"waveform too short for the embedder: {x.shape[1]} "
                              f"< {self.fft_size}")
         cfg, freqs, band_idx = _feature_layout(
             self.sample_rate, self.n_bands, self.fft_size, self.hop, self.fmin
         )
-        rows = []
-        for frame_mag in np.abs(analyze(x, cfg)):
-            mag = frame_mag.T
-            power = mag**2
-            total = power.sum()
-            if total <= 0.0:
-                raise ValueError("cannot embed a zero-energy waveform")
+        mag = np.abs(analyze(x, cfg))
+        power = mag**2
+        total = power.sum(axis=(1, 2))
+        if (total <= 0.0).any():
+            raise ValueError("cannot embed a zero-energy waveform")
 
-            per_freq = power.sum(axis=1)
-            bands = np.bincount(band_idx, weights=per_freq, minlength=self.n_bands)
-            band_frac = bands / total
+        per_freq = power.sum(axis=1)
+        out = np.empty((len(x), self.feature_dim))
+        nb = self.n_bands
+        for row, weights in zip(out, per_freq):
+            row[:nb] = np.bincount(band_idx, weights=weights, minlength=nb)
+        out[:, :nb] /= total[:, None]
 
-            frame_norm = np.linalg.norm(mag, axis=0)
-            diff = np.linalg.norm(np.diff(mag, axis=1), axis=0)
-            denom = frame_norm[1:] + frame_norm[:-1]
-            flux = np.divide(diff, denom, out=np.zeros_like(diff), where=denom > 0.0)
-            centroid = (float((freqs * per_freq).sum() / total)
-                        / (self.sample_rate / 2.0))
-            rows.append(np.concatenate(
-                [band_frac, [float(flux.mean()), float(flux.std()), centroid]]
-            ))
-        return rows
+        frame_norm = np.linalg.norm(mag, axis=2)
+        diff = np.linalg.norm(np.diff(mag, axis=1), axis=2)
+        denom = frame_norm[:, 1:] + frame_norm[:, :-1]
+        flux = np.divide(diff, denom, out=np.zeros_like(diff), where=denom > 0.0)
+        out[:, nb] = flux.mean(axis=1)
+        out[:, nb + 1] = flux.std(axis=1)
+        out[:, nb + 2] = ((freqs * per_freq).sum(axis=1) / total
+                          / (self.sample_rate / 2.0))
+        return out
 
     def calibrate(self, prototypes, targets: dict, ridge: float = 1e-3) -> None:
         """Fit the linear projection so prototype features map onto the

@@ -16,6 +16,7 @@ first use and shared by every evaluation of the same policy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,18 +28,20 @@ SAMPLE_CLAMP = 1e-5
 @dataclass(frozen=True)
 class BetaPolicyParams:
     """Per-bin proposal P and one scalar concentration kappa; kappa = 0 is
-    the uniform Beta(1, 1). ``alpha`` and ``beta`` are derived once.
+    the uniform Beta(1, 1).
 
-    The digamma, trigamma and log-gamma tables that log-density, entropy,
-    KL and the gradients read are built on first use and cached on the
-    instance. Each family is one vectorized call over the stacked (alpha,
-    beta, [2 + kappa]); the results are bitwise those of separate calls,
-    since the functions are elementwise."""
+    (alpha, beta, 2 + kappa) are built once into one float64 buffer of
+    2n + 1 entries; ``alpha`` and ``beta`` are views of it. The digamma,
+    trigamma and log-gamma tables that log-density, entropy, KL and the
+    gradients read are built on first use and cached on the instance. Each
+    family is one vectorized call over that buffer; the results are bitwise
+    those of separate calls, since the functions are elementwise."""
 
     proposal: np.ndarray
     kappa: float
     alpha: np.ndarray = field(init=False, repr=False, compare=False)
     beta: np.ndarray = field(init=False, repr=False, compare=False)
+    _args: np.ndarray = field(init=False, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -50,10 +53,21 @@ class BetaPolicyParams:
             raise ValueError("proposal entries must be finite and lie in [0, 1]")
         if not (np.isfinite(kappa) and kappa >= 0.0):
             raise ValueError("kappa must be finite and >= 0")
+        n = p.size
+        args = np.empty(2 * n + 1)
+        # the operations, in order, of 1 + kappa P and 1 + kappa (1 - P)
+        alpha, beta = args[:n], args[n : 2 * n]
+        np.multiply(kappa, p.ravel(), out=alpha)
+        alpha += 1.0
+        np.subtract(1.0, p.ravel(), out=beta)
+        beta *= kappa
+        beta += 1.0
+        args[-1] = 2.0 + kappa
         object.__setattr__(self, "proposal", p)
         object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "alpha", 1.0 + kappa * p)
-        object.__setattr__(self, "beta", 1.0 + kappa * (1.0 - p))
+        object.__setattr__(self, "_args", args)
+        object.__setattr__(self, "alpha", alpha.reshape(p.shape))
+        object.__setattr__(self, "beta", beta.reshape(p.shape))
 
     @property
     def shape(self):
@@ -62,11 +76,10 @@ class BetaPolicyParams:
     def _table(self, key, fn):
         """fn at alpha and beta per bin, and at the scalar alpha + beta."""
         if key not in self._tables:
-            a, n = self.alpha, self.alpha.size
-            values = fn(np.concatenate([a.ravel(), self.beta.ravel(),
-                                        [2.0 + self.kappa]]))
-            self._tables[key] = (values[:n].reshape(a.shape),
-                                 values[n:-1].reshape(a.shape), values[-1])
+            values = fn(self._args)
+            n = self.alpha.size
+            self._tables[key] = (values[:n].reshape(self.shape),
+                                 values[n:-1].reshape(self.shape), values[-1])
         return self._tables[key]
 
     @property
@@ -88,10 +101,16 @@ class BetaPolicyParams:
 
 @dataclass(frozen=True)
 class PolicySample:
-    """One policy's masks, stacked (n, *shape), and each one's log-density."""
+    """One policy's masks, stacked (n, *shape), and the policy they were
+    drawn from. ``log_probs``, each mask's log-density under that policy,
+    is computed the first time it is read."""
 
     masks: np.ndarray
-    log_probs: list
+    policy: BetaPolicyParams
+
+    @cached_property
+    def log_probs(self) -> list:
+        return [log_prob(self.policy, m) for m in self.masks]
 
 
 def params_from_proposal(p: np.ndarray, kappa: float) -> BetaPolicyParams:
@@ -107,25 +126,25 @@ def sample(
     n: int = 1,
     clamp_eps: float = SAMPLE_CLAMP,
 ) -> list[PolicySample]:
-    """Draw n masks from each policy, clamp them into (0,1), and score each
-    under its own policy.
+    """Draw n masks from each policy and clamp them into (0,1).
 
     One generator call draws every mask, policy after policy and mask after
     mask in C order, which is the stream that one call per mask would draw.
-    The log-density is recomputed on the clamped values so that downstream
-    importance ratios refer to the mask actually used.
+    The masks are not scored here: a sample's ``log_probs`` are computed
+    on the clamped values, the masks actually used, when first read.
     """
     if not 0.0 < clamp_eps < 0.5:
         raise ValueError("clamp_eps must lie in (0, 0.5)")
-    alpha = np.concatenate([np.tile(p.alpha.ravel(), n) for p in policies])
-    beta = np.concatenate([np.tile(p.beta.ravel(), n) for p in policies])
-    draws = np.clip(rng.beta(alpha, beta), clamp_eps, 1.0 - clamp_eps)
+
+    def stacked(name):
+        rows = [getattr(p, name).ravel() for p in policies]
+        return np.concatenate(rows if n == 1 else [np.tile(r, n) for r in rows])
+
+    draws = np.clip(rng.beta(stacked("alpha"), stacked("beta")),
+                    clamp_eps, 1.0 - clamp_eps)
     ends = np.cumsum([n * p.alpha.size for p in policies])
-    out = []
-    for p, d in zip(policies, np.split(draws, ends[:-1])):
-        masks = d.reshape(n, *p.shape)
-        out.append(PolicySample(masks, [log_prob(p, m) for m in masks]))
-    return out
+    return [PolicySample(d.reshape(n, *p.shape), p)
+            for p, d in zip(policies, np.split(draws, ends[:-1]))]
 
 
 def _check_mask(params: BetaPolicyParams, mask: np.ndarray) -> np.ndarray:

@@ -12,22 +12,22 @@ them, one inverse FFT reconstructs them and one STFT feeds the embedder.
 Forward, backward and the Beta tables stay per item: BLAS rounds a row by
 its position in the call, and stacked table calls were slower.
 
-The frozen old policy is what sampling recorded: the (P, kappa) policy and
-the log-densities of the drawn masks. Updates are single-pass, so at the
-gradient step the live policy still equals the old one: the ratio is
-exactly 1 and the clip cannot bind. The post-update ``kl_post`` probe is
-what shows the trust region's effect.
+The frozen old policy is the (P, kappa) policy the masks were drawn from.
+Updates are single-pass, so at the gradient step the live policy still
+equals the old one: the ratio is exactly 1, no mask is scored, and the
+clip cannot bind. The post-update ``kl_post`` probe is what shows the
+trust region's effect.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import POSITIVE, ConfigError, DivergenceError, check_value
 from .optim import AdamWState
 from .policy import (
     BetaPolicyParams,
@@ -56,9 +56,21 @@ RATIO_LOG_CLAMP = 20.0
 REWARD_BATCH_BINS = 1 << 20  # masked bins reconstructed and embedded at once
 
 
+# the least value (POSITIVE: above 0) or the legal names of RlConfig keys
+_BOUNDS = {
+    "entropy_coef": 0, "grpo_eps": POSITIVE, "mc_samples": 1, "steps": 0,
+    "batch_size": 1, "seed": 0, "lr": POSITIVE, "weight_decay": 0,
+    "clip_norm": 0, "kappa_ramp_frac": 0, "reward_mode": REWARD_MODES,
+    "query_modality": QUERY_MODALITIES, "val_interval": 1, "patience": 1,
+    "warm_start_steps": 0, "warm_start_lr": POSITIVE,
+}
+
+
 @dataclass
 class RlConfig:
-    """Training hyperparameters; config-file keys match field names."""
+    """Training hyperparameters; config-file keys match field names. Each
+    value is checked by errors.check_value against its default's kind and
+    its bound; clip_norm 0 turns clipping off."""
 
     clip_epsilon: float = 0.2
     entropy_coef: float = 0.003
@@ -83,25 +95,15 @@ class RlConfig:
     warm_start_lr: float = 1e-2
 
     def __post_init__(self):
+        for f in fields(self):
+            check_value(f.name, getattr(self, f.name), f.default,
+                        _BOUNDS.get(f.name))
         if not 0.0 < self.clip_epsilon < 1.0:
             raise ConfigError("clip_epsilon must lie in (0, 1)")
-        if self.grpo_eps <= 0.0:
-            raise ConfigError("grpo_eps must be positive")
-        if self.mc_samples < 1 or self.steps < 0 or self.batch_size < 1:
-            raise ConfigError("mc_samples/steps/batch_size out of range")
-        if self.seed < 0 or self.val_interval < 1:
-            raise ConfigError("seed must be >= 0 and val_interval >= 1")
         if not 0.0 < self.sample_clamp < 0.5:
             raise ConfigError("sample_clamp must lie in (0, 0.5)")
         if not (self.kappa_start > 0.0 and self.kappa_end > 0.0):
             raise ConfigError("kappa_start and kappa_end must be positive")
-        if self.reward_mode not in REWARD_MODES:
-            raise ConfigError(f"unknown reward_mode {self.reward_mode!r}")
-        if self.query_modality not in QUERY_MODALITIES:
-            raise ConfigError(
-                f"unknown query_modality {self.query_modality!r}, expected "
-                f"one of {', '.join(QUERY_MODALITIES)}"
-            )
 
     def kappa_at(self, step: int) -> float:
         return kappa_schedule(
@@ -198,18 +200,18 @@ def clipped_surrogate(log_diff: float, adv: float, clip_epsilon: float):
 @dataclass
 class SampledItem:
     """One item's sampled masks (a (G, F, T) stack, or any sequence of
-    F x T masks) with their old-policy scores and (normalized) advantages.
+    F x T masks) with their (normalized) advantages.
 
-    ``params_old`` (with the tables sampling built on it) and ``logp_old``
-    are the frozen old policy. ``cache`` is the live-model forward pass that
-    produced ``params_old``, when the sampler carries it; the gradient step
-    then reuses it instead of forwarding the model again, and backward()
-    rejects it if the model has changed since."""
+    ``params_old`` (with the tables sampling built on it) is the frozen old
+    policy; the masks' old log-densities are computed from it only where a
+    ratio needs them. ``cache`` is the live-model forward pass that produced
+    ``params_old``, when the sampler carries it; the gradient step then
+    reuses it instead of forwarding the model again, and backward() rejects
+    it if the model has changed since."""
 
     item: TrainItem
     params_old: BetaPolicyParams
     masks: list
-    logp_old: list
     advantages: list = field(default_factory=list)
     cache: object | None = None
 
@@ -234,9 +236,9 @@ def objective_and_grads(
     live model's parameters, backpropagated from dJ/dP at the proposal.
 
     An item carrying the sampler's forward cache has the live policy equal
-    to its old one: both are ``params_old`` and each new log-density is the
-    recorded old one, so neither is recomputed. Other items forward the
-    live model here and take the general path."""
+    to its old one, ``params_old``: each log-ratio is 0 by construction, and
+    no mask is scored. Other items forward the live model here and score
+    each mask under the old and the new policy."""
     n_items = len(batch)
     n_samples = sum(len(s.masks) for s in batch)
     total = None
@@ -253,12 +255,11 @@ def objective_and_grads(
             new = params_from_proposal(proposal, kappa)
 
         d_p = np.zeros(new.shape)
-        for mask, logp_old, adv in zip(
-            sampled.masks, sampled.logp_old, sampled.advantages
-        ):
-            logp_new = logp_old if reused else log_prob(new, mask)
+        for mask, adv in zip(sampled.masks, sampled.advantages):
+            log_diff = 0.0 if reused else (log_prob(new, mask)
+                                           - log_prob(sampled.params_old, mask))
             value, coeff, clipped, ratio = clipped_surrogate(
-                logp_new - logp_old, adv, cfg.clip_epsilon
+                log_diff, adv, cfg.clip_epsilon
             )
             n_clipped += clipped
             ratios_all.append(ratio)
@@ -329,9 +330,9 @@ def train_step(
     mean_reward = float(np.mean(rewards))
     adv = normalize_advantages(rewards, cfg.grpo_eps).reshape(len(items), -1)
     sampled_batch = [
-        SampledItem(item=item, params_old=params, masks=s.masks, logp_old=s.log_probs,
+        SampledItem(item=item, params_old=s.policy, masks=s.masks,
                     advantages=[float(a) for a in row], cache=cache)
-        for item, params, s, cache, row in zip(items, policies, samples, caches, adv)
+        for item, s, cache, row in zip(items, samples, caches, adv)
     ]
 
     result = objective_and_grads(model, sampled_batch, cfg, kappa)

@@ -134,14 +134,18 @@ def _softplus(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     # log1p(exp(x)), then x itself wherever x > L = ln(largest value) - 1:
     # there exp may overflow to inf, and softplus(x) rounds to x. Below L
     # this is bitwise max(log1p(exp(min(x, L))), x), since the log1p term
-    # exceeds x by more than rounding. One reduction decides whether any
-    # bin needs the fix-up; NaN takes that branch and stays NaN, -inf
-    # gives 0, and x is left as it was.
+    # exceeds x by more than rounding. One reduction, before the exp,
+    # decides whether any bin needs the fix-up, and only then is x copied,
+    # so ``out`` may be x itself; NaN takes that branch and stays NaN,
+    # and -inf gives 0.
     cap = x.dtype.type(np.log(np.finfo(x.dtype).max) - 1.0)
+    over = not x.max() <= cap
+    if over:
+        x = x.copy()
     with np.errstate(over="ignore"):
         np.exp(x, out)
     np.log1p(out, out)
-    if not x.max() <= cap:
+    if over:
         np.copyto(out, x, where=x > cap)
     return out
 
@@ -209,8 +213,7 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
     # the bin-major product does.
     features = np.empty((n_patch + 2, cap), dtype=dtype)
     features[n_patch + 1] = 1.0
-    pre1 = np.empty((cap, model.hidden_width), dtype=dtype)
-    hidden = np.empty_like(pre1)
+    hidden = np.empty((cap, model.hidden_width), dtype=dtype)
     pre2 = np.empty(f * t, dtype=dtype)
     half = c // 2
     padded = np.zeros((f + 2 * half, t + 2 * half), dtype=dtype)
@@ -223,8 +226,11 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
             for dj in range(c):
                 grid[di * c + dj] = padded[r0 + di : r1 + di, dj : dj + t]
         grid[n_patch] = freq[r0:r1, None]
-        np.matmul(features[:, :n].T, w_eff, out=pre1[:n])
-        _softplus(pre1[:n], out=hidden[:n])
+        # the first-layer product lands in the activation buffer, and the
+        # softplus runs in place there
+        h = hidden[:n]
+        np.matmul(features[:, :n].T, w_eff, out=h)
+        _softplus(h, out=h)
         out = pre2[r0 * t : r1 * t]
         np.matmul(hidden[:n], model.w2[:, 0], out=out)
         out += model.b2

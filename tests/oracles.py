@@ -108,8 +108,11 @@ def mask_reward(embedder, item, waveform) -> float:
 
 
 def train_step_per_item(model, opt_state, items, cfg, rng, embedder,
-                        step_index=0):
-    """rl.train_step with its rollout run item by item and mask by mask."""
+                        step_index=0, carry_forward=True):
+    """rl.train_step with its rollout run item by item and mask by mask.
+    Without ``carry_forward`` the items keep no forward cache, so the
+    objective forwards the live model again and scores every mask under
+    the old and the new policy."""
     kappa = cfg.kappa_at(step_index)
 
     sampled_batch = []
@@ -118,20 +121,18 @@ def train_step_per_item(model, opt_state, items, cfg, rng, embedder,
         # one forward serves sampling now and the gradient pass later
         proposal_old, cache = forward(model, item.log_mag, item.query)
         params_old = params_from_proposal(proposal_old, kappa)
-        masks, logps = [], []
+        masks = []
         for _ in range(cfg.mc_samples):
-            mask, logp = sample_mask(params_old, rng, cfg.sample_clamp)
+            mask, _ = sample_mask(params_old, rng, cfg.sample_clamp)
             wav = reconstruct_one(item.mix_spec, Mask(mask))
             masks.append(mask)
-            logps.append(logp)
             rewards_flat.append(mask_reward(embedder, item, wav))
         sampled_batch.append(
             SampledItem(
                 item=item,
                 params_old=params_old,
                 masks=masks,
-                logp_old=logps,
-                cache=cache,
+                cache=cache if carry_forward else None,
             )
         )
 

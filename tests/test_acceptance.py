@@ -236,7 +236,7 @@ def test_criterion_2_gradient_fidelity():
         params_old = params_from_proposal(proposal_old, 9.0)
         (ps,) = sample([params_old], np.random.default_rng(10 + i))
         batch.append(SampledItem(item=item, params_old=params_old,
-                                 masks=ps.masks, logp_old=ps.log_probs,
+                                 masks=ps.masks,
                                  advantages=[float(rng.normal())]))
     result = objective_and_grads(model, batch, cfg, 9.0)
     worst = 0.0

@@ -328,8 +328,8 @@ class TestTrainRl:
         # the clip is the trust region: there is no KL penalty to weigh
         ({"kl_coef": 0.01}, "unknown config key 'kl_coef'"),
         # values that would otherwise fail only once training has started
-        ({"val_interval": 0}, "val_interval >= 1"),
-        ({"seed": -1}, "seed must be >= 0"),
+        ({"val_interval": 0}, "config key 'val_interval' must be an integer >= 1, got 0"),
+        ({"seed": -1}, "config key 'seed' must be an integer >= 0, got -1"),
         ({"sample_clamp": 0.7}, "sample_clamp must lie in (0, 0.5)"),
         ({"kappa_start": -1}, "kappa_start and kappa_end must be positive"),
         ({"segment_samples": 0}, "segment_samples is shorter than the STFT"),
@@ -349,6 +349,46 @@ class TestTrainRl:
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert named in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("bad, named", [
+        # each would otherwise train: ascend the loss, skip the warm start,
+        # stop at the first validation or turn clipping off
+        (["--lr", "-0.1"], "config key 'lr' must be a positive finite number, got -0.1"),
+        ({"warm_start_lr": -0.01},
+         "config key 'warm_start_lr' must be a positive finite number, got -0.01"),
+        ({"weight_decay": -0.5}, "config key 'weight_decay' must be a number >= 0, got -0.5"),
+        (["--warm-start-steps", "-3"],
+         "config key 'warm_start_steps' must be an integer >= 0, got -3"),
+        ({"patience": 0}, "config key 'patience' must be an integer >= 1, got 0"),
+        ({"clip_norm": -1}, "config key 'clip_norm' must be a number >= 0, got -1"),
+        ({"kappa_ramp_frac": -1},
+         "config key 'kappa_ramp_frac' must be a number >= 0, got -1"),
+        (["--entropy-coef", "-1"], "config key 'entropy_coef' must be a number >= 0, got -1.0"),
+        (["--mc-samples", "0"], "config key 'mc_samples' must be an integer >= 1, got 0"),
+        ({"steps": -1}, "config key 'steps' must be an integer >= 0, got -1"),
+        (["--batch-size", "0"], "config key 'batch_size' must be an integer >= 1, got 0"),
+        ({"grpo_eps": 0}, "config key 'grpo_eps' must be a positive finite number, got 0"),
+    ])
+    def test_out_of_range_rl_key_is_named(self, small_dataset, tmp_path, capsys,
+                                          bad, named):
+        argv = ["train-rl", "--dataset", str(small_dataset), "--run-dir",
+                str(tmp_path / "run")]
+        if isinstance(bad, dict):
+            cfg_file = tmp_path / "bad.json"
+            cfg_file.write_text(json.dumps(bad))
+            bad = ["--config", str(cfg_file)]
+        code = main(argv + bad)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert named in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", ["clip_norm", "entropy_coef", "weight_decay"])
+    def test_zero_stays_legal(self, key):
+        from masksep.rl import RlConfig
+
+        assert getattr(RlConfig(**{key: 0.0}), key) == 0.0
 
 
 @pytest.mark.parametrize("argv, named", [

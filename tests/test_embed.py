@@ -147,6 +147,29 @@ class TestAudioFeatureEmbedder:
         with pytest.raises(ValueError, match="zero-energy"):
             audio.embed_rows(x)
 
+    @pytest.mark.parametrize("length", [512, 777, 2048, 65535])
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    def test_stack_features_match_lone_waveforms(self, embedders, n, length):
+        # the reductions run over the whole (N, T, F) stack at once: each
+        # row must still reduce as its waveform would alone, at fft_size,
+        # an odd length, a crop's and a separated mixture's length
+        _, audio = embedders
+        assert audio.fft_size == 512
+        rng = np.random.default_rng(length + n)
+        x = rng.standard_normal((n, length)) * rng.uniform(1e-3, 2.0, (n, 1))
+        feats = audio.features(x)
+        assert feats.shape == (n, audio.feature_dim)
+        for row, samples in zip(feats, x):
+            assert np.array_equal(row, audio_features(audio, Waveform(samples, 16000)))
+
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    def test_one_silent_row_in_a_stack_rejected(self, embedders, n):
+        _, audio = embedders
+        x = np.random.default_rng(15).standard_normal((n, 2048))
+        x[n // 2] = 0.0
+        with pytest.raises(ValueError, match="cannot embed a zero-energy waveform"):
+            audio.features(x)
+
     def test_mixture_sits_between_classes(self, embedders):
         oracle, audio = embedders
         protos = dict()

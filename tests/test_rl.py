@@ -183,7 +183,6 @@ def toy_sampled_batch(model, old, kappa, cfg, seed=0, carry_forward=False):
                 item=item,
                 params_old=params_old,
                 masks=ps.masks,
-                logp_old=ps.log_probs,
                 advantages=[float(rng.normal())],
                 cache=cache if carry_forward else None,
             )
@@ -355,9 +354,10 @@ class TestTrainStep:
 
     def test_one_log_prob_per_mask_and_no_kl_gradient(self, toy_world,
                                                       monkeypatch):
-        # the objective reuses the sampler's log-densities, so only
-        # sampling scores masks; the objective has no KL term, so only the
-        # kl_post probe evaluates a KL
+        # sampling does not score its masks, and the objective reuses the
+        # sampler's forward, where every log-ratio is 0, so no mask is
+        # scored; the objective has no KL term, so only the kl_post probe
+        # evaluates a KL
         from masksep import policy, rl
 
         items, reward_ctx, model = toy_world
@@ -379,7 +379,7 @@ class TestTrainStep:
         b = 4
         train_step(model, AdamWState(), items[:b], RlConfig(batch_size=b),
                    np.random.default_rng(7), reward_ctx)
-        assert calls == {"log_prob": b, "kl_divergence": 1}
+        assert calls == {"kl_divergence": 1}
 
     def test_report_fields_finite(self, toy_world):
         items, reward_ctx, model = toy_world
@@ -502,6 +502,26 @@ class TestBatchedRollout:
         (reports, state, live), (ref_reports, ref_state, ref_live) = runs
         assert reports == ref_reports
         assert state == ref_state
+        for name in PARAMS:
+            assert getattr(live, name).tobytes() == getattr(ref_live, name).tobytes()
+
+    def test_live_path_matches_per_item_loop_bitwise(self, toy_world):
+        # without the sampler's forward cache, the objective forwards the
+        # live model again and scores each mask under the old and the new
+        # policy; at a single pass that is the cached step, bit for bit
+        items, reward_ctx, model = toy_world
+        cfg = RlConfig(batch_size=4, mc_samples=2, steps=8)
+        runs = []
+        for step, ctx, kw in ((train_step, reward_ctx, {}),
+                              (train_step_per_item, reward_ctx.embedder,
+                               {"carry_forward": False})):
+            live, opt = copy.deepcopy(model), AdamWState()
+            rng = np.random.default_rng(13)
+            reports = [step(live, opt, items[k : k + 4], cfg, rng, ctx,
+                            step_index=k, **kw) for k in range(2)]
+            runs.append((reports, live))
+        (reports, live), (ref_reports, ref_live) = runs
+        assert reports == ref_reports
         for name in PARAMS:
             assert getattr(live, name).tobytes() == getattr(ref_live, name).tobytes()
 

@@ -391,6 +391,12 @@ SOFTPLUS_EXTREMES = [-np.inf, -1e4, -200.0, -90.0, -20.0, 0.0, 20.0, 88.0,
                      90.0, 200.0, 709.0, 1e4, np.inf, np.nan]
 
 
+def four_pass_softplus(x):
+    """plain_forward's max(log1p(exp(min(x, L))), x)."""
+    cap = x.dtype.type(np.log(np.finfo(x.dtype).max) - 1.0)
+    return np.maximum(np.log1p(np.exp(np.minimum(x, cap))), x)
+
+
 class TestSoftplusExtremes:
     # a RuntimeWarning, such as an overflow in exp, fails these tests
 
@@ -414,10 +420,24 @@ class TestSoftplusExtremes:
         # plain_forward's max(log1p(exp(min(x, L))), x), bit for bit, from
         # exp's underflow to where softplus(x) - x is a few ulps
         x = np.linspace(lo, hi, 2_000_001).astype(dtype)
-        cap = dtype(np.log(np.finfo(dtype).max) - 1.0)
-        want = np.maximum(np.log1p(np.exp(np.minimum(x, cap))), x)
         got = _softplus(x, out=np.empty_like(x))
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, four_pass_softplus(x))
+
+    @pytest.mark.parametrize("dtype, lo, hi", [(np.float32, -120.0, 12.0),
+                                               (np.float64, -800.0, 30.0),
+                                               (np.float32, None, None),
+                                               (np.float64, None, None)])
+    def test_in_place_matches_four_passes(self, dtype, lo, hi):
+        # out is x, as forward calls it: the same dense grids, and the
+        # extremes (lo None), where x must be kept for the bins above L
+        # before the exp overwrites it
+        if lo is None:
+            x = np.array(SOFTPLUS_EXTREMES, dtype=dtype)
+        else:
+            x = np.linspace(lo, hi, 2_000_001).astype(dtype)
+        arg = x.copy()
+        assert _softplus(arg, out=arg) is arg
+        assert np.array_equal(arg, four_pass_softplus(x), equal_nan=True)
 
     @pytest.mark.parametrize("keep_cache", [True, False])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
