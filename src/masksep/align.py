@@ -26,7 +26,7 @@ from .embed import (
     project,
     project_backward,
 )
-from .errors import ConfigError, DivergenceError, check_value
+from .errors import POSITIVE, ConfigError, DivergenceError, check_fields
 from .optim import AdamWState, adamw_step
 
 STAGE_TRAINABLE_HEADS = {1: ("audio", "text"), 2: ("audio",), 3: ("audio", "vision")}
@@ -36,6 +36,16 @@ HEAD_OF_MODALITY = {"audio": "audio", "text": "text", "video": "vision"}
 
 @dataclass
 class StageConfig:
+    """One stage's hyperparameters; clip_norm 0 turns clipping off."""
+
+    BOUNDS = {
+        "stage": "[1, 3]", "epochs": 1, "steps_per_epoch": 1,
+        "batch_size": 2,  # InfoNCE contrasts at least 2 pairs
+        "lr": POSITIVE, "margin": 0, "replay_fraction": "[0, 1]",
+        "lambda1": 0, "lambda2": 0, "lambda3": 0, "mu1": 0, "mu2": 0,
+        "mu3": 0, "mu4": 0, "weight_decay": 0, "clip_norm": 0,
+    }
+
     stage: int
     epochs: int = 20
     steps_per_epoch: int = 25
@@ -54,20 +64,7 @@ class StageConfig:
     clip_norm: float = 1.0
 
     def __post_init__(self):
-        if self.stage not in (1, 2, 3):
-            raise ConfigError("stage must be 1, 2 or 3")
-        coeffs = (self.lambda1, self.lambda2, self.lambda3,
-                  self.mu1, self.mu2, self.mu3, self.mu4)
-        if any(c < 0 for c in coeffs):
-            raise ConfigError("loss coefficients must be >= 0")
-        if self.margin < 0:
-            raise ConfigError("margin must be >= 0")
-        if not 0.0 <= self.replay_fraction <= 1.0:
-            raise ConfigError("replay_fraction must lie in [0, 1]")
-        for key in ("epochs", "steps_per_epoch"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"stage {self.stage}: {key} must be >= 1, "
-                                  f"got {getattr(self, key)}")
+        check_fields(self, self.BOUNDS, where=f"stage {self.stage}: ")
 
     @classmethod
     def from_dict(cls, stage: int, d: dict) -> "StageConfig":
@@ -75,9 +72,6 @@ class StageConfig:
         unknown = set(d) - (set(cls.__dataclass_fields__) - {"stage"})
         if unknown:
             raise ConfigError(f"stage {stage}: unknown config keys: {sorted(unknown)}")
-        for key, value in d.items():
-            check_value(key, value, cls.__dataclass_fields__[key].default,
-                        where=f"stage {stage}: ")
         return cls(stage=stage, **d)
 
 

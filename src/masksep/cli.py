@@ -121,7 +121,7 @@ def _check_query_dim(checkpoint, model, dim: int, source) -> None:
                           f"the dimension {dim} of {source}")
 
 
-_STFT_DEFAULTS = {"fft_size": 1024, "hop": 256, "window_size": 1024}
+_STFT_DEFAULTS = {f.name: f.default for f in fields(StftConfig)}
 
 
 def _stft_config(cfg: dict) -> StftConfig:

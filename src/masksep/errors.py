@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the config value check
-that raises one."""
+"""Exception types shared across the package, and the config value checks
+that raise one."""
 
 import math
+from typing import get_type_hints
 
 
 class ConfigError(ValueError):
@@ -30,8 +31,8 @@ POSITIVE = "a positive finite number"
 def check_value(key: str, value, default, bound=None, where: str = "") -> None:
     """ConfigError naming ``key`` unless ``value`` has the kind of
     ``default`` (a type stands in for a key with no default value; a number
-    must be finite) and lies within ``bound``: a least number, POSITIVE, or
-    a tuple of the allowed strings."""
+    must be finite) and lies within ``bound``: a least number, POSITIVE, an
+    interval such as "(0, 1]" or a tuple of the allowed strings."""
     kind = default if isinstance(default, type) else type(default)
     wanted = _KINDS[kind]
     # bool subclasses int, so JSON true/false must be ruled out for numbers
@@ -47,6 +48,11 @@ def check_value(key: str, value, default, bound=None, where: str = "") -> None:
     elif bound == POSITIVE:
         wanted = POSITIVE
         ok = ok and value > 0
+    elif isinstance(bound, str):
+        low, high = map(float, bound[1:-1].split(","))
+        wanted += f" in {bound}"
+        ok = (ok and (low < value if bound[0] == "(" else low <= value)
+              and (value < high if bound[-1] == ")" else value <= high))
     elif bound is not None:
         wanted += f" >= {bound}"
         ok = ok and value >= bound
@@ -54,3 +60,10 @@ def check_value(key: str, value, default, bound=None, where: str = "") -> None:
         raise ConfigError(
             f"{where}config key {key!r} must be {wanted}, got {value!r}"
         )
+
+
+def check_fields(config, bounds: dict, where: str = "") -> None:
+    """check_value on each field of the dataclass ``config``: its declared
+    type is its kind, and ``bounds`` must hold its bound."""
+    for key, kind in get_type_hints(type(config)).items():
+        check_value(key, getattr(config, key), kind, bounds[key], where)

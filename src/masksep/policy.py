@@ -133,8 +133,6 @@ def sample(
     The masks are not scored here: a sample's ``log_probs`` are computed
     on the clamped values, the masks actually used, when first read.
     """
-    if not 0.0 < clamp_eps < 0.5:
-        raise ValueError("clamp_eps must lie in (0, 0.5)")
 
     def stacked(name):
         rows = [getattr(p, name).ravel() for p in policies]

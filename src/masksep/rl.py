@@ -22,14 +22,15 @@ trust region's effect.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import POSITIVE, ConfigError, DivergenceError, check_value
+from .errors import POSITIVE, DivergenceError, check_fields
 from .optim import AdamWState
 from .policy import (
+    SAMPLE_CLAMP,
     BetaPolicyParams,
     entropy,
     entropy_grad,
@@ -56,21 +57,21 @@ RATIO_LOG_CLAMP = 20.0
 REWARD_BATCH_BINS = 1 << 20  # masked bins reconstructed and embedded at once
 
 
-# the least value (POSITIVE: above 0) or the legal names of RlConfig keys
-_BOUNDS = {
-    "entropy_coef": 0, "grpo_eps": POSITIVE, "mc_samples": 1, "steps": 0,
-    "batch_size": 1, "seed": 0, "lr": POSITIVE, "weight_decay": 0,
-    "clip_norm": 0, "kappa_ramp_frac": 0, "reward_mode": REWARD_MODES,
-    "query_modality": QUERY_MODALITIES, "val_interval": 1, "patience": 1,
-    "warm_start_steps": 0, "warm_start_lr": POSITIVE,
-}
-
-
 @dataclass
 class RlConfig:
     """Training hyperparameters; config-file keys match field names. Each
-    value is checked by errors.check_value against its default's kind and
-    its bound; clip_norm 0 turns clipping off."""
+    value is checked by errors.check_fields against its declared type and
+    its entry in BOUNDS; clip_norm 0 turns clipping off."""
+
+    BOUNDS = {
+        "clip_epsilon": "(0, 1)", "entropy_coef": 0, "grpo_eps": POSITIVE,
+        "mc_samples": 1, "steps": 0, "batch_size": 1, "seed": 0, "lr": POSITIVE,
+        "weight_decay": 0, "clip_norm": 0, "kappa_start": POSITIVE,
+        "kappa_end": POSITIVE, "kappa_ramp_frac": 0, "sample_clamp": "(0, 0.5)",
+        "reward_mode": REWARD_MODES, "query_modality": QUERY_MODALITIES,
+        "segment_samples": 1, "val_interval": 1, "patience": 1,
+        "warm_start_steps": 0, "warm_start_lr": POSITIVE,
+    }
 
     clip_epsilon: float = 0.2
     entropy_coef: float = 0.003
@@ -85,7 +86,7 @@ class RlConfig:
     kappa_start: float = 4.0
     kappa_end: float = 9.0
     kappa_ramp_frac: float = 0.2
-    sample_clamp: float = 1e-5
+    sample_clamp: float = SAMPLE_CLAMP
     reward_mode: str = "pooled"
     query_modality: str = "text"
     segment_samples: int = 2048
@@ -95,15 +96,7 @@ class RlConfig:
     warm_start_lr: float = 1e-2
 
     def __post_init__(self):
-        for f in fields(self):
-            check_value(f.name, getattr(self, f.name), f.default,
-                        _BOUNDS.get(f.name))
-        if not 0.0 < self.clip_epsilon < 1.0:
-            raise ConfigError("clip_epsilon must lie in (0, 1)")
-        if not 0.0 < self.sample_clamp < 0.5:
-            raise ConfigError("sample_clamp must lie in (0, 0.5)")
-        if not (self.kappa_start > 0.0 and self.kappa_end > 0.0):
-            raise ConfigError("kappa_start and kappa_end must be positive")
+        check_fields(self, self.BOUNDS)
 
     def kappa_at(self, step: int) -> float:
         return kappa_schedule(

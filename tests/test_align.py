@@ -381,7 +381,8 @@ class TestCurriculum:
 
     @pytest.mark.parametrize("key", ["epochs", "steps_per_epoch"])
     def test_stage_without_steps_is_rejected(self, key):
-        with pytest.raises(ConfigError, match=f"stage 2: {key} must be >= 1"):
+        with pytest.raises(ConfigError, match=f"stage 2: config key '{key}' "
+                                              "must be an integer >= 1, got 0"):
             StageConfig(stage=2, **{key: 0})
 
     def test_carry_over_is_bit_exact(self):

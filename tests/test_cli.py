@@ -6,10 +6,12 @@ import ctypes
 import io
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import masksep
+from masksep.align import StageConfig
 from masksep.cli import main
 from masksep.embed import (
     AudioFeatureEmbedder,
@@ -25,6 +28,8 @@ from masksep.embed import (
     load_store,
     save_store,
 )
+from masksep.errors import ConfigError, check_value
+from masksep.rl import RlConfig
 from masksep.separator import init_model, load_model, save_model
 from masksep.spectral import Waveform
 from masksep.wavio import write_wav
@@ -330,9 +335,12 @@ class TestTrainRl:
         # values that would otherwise fail only once training has started
         ({"val_interval": 0}, "config key 'val_interval' must be an integer >= 1, got 0"),
         ({"seed": -1}, "config key 'seed' must be an integer >= 0, got -1"),
-        ({"sample_clamp": 0.7}, "sample_clamp must lie in (0, 0.5)"),
-        ({"kappa_start": -1}, "kappa_start and kappa_end must be positive"),
-        ({"segment_samples": 0}, "segment_samples is shorter than the STFT"),
+        ({"sample_clamp": 0.7},
+         "config key 'sample_clamp' must be a number in (0, 0.5), got 0.7"),
+        ({"kappa_start": -1},
+         "config key 'kappa_start' must be a positive finite number, got -1"),
+        # legal alone, but shorter than the STFT window
+        ({"segment_samples": 512}, "segment_samples is shorter than the STFT"),
         # the STFT keys are integers: neither truncated nor read as 1
         ({"fft_size": 1024.7}, "config key 'fft_size' must be an integer, got"),
         ({"hop": True}, "config key 'hop' must be an integer, got True"),
@@ -368,6 +376,11 @@ class TestTrainRl:
         ({"steps": -1}, "config key 'steps' must be an integer >= 0, got -1"),
         (["--batch-size", "0"], "config key 'batch_size' must be an integer >= 1, got 0"),
         ({"grpo_eps": 0}, "config key 'grpo_eps' must be a positive finite number, got 0"),
+        ({"clip_epsilon": 1.5},
+         "config key 'clip_epsilon' must be a number in (0, 1), got 1.5"),
+        ({"kappa_end": 0}, "config key 'kappa_end' must be a positive finite number, got 0"),
+        (["--segment-samples", "-5"],
+         "config key 'segment_samples' must be an integer >= 1, got -5"),
     ])
     def test_out_of_range_rl_key_is_named(self, small_dataset, tmp_path, capsys,
                                           bad, named):
@@ -386,9 +399,25 @@ class TestTrainRl:
 
     @pytest.mark.parametrize("key", ["clip_norm", "entropy_coef", "weight_decay"])
     def test_zero_stays_legal(self, key):
-        from masksep.rl import RlConfig
-
         assert getattr(RlConfig(**{key: 0.0}), key) == 0.0
+
+
+@pytest.mark.parametrize("config", [RlConfig, StageConfig])
+def test_every_config_key_has_a_bound(config):
+    assert set(config.BOUNDS) == {f.name for f in fields(config)}
+
+
+@pytest.mark.parametrize("bound, inside, outside", [
+    ("(0, 1]", [1e-9, 1, 1.0], [0, 0.0, 1.5]),
+    ("[0, 1)", [0, 0.0, 0.999], [1, 1.0, -1e-9]),
+])
+def test_interval_bound_ends(bound, inside, outside):
+    for value in inside:
+        check_value("k", value, 0.5, bound)
+    for value in outside:
+        with pytest.raises(ConfigError, match=re.escape(
+                f"config key 'k' must be a number in {bound}, got {value!r}")):
+            check_value("k", value, 0.5, bound)
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -1307,9 +1336,29 @@ class TestEval:
 
 class TestTrainAlign:
     @pytest.mark.parametrize("bad, named", [
-        ({"epochs": -1}, "stage 1: epochs must be >= 1, got -1"),
-        ({"steps_per_epoch": 0}, "stage 1: steps_per_epoch must be >= 1, got 0"),
-        ({"stages": {"2": {"epochs": 0}}}, "stage 2: epochs must be >= 1, got 0"),
+        ({"epochs": -1}, "stage 1: config key 'epochs' must be an integer >= 1, got -1"),
+        ({"steps_per_epoch": 0},
+         "stage 1: config key 'steps_per_epoch' must be an integer >= 1, got 0"),
+        ({"stages": {"2": {"epochs": 0}}},
+         "stage 2: config key 'epochs' must be an integer >= 1, got 0"),
+        # InfoNCE contrasts at least 2 pairs a batch; a negative lr, clip,
+        # decay, margin or loss weight would turn its term around
+        ({"stages": {"1": {"batch_size": 1}}},
+         "stage 1: config key 'batch_size' must be an integer >= 2, got 1"),
+        ({"stages": {"3": {"batch_size": 0}}},
+         "stage 3: config key 'batch_size' must be an integer >= 2, got 0"),
+        ({"stages": {"2": {"lr": -1.0}}},
+         "stage 2: config key 'lr' must be a positive finite number, got -1.0"),
+        ({"stages": {"1": {"clip_norm": -1.0}}},
+         "stage 1: config key 'clip_norm' must be a number >= 0, got -1.0"),
+        ({"stages": {"1": {"weight_decay": -5.0}}},
+         "stage 1: config key 'weight_decay' must be a number >= 0, got -5.0"),
+        ({"stages": {"2": {"margin": -1}}},
+         "stage 2: config key 'margin' must be a number >= 0, got -1"),
+        ({"stages": {"1": {"lambda1": -1}}},
+         "stage 1: config key 'lambda1' must be a number >= 0, got -1"),
+        ({"stages": {"2": {"replay_fraction": 1.5}}},
+         "stage 2: config key 'replay_fraction' must be a number in [0, 1], got 1.5"),
     ])
     def test_curriculum_without_steps_is_config_error(self, small_dataset,
                                                       tmp_path, capsys, bad,
@@ -1333,7 +1382,7 @@ class TestTrainAlign:
         ({"4": {}}, "'stages' must be a JSON object"),
         ([{"lambda1": 2.0}], "'stages' must be a JSON object"),
         ({"1": {"lambda1": "x"}},
-         "stage 1: config key 'lambda1' must be a number, got 'x'"),
+         "stage 1: config key 'lambda1' must be a number >= 0, got 'x'"),
         ({"2": {"epochs": 1.5}}, "stage 2: config key 'epochs' must be an integer"),
     ])
     def test_bad_stage_overrides_are_config_errors(self, small_dataset,

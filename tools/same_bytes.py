@@ -3,11 +3,13 @@
     python3 tools/same_bytes.py --base PATH [--head PATH] [--summary FILE]
 
 Each tree's ``src/`` runs ``synth`` -> ``train-rl`` -> ``separate`` ->
-``eval`` on a 40-item set, one command per fresh process, with BLAS held to
-one thread. The report says whether ``train.jsonl``, the checkpoints, the
-estimate WAVs and ``eval``'s ``summary.json`` are byte-identical between
-the trees, and names every file that differs. It is appended to
-``--summary`` (a CI job summary) when given, and printed either way.
+``eval``, then a one-epoch ``train-align``, on a 40-item set, one command
+per fresh process, with BLAS held to one thread. The report says whether
+``train.jsonl``, the checkpoints, the estimate WAVs, ``eval``'s
+``summary.json`` and the alignment heads, ``gap.json`` and
+``curriculum.txt`` are byte-identical between the trees, and names every
+file that differs. It is appended to ``--summary`` (a CI job summary) when
+given, and printed either way.
 
 The check informs and does not gate: a change may move bytes on purpose.
 The exit status is 0 whether or not bytes differ, and 1 only when a
@@ -31,6 +33,8 @@ COMMANDS = (
     ["separate", "--checkpoint", "run/checkpoints/last.json",
      "--dataset", "ds", "--out", "sep"],
     ["eval", "--manifest", "sep/eval_manifest.jsonl", "--out", "eval"],
+    ["train-align", "--dataset", "ds", "--run-dir", "align", "--epochs", "1",
+     "--steps-per-epoch", "3"],
 )
 
 # (what the report calls it, glob under the work directory)
@@ -39,6 +43,9 @@ COMPARED = (
     ("checkpoints", "run/checkpoints/*.json"),
     ("estimate WAVs", "sep/*.wav"),
     ("summary.json", "eval/summary.json"),
+    ("alignment heads", "align/checkpoints/heads_*.json"),
+    ("gap.json", "align/reports/gap.json"),
+    ("curriculum.txt", "align/reports/curriculum.txt"),
 )
 
 
