@@ -178,7 +178,8 @@ def cmd_train_rl(args) -> int:
         args,
         {**rl_defaults, "dataset": str, "run_dir": str, **_STFT_DEFAULTS,
          "model_dtype": "float32"},
-        {"model_dtype": ("float32", "float64")},
+        {**rl.RlConfig.BOUNDS, **StftConfig.BOUNDS,
+         "model_dtype": ("float32", "float64")},
         required=("dataset", "run_dir"),
     )
 
@@ -375,7 +376,8 @@ def cmd_separate(args) -> int:
         {"checkpoint": str, "dataset": str, "split": "test", "out": str,
          "mixture": str, "query": str, "query_modality": "text",
          "rate_policy": "reject", **_STFT_DEFAULTS},
-        {"query_modality": QUERY_MODALITIES, "rate_policy": RATE_POLICIES},
+        {"query_modality": QUERY_MODALITIES, "rate_policy": RATE_POLICIES,
+         **StftConfig.BOUNDS},
         required=("checkpoint", "out"),
     )
     model = separator.load_model(cfg["checkpoint"])

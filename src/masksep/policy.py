@@ -16,7 +16,6 @@ first use and shared by every evaluation of the same policy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -99,20 +98,6 @@ class BetaPolicyParams:
         return self._tables["log_norm"]
 
 
-@dataclass(frozen=True)
-class PolicySample:
-    """One policy's masks, stacked (n, *shape), and the policy they were
-    drawn from. ``log_probs``, each mask's log-density under that policy,
-    is computed the first time it is read."""
-
-    masks: np.ndarray
-    policy: BetaPolicyParams
-
-    @cached_property
-    def log_probs(self) -> list:
-        return [log_prob(self.policy, m) for m in self.masks]
-
-
 def params_from_proposal(p: np.ndarray, kappa: float) -> BetaPolicyParams:
     """The policy of a proposal tensor in [0,1] at a concentration kappa > 0."""
     if not kappa > 0.0:
@@ -125,13 +110,13 @@ def sample(
     rng: np.random.Generator,
     n: int = 1,
     clamp_eps: float = SAMPLE_CLAMP,
-) -> list[PolicySample]:
-    """Draw n masks from each policy and clamp them into (0,1).
+) -> list[np.ndarray]:
+    """Draw n masks from each policy and clamp them into (0,1): one
+    (n, *shape) stack per policy.
 
     One generator call draws every mask, policy after policy and mask after
     mask in C order, which is the stream that one call per mask would draw.
-    The masks are not scored here: a sample's ``log_probs`` are computed
-    on the clamped values, the masks actually used, when first read.
+    The masks are not scored here.
     """
 
     def stacked(name):
@@ -141,7 +126,7 @@ def sample(
     draws = np.clip(rng.beta(stacked("alpha"), stacked("beta")),
                     clamp_eps, 1.0 - clamp_eps)
     ends = np.cumsum([n * p.alpha.size for p in policies])
-    return [PolicySample(d.reshape(n, *p.shape), p)
+    return [d.reshape(n, *p.shape)
             for p, d in zip(policies, np.split(draws, ends[:-1]))]
 
 

@@ -1,11 +1,12 @@
 """Clipped trust-region policy optimization over the Beta mask policy.
 
-Each step samples masks from the live separator's Beta policy, scores
-the reconstructions with embedding rewards, normalizes the rewards within
-the batch (the batch mean is the baseline, as in GRPO) into advantages,
-then takes one gradient step on the clipped surrogate with an entropy
-bonus. As in PPO's clip variant, the clip is the trust region; there is
-no KL penalty.
+Each step is a rollout, then an update. ``rollout`` samples masks from
+the live separator's Beta policy, the frozen old policy, and scores their
+reconstructions with embedding rewards; it returns what it measured as a
+``Rollout``. ``update`` normalizes the rewards within the batch (the batch
+mean is the baseline, as in GRPO) into advantages, then takes one
+gradient step on the clipped surrogate with an entropy bonus. As in PPO's
+clip variant, the clip is the trust region; there is no KL penalty.
 
 The rollout batches all B x G masks of a step: one generator call samples
 them, one inverse FFT reconstructs them and one STFT feeds the embedder.
@@ -22,7 +23,7 @@ trust region's effect.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -190,23 +191,21 @@ def clipped_surrogate(log_diff: float, adv: float, clip_epsilon: float):
     return unclipped, grad, False, ratio
 
 
-@dataclass
-class SampledItem:
-    """One item's sampled masks (a (G, F, T) stack, or any sequence of
-    F x T masks) with their (normalized) advantages.
+@dataclass(frozen=True)
+class Rollout:
+    """What one rollout measured, item by item: the items and the kappa the
+    masks were drawn at, each item's frozen old policy (with the Beta tables
+    sampling built), (G, F, T) mask stack and forward cache, and the (B, G)
+    rewards. The update reuses a cache instead of forwarding the model
+    again (backward() rejects it if the model has changed since); an item
+    whose cache is None takes the live-forward path."""
 
-    ``params_old`` (with the tables sampling built on it) is the frozen old
-    policy; the masks' old log-densities are computed from it only where a
-    ratio needs them. ``cache`` is the live-model forward pass that produced
-    ``params_old``, when the sampler carries it; the gradient step then
-    reuses it instead of forwarding the model again, and backward() rejects
-    it if the model has changed since."""
-
-    item: TrainItem
-    params_old: BetaPolicyParams
-    masks: list
-    advantages: list = field(default_factory=list)
-    cache: object | None = None
+    items: list[TrainItem]
+    kappa: float
+    old_policies: list[BetaPolicyParams]
+    masks: list[np.ndarray]
+    rewards: np.ndarray
+    caches: list
 
 
 @dataclass
@@ -219,38 +218,36 @@ class ObjectiveResult:
     frac_clipped: float
 
 
-def objective_and_grads(
-    model: SeparatorModel,
-    batch: list[SampledItem],
-    cfg: RlConfig,
-    kappa: float,
-) -> ObjectiveResult:
-    """Objective J for a sampled batch and the gradients of -J w.r.t. the
-    live model's parameters, backpropagated from dJ/dP at the proposal.
+def objective_and_grads(model: SeparatorModel, ro: Rollout,
+                        advantages: np.ndarray, cfg: RlConfig) -> ObjectiveResult:
+    """Objective J for a rollout whose masks carry the (B, G)
+    ``advantages``, and the gradients of -J w.r.t. the live model's
+    parameters, backpropagated from dJ/dP at the proposal.
 
-    An item carrying the sampler's forward cache has the live policy equal
-    to its old one, ``params_old``: each log-ratio is 0 by construction, and
-    no mask is scored. Other items forward the live model here and score
-    each mask under the old and the new policy."""
-    n_items = len(batch)
-    n_samples = sum(len(s.masks) for s in batch)
+    An item carrying the rollout's forward cache has the live policy equal
+    to its old one: each log-ratio is 0 by construction, and no mask is
+    scored. Other items forward the live model here and score each mask
+    under the old and the new policy."""
+    n_items = len(ro.items)
+    n_samples = sum(len(masks) for masks in ro.masks)
     total = None
     ratios_all, values_all, entropies = [], [], []
     n_clipped = 0
 
-    for sampled in batch:
-        item = sampled.item
-        reused = sampled.cache is not None
+    for item, old, masks, cache, adv_row in zip(
+            ro.items, ro.old_policies, ro.masks, ro.caches, advantages,
+            strict=True):
+        reused = cache is not None
         if reused:
-            cache, new = sampled.cache, sampled.params_old
+            new = old
         else:
             proposal, cache = forward(model, item.log_mag, item.query)
-            new = params_from_proposal(proposal, kappa)
+            new = params_from_proposal(proposal, ro.kappa)
 
         d_p = np.zeros(new.shape)
-        for mask, adv in zip(sampled.masks, sampled.advantages):
+        for mask, adv in zip(masks, adv_row, strict=True):
             log_diff = 0.0 if reused else (log_prob(new, mask)
-                                           - log_prob(sampled.params_old, mask))
+                                           - log_prob(old, mask))
             value, coeff, clipped, ratio = clipped_surrogate(
                 log_diff, adv, cfg.clip_epsilon
             )
@@ -301,34 +298,30 @@ class TrainStepReport:
                 )
 
 
-def train_step(
-    model: SeparatorModel,
-    opt_state: AdamWState,
-    items: list[TrainItem],
-    cfg: RlConfig,
-    rng: np.random.Generator,
-    reward_ctx: RewardContext,
-    step_index: int = 0,
-) -> TrainStepReport:
-    """One full update: sample from the live policy, score
-    reconstructions, normalize advantages, step the live model."""
-    kappa = cfg.kappa_at(step_index)
-
-    # one forward per item serves sampling now and the gradient pass later
+def rollout(model: SeparatorModel, items: list[TrainItem], cfg: RlConfig,
+            rng: np.random.Generator, reward_ctx: RewardContext,
+            kappa: float) -> Rollout:
+    """Sample cfg.mc_samples masks per item from the live policy at
+    ``kappa`` and score their reconstructions. The model is not changed,
+    and ``rng`` is advanced by one ``rng.beta`` call."""
+    # one forward per item serves sampling now and the update later
     proposals, caches = zip(*(forward(model, it.log_mag, it.query) for it in items))
     policies = [params_from_proposal(p, kappa) for p in proposals]
-    samples = sample(policies, rng, cfg.mc_samples, clamp_eps=cfg.sample_clamp)
-    rewards = reward_ctx.rewards(items, [s.masks for s in samples])
+    masks = sample(policies, rng, cfg.mc_samples, clamp_eps=cfg.sample_clamp)
+    rewards = reward_ctx.rewards(items, masks).reshape(len(items), -1)
+    return Rollout(list(items), kappa, policies, masks, rewards, list(caches))
 
+
+def update(model: SeparatorModel, opt_state: AdamWState, ro: Rollout,
+           cfg: RlConfig, step_index: int) -> TrainStepReport:
+    """Normalize the rollout's rewards into advantages over the whole
+    batch, step the live model on the clipped surrogate, then probe
+    ``kl_post`` on the lead item against its old policy."""
+    rewards = ro.rewards.ravel()
     mean_reward = float(np.mean(rewards))
-    adv = normalize_advantages(rewards, cfg.grpo_eps).reshape(len(items), -1)
-    sampled_batch = [
-        SampledItem(item=item, params_old=s.policy, masks=s.masks,
-                    advantages=[float(a) for a in row], cache=cache)
-        for item, s, cache, row in zip(items, samples, caches, adv)
-    ]
+    adv = normalize_advantages(rewards, cfg.grpo_eps).reshape(ro.rewards.shape)
 
-    result = objective_and_grads(model, sampled_batch, cfg, kappa)
+    result = objective_and_grads(model, ro, adv, cfg)
     if not np.isfinite(result.objective):
         raise DivergenceError(
             f"non-finite objective at step {step_index}: "
@@ -345,11 +338,10 @@ def train_step(
 
     # trust-region telemetry after the update, measured on the leading
     # batch item (a full-batch measurement would double the forward cost)
-    lead = sampled_batch[0]
-    proposal_post, _ = forward(model, lead.item.log_mag, lead.item.query,
-                               keep_cache=False)
-    kl_post = kl_divergence(params_from_proposal(proposal_post, kappa),
-                            lead.params_old)
+    lead = ro.items[0]
+    proposal_post, _ = forward(model, lead.log_mag, lead.query, keep_cache=False)
+    kl_post = kl_divergence(params_from_proposal(proposal_post, ro.kappa),
+                            ro.old_policies[0])
 
     report = TrainStepReport(
         step=step_index,
@@ -364,6 +356,15 @@ def train_step(
     )
     report.validate_finite()
     return report
+
+
+def train_step(model: SeparatorModel, opt_state: AdamWState,
+               items: list[TrainItem], cfg: RlConfig, rng: np.random.Generator,
+               reward_ctx: RewardContext, step_index: int = 0) -> TrainStepReport:
+    """One policy step: a rollout from the live policy, then an update of
+    the live model from it."""
+    ro = rollout(model, items, cfg, rng, reward_ctx, cfg.kappa_at(step_index))
+    return update(model, opt_state, ro, cfg, step_index)
 
 
 def evaluate_mean_reward(

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 
 _NOLA_EPS = 1e-11
 
@@ -63,15 +63,17 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Analysis/synthesis parameters. hop <= window_size <= fft_size."""
+    """Analysis/synthesis parameters, each checked by errors.check_fields
+    against its entry in BOUNDS; hop <= window_size <= fft_size."""
+
+    BOUNDS = {"fft_size": 1, "hop": 1, "window_size": 1}
 
     fft_size: int = 1024
     hop: int = 256
     window_size: int = 1024
 
     def __post_init__(self):
-        if self.hop <= 0 or self.window_size <= 0 or self.fft_size <= 0:
-            raise ConfigError("fft_size, hop and window_size must be positive")
+        check_fields(self, self.BOUNDS)
         if not (self.hop <= self.window_size <= self.fft_size):
             raise ConfigError(
                 f"need hop <= window_size <= fft_size, got "

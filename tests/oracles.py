@@ -13,15 +13,10 @@ import numpy as np
 
 from masksep.embed import _feature_layout, unit_normalize
 from masksep.metrics import _bss_prepped, _prep, _si_sdr_prepped
-from masksep.policy import kl_divergence, log_prob, params_from_proposal
+from masksep.policy import log_prob, params_from_proposal
 from masksep.reward import cosine_sim
-from masksep.rl import (
-    SampledItem,
-    TrainStepReport,
-    normalize_advantages,
-    objective_and_grads,
-)
-from masksep.separator import apply_adamw_step, forward
+from masksep.rl import Rollout
+from masksep.separator import forward
 from masksep.spectral import Mask, Spectrogram, istft, stft
 
 
@@ -107,70 +102,27 @@ def mask_reward(embedder, item, waveform) -> float:
     return cosine_sim(audio_embedding(embedder, waveform), item.reward_target)
 
 
-def train_step_per_item(model, opt_state, items, cfg, rng, embedder,
-                        step_index=0, carry_forward=True):
-    """rl.train_step with its rollout run item by item and mask by mask.
-    Without ``carry_forward`` the items keep no forward cache, so the
-    objective forwards the live model again and scores every mask under
-    the old and the new policy."""
-    kappa = cfg.kappa_at(step_index)
-
-    sampled_batch = []
-    rewards_flat = []
+def rollout_per_mask(model, items, cfg, rng, embedder, kappa,
+                     carry_forward=True):
+    """rl.rollout item by item and mask by mask: one generator call, one
+    reconstruction and one embedding per mask. Without ``carry_forward``
+    the items keep no forward cache, so the update takes the live-forward
+    path."""
+    policies, stacks, rewards, caches = [], [], [], []
     for item in items:
-        # one forward serves sampling now and the gradient pass later
-        proposal_old, cache = forward(model, item.log_mag, item.query)
-        params_old = params_from_proposal(proposal_old, kappa)
+        proposal, cache = forward(model, item.log_mag, item.query)
+        params = params_from_proposal(proposal, kappa)
         masks = []
         for _ in range(cfg.mc_samples):
-            mask, _ = sample_mask(params_old, rng, cfg.sample_clamp)
+            mask, _ = sample_mask(params, rng, cfg.sample_clamp)
             wav = reconstruct_one(item.mix_spec, Mask(mask))
             masks.append(mask)
-            rewards_flat.append(mask_reward(embedder, item, wav))
-        sampled_batch.append(
-            SampledItem(
-                item=item,
-                params_old=params_old,
-                masks=masks,
-                cache=cache if carry_forward else None,
-            )
-        )
-
-    mean_reward = float(np.mean(rewards_flat))
-    norm_adv = normalize_advantages(rewards_flat, cfg.grpo_eps)
-    pos = 0
-    for sampled in sampled_batch:
-        k = len(sampled.masks)
-        sampled.advantages = [float(a) for a in norm_adv[pos : pos + k]]
-        pos += k
-
-    result = objective_and_grads(model, sampled_batch, cfg, kappa)
-    grad_norm = apply_adamw_step(
-        model,
-        result.grads,
-        opt_state,
-        lr=cfg.lr,
-        weight_decay=cfg.weight_decay,
-        clip_norm=cfg.clip_norm,
-    )
-
-    lead = sampled_batch[0]
-    proposal_post, _ = forward(model, lead.item.log_mag, lead.item.query,
-                               keep_cache=False)
-    kl_post = kl_divergence(params_from_proposal(proposal_post, kappa),
-                            lead.params_old)
-
-    return TrainStepReport(
-        step=step_index,
-        mean_reward=mean_reward,
-        objective=result.objective,
-        surrogate=result.surrogate,
-        entropy=result.entropy,
-        ratio_mean=result.ratio_mean,
-        frac_clipped=result.frac_clipped,
-        grad_norm=grad_norm,
-        kl_post=kl_post,
-    )
+            rewards.append(mask_reward(embedder, item, wav))
+        policies.append(params)
+        stacks.append(np.stack(masks))
+        caches.append(cache if carry_forward else None)
+    return Rollout(list(items), kappa, policies, stacks,
+                   np.array(rewards).reshape(len(items), -1), caches)
 
 
 def mean_reward_per_item(model, items, embedder) -> float:

@@ -216,7 +216,7 @@ def test_criterion_2_gradient_fidelity():
 
     # end-to-end policy-step gradient on a 4-bin toy, <= 1e-3
     from masksep.policy import sample
-    from masksep.rl import RlConfig, SampledItem, TrainItem, objective_and_grads
+    from masksep.rl import RlConfig, Rollout, TrainItem, objective_and_grads
 
     cfg = RlConfig(entropy_coef=0.1)
     model = init_model(np.random.default_rng(7), context=1, hidden_width=3,
@@ -226,7 +226,7 @@ def test_criterion_2_gradient_fidelity():
         getattr(old, name)[...] += 0.05 * rng.standard_normal(
             getattr(old, name).shape
         )
-    batch = []
+    items, olds, stacks, adv = [], [], [], []
     for i in range(2):
         item = TrainItem(item_id=f"fd{i}", category="x", mix_spec=None,
                          log_mag=rng.uniform(0, 2, (2, 2)),
@@ -234,11 +234,16 @@ def test_criterion_2_gradient_fidelity():
                          ideal_mask=None, bce_weight=None)
         proposal_old, _ = forward(old, item.log_mag, item.query)
         params_old = params_from_proposal(proposal_old, 9.0)
-        (ps,) = sample([params_old], np.random.default_rng(10 + i))
-        batch.append(SampledItem(item=item, params_old=params_old,
-                                 masks=ps.masks,
-                                 advantages=[float(rng.normal())]))
-    result = objective_and_grads(model, batch, cfg, 9.0)
+        (masks,) = sample([params_old], np.random.default_rng(10 + i))
+        items.append(item)
+        olds.append(params_old)
+        stacks.append(masks)
+        adv.append([rng.normal()])
+    # no forward cache: the objective forwards the live model and scores
+    # each mask under both policies; the rewards are the advantages
+    adv = np.array(adv)
+    ro = Rollout(items, 9.0, olds, stacks, adv, [None, None])
+    result = objective_and_grads(model, ro, adv, cfg)
     worst = 0.0
     for name in ("w1", "b1", "w2", "b2"):
         param = getattr(model, name)
@@ -248,9 +253,9 @@ def test_criterion_2_gradient_fidelity():
             idx = it.multi_index
             orig = param[idx]
             param[idx] = orig + 1e-6
-            up = objective_and_grads(model, batch, cfg, 9.0).objective
+            up = objective_and_grads(model, ro, adv, cfg).objective
             param[idx] = orig - 1e-6
-            down = objective_and_grads(model, batch, cfg, 9.0).objective
+            down = objective_and_grads(model, ro, adv, cfg).objective
             param[idx] = orig
             fd_loss = -(up - down) / 2e-6
             worst = max(worst, abs(analytic[idx] - fd_loss) / max(abs(fd_loss), 1e-6))

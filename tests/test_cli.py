@@ -31,7 +31,7 @@ from masksep.embed import (
 from masksep.errors import ConfigError, check_value
 from masksep.rl import RlConfig
 from masksep.separator import init_model, load_model, save_model
-from masksep.spectral import Waveform
+from masksep.spectral import StftConfig, Waveform
 from masksep.wavio import write_wav
 
 
@@ -41,6 +41,14 @@ def small_dataset(tmp_path_factory):
     assert main(["synth", "--out", str(out), "--items", "16", "--seed", "5",
                  "--duration", "16384"]) == 0
     return out
+
+
+def keyed(bad: dict, named: str):
+    """A (config input, expected message) case whose id is built from the
+    input alone, so that editing the message renames no test. A case whose
+    message changes takes it; the others keep pytest's positional ids."""
+    return pytest.param(bad, named, id=" ".join(
+        f"{key}={value!r}" for key, value in bad.items()))
 
 
 def run_dirs(tmp_path, *names):
@@ -305,10 +313,12 @@ class TestTrainRl:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("bad, named", [
-        ({"steps": "x"}, "config key 'steps' must be an integer, got 'x'"),
+        keyed({"steps": "x"}, "config key 'steps' must be an integer >= 0, got 'x'"),
         ({"batch_size": 2.5}, "config key 'batch_size' must be an integer"),
-        ({"lr": True}, "config key 'lr' must be a number, got True"),
-        ({"seed": False}, "config key 'seed' must be an integer, got False"),
+        keyed({"lr": True},
+              "config key 'lr' must be a positive finite number, got True"),
+        keyed({"seed": False},
+              "config key 'seed' must be an integer >= 0, got False"),
         ({"reward_mode": None}, "config key 'reward_mode' must be a string"),
     ])
     def test_config_value_of_wrong_type_is_config_error(
@@ -342,9 +352,11 @@ class TestTrainRl:
         # legal alone, but shorter than the STFT window
         ({"segment_samples": 512}, "segment_samples is shorter than the STFT"),
         # the STFT keys are integers: neither truncated nor read as 1
-        ({"fft_size": 1024.7}, "config key 'fft_size' must be an integer, got"),
-        ({"hop": True}, "config key 'hop' must be an integer, got True"),
-        ({"lr": float("nan")}, "config key 'lr' must be a number, got nan"),
+        keyed({"fft_size": 1024.7},
+              "config key 'fft_size' must be an integer >= 1, got 1024.7"),
+        keyed({"hop": True}, "config key 'hop' must be an integer >= 1, got True"),
+        keyed({"lr": float("nan")},
+              "config key 'lr' must be a positive finite number, got nan"),
     ])
     def test_rejected_config_leaves_no_run_dir(self, small_dataset, tmp_path,
                                                capsys, bad, named):
@@ -402,7 +414,7 @@ class TestTrainRl:
         assert getattr(RlConfig(**{key: 0.0}), key) == 0.0
 
 
-@pytest.mark.parametrize("config", [RlConfig, StageConfig])
+@pytest.mark.parametrize("config", [RlConfig, StageConfig, StftConfig])
 def test_every_config_key_has_a_bound(config):
     assert set(config.BOUNDS) == {f.name for f in fields(config)}
 
@@ -453,6 +465,30 @@ def test_unreadable_json_file_is_named(corrupt_case, tmp_path, capsys, flag,
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert f"{bad}: {named}" in err
     assert not (tmp_path / "o.wav").exists()
+
+
+@pytest.mark.parametrize("bad, named", [
+    keyed({"hop": 0}, "config key 'hop' must be an integer >= 1, got 0"),
+    keyed({"fft_size": -5}, "config key 'fft_size' must be an integer >= 1, got -5"),
+])
+@pytest.mark.parametrize("command", ["train-rl", "separate"])
+def test_stft_key_out_of_bound_is_named(small_dataset, trained_run, tmp_path,
+                                        capsys, command, bad, named):
+    cfg_file = tmp_path / "bad.json"
+    cfg_file.write_text(json.dumps(bad))
+    out = tmp_path / "out"
+    argv = {
+        "train-rl": ["train-rl", "--run-dir", str(out)],
+        "separate": ["separate", "--out", str(out), "--checkpoint",
+                     str(trained_run / "checkpoints" / "best.json")],
+    }[command]
+    code = main(argv + ["--dataset", str(small_dataset), "--config",
+                        str(cfg_file)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert named in err
+    assert not out.exists()
 
 
 def test_help_keeps_usage(capsys):
@@ -730,7 +766,7 @@ class TestSeparate:
         assert not (tmp_path / "est").exists()
 
     @pytest.mark.parametrize("bad, named", [
-        ({"hop": True}, "config key 'hop' must be an integer, got True"),
+        keyed({"hop": True}, "config key 'hop' must be an integer >= 1, got True"),
         ({"fft_size": 1024.7}, "config key 'fft_size' must be an integer"),
         ({"rate_policy": "loose"}, "unknown rate_policy 'loose'"),
     ])

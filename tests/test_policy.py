@@ -140,27 +140,27 @@ class TestLogProb:
 class TestSampling:
     def test_high_concentration_tracks_proposal(self):
         params = params_from_proposal(np.full(1000, 0.7), 1e6)
-        (ps,) = sample([params], np.random.default_rng(1))
-        assert abs(ps.masks.mean() - 0.7) < 1e-2
+        (masks,) = sample([params], np.random.default_rng(1))
+        assert abs(masks.mean() - 0.7) < 1e-2
 
     def test_uniform_case_mean(self):
         params = BetaPolicyParams(np.full(100_000, 0.5), 0.0)
-        (ps,) = sample([params], np.random.default_rng(2))
+        (masks,) = sample([params], np.random.default_rng(2))
         # 3 sigma of the mean of U(0,1) over n draws
-        assert abs(ps.masks.mean() - 0.5) < 3 * np.sqrt(1 / 12 / 100_000)
+        assert abs(masks.mean() - 0.5) < 3 * np.sqrt(1 / 12 / 100_000)
 
     def test_seed_determinism(self):
         params = params_from_proposal(np.random.default_rng(3).uniform(size=50), 9.0)
         (a,) = sample([params], np.random.default_rng(42))
         (b,) = sample([params], np.random.default_rng(42))
-        assert np.array_equal(a.masks, b.masks)
-        assert a.log_probs == b.log_probs
+        assert np.array_equal(a, b)
+        assert [log_prob(params, m) for m in a] == [log_prob(params, m) for m in b]
 
     def test_samples_clamped_inside_open_interval(self):
         params = params_from_proposal(np.zeros(10_000), 9.0)
-        (ps,) = sample([params], np.random.default_rng(4))
-        assert ps.masks.min() >= 1e-5 and ps.masks.max() <= 1 - 1e-5
-        assert np.isfinite(ps.log_probs[0])
+        (masks,) = sample([params], np.random.default_rng(4))
+        assert masks.min() >= 1e-5 and masks.max() <= 1 - 1e-5
+        assert np.isfinite(log_prob(params, masks[0]))
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_one_call_draws_the_per_mask_stream(self, n):
@@ -171,12 +171,12 @@ class TestSampling:
                                          ((7, 3), 0.5))]
         rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
         out = sample(policies, rng, n, clamp_eps=1e-3)
-        for params, ps in zip(policies, out):
-            assert ps.masks.shape == (n, *params.shape)
-            for mask, logp in zip(ps.masks, ps.log_probs):
+        for params, masks in zip(policies, out):
+            assert masks.shape == (n, *params.shape)
+            for mask in masks:
                 ref_mask, ref_logp = sample_mask(params, ref_rng, 1e-3)
                 assert np.array_equal(mask, ref_mask)
-                assert logp == ref_logp
+                assert log_prob(params, mask) == ref_logp
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

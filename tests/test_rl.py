@@ -3,6 +3,7 @@ contracts, the end-to-end gradient check, and loop behavior."""
 
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,20 +14,22 @@ from masksep.policy import params_from_proposal, sample
 from masksep.rl import (
     RewardContext,
     RlConfig,
-    SampledItem,
+    Rollout,
     TrainItem,
     clipped_surrogate,
     evaluate_mean_reward,
     normalize_advantages,
     objective_and_grads,
+    rollout,
     train_loop,
     train_step,
+    update,
 )
 from masksep.reward import modality_vector
 from masksep.separator import forward, init_model, load_model
 from masksep.spectral import Mask, StftConfig, Waveform, log_compress, stft
 from masksep.synthdata import DEFAULT_CLASSES, build_embedder
-from oracles import mask_reward, mean_reward_per_item, reconstruct_one, train_step_per_item
+from oracles import mask_reward, mean_reward_per_item, reconstruct_one, rollout_per_mask
 
 TOY_STFT = StftConfig(fft_size=256, hop=64, window_size=256)
 
@@ -153,12 +156,13 @@ class TestClippedSurrogate:
         assert clipped_surrogate(np.log(1.5), -1.0, 0.2)[1] == pytest.approx(-1.5)
 
 
-def toy_sampled_batch(model, old, kappa, cfg, seed=0, carry_forward=False):
-    """Sample masks/advantages for a 4-bin toy through the real machinery.
+def toy_rollout(old, kappa, seed=0, carry_forward=False):
+    """A rollout of one mask per item from ``old`` on a 4-bin toy, through
+    the real sampler, and a (B, 1) advantage array drawn beside it (the
+    toy's rewards are those advantages).
 
     With ``carry_forward`` the items keep the old model's forward cache,
-    as the training step's sampler does (``old`` must then be the
-    live model)."""
+    as rl.rollout does (``old`` must then be the live model)."""
     rng = np.random.default_rng(seed)
     items = []
     for i in range(2):
@@ -173,21 +177,17 @@ def toy_sampled_batch(model, old, kappa, cfg, seed=0, carry_forward=False):
             bce_weight=None,
         )
         items.append(item)
-    batch = []
+    policies, stacks, advantages, caches = [], [], [], []
     for item in items:
         proposal_old, cache = forward(old, item.log_mag, item.query)
         params_old = params_from_proposal(proposal_old, kappa)
-        (ps,) = sample([params_old], rng)
-        batch.append(
-            SampledItem(
-                item=item,
-                params_old=params_old,
-                masks=ps.masks,
-                advantages=[float(rng.normal())],
-                cache=cache if carry_forward else None,
-            )
-        )
-    return batch
+        (masks,) = sample([params_old], rng)
+        policies.append(params_old)
+        stacks.append(masks)
+        advantages.append([rng.normal()])
+        caches.append(cache if carry_forward else None)
+    adv = np.array(advantages)
+    return Rollout(items, kappa, policies, stacks, adv, caches), adv
 
 
 class TestRlObjective:
@@ -199,10 +199,8 @@ class TestRlObjective:
         model = init_model(np.random.default_rng(20), context=1, hidden_width=3,
                            query_dim=2)
         old = copy.deepcopy(model)
-        batch = toy_sampled_batch(model, old, 9.0, cfg, seed=21)
-        for sampled in batch:
-            sampled.advantages = [advantage]
-        return objective_and_grads(model, batch, cfg, 9.0)
+        ro, _ = toy_rollout(old, 9.0, seed=21)
+        return objective_and_grads(model, ro, np.full((2, 1), advantage), cfg)
 
     def test_single_sample_ratio_one(self):
         result = self.toy(RlConfig(entropy_coef=0.0), 0.7)
@@ -229,9 +227,9 @@ class TestEndToEndGradient:
         for name in ("w1", "b1", "w2", "b2"):
             arr = getattr(old, name)
             arr += 0.05 * np.random.default_rng(5).standard_normal(arr.shape)
-        batch = toy_sampled_batch(model, old, kappa, cfg, seed=6)
+        ro, adv = toy_rollout(old, kappa, seed=6)
 
-        result = objective_and_grads(model, batch, cfg, kappa)
+        result = objective_and_grads(model, ro, adv, cfg)
         h = 1e-6
         worst = 0.0
         for name in ("w1", "b1", "w2", "b2"):
@@ -242,9 +240,9 @@ class TestEndToEndGradient:
                 idx = it.multi_index
                 orig = param[idx]
                 param[idx] = orig + h
-                up = objective_and_grads(model, batch, cfg, kappa).objective
+                up = objective_and_grads(model, ro, adv, cfg).objective
                 param[idx] = orig - h
-                down = objective_and_grads(model, batch, cfg, kappa).objective
+                down = objective_and_grads(model, ro, adv, cfg).objective
                 param[idx] = orig
                 fd_loss = -(up - down) / (2 * h)  # grads are of the loss -J
                 rel = abs(analytic[idx] - fd_loss) / max(abs(fd_loss), 1e-6)
@@ -256,24 +254,21 @@ class TestEndToEndGradient:
         model = init_model(np.random.default_rng(7), context=1, hidden_width=3,
                            query_dim=2)
         old = copy.deepcopy(model)
-        batch = toy_sampled_batch(model, old, 9.0, cfg, seed=8)
-        for s in batch:
-            s.advantages = [0.0]
-        result = objective_and_grads(model, batch, cfg, 9.0)
+        ro, _ = toy_rollout(old, 9.0, seed=8)
+        result = objective_and_grads(model, ro, np.zeros((2, 1)), cfg)
         for name in ("w1", "b1", "w2", "b2"):
             assert np.all(getattr(result.grads, name) == 0.0)
 
     def test_carried_forward_matches_fresh_forward_bitwise(self):
-        # at old == live, reusing the sampler's forward and tables is the
+        # at old == live, reusing the rollout's forward and tables is the
         # same computation as forwarding the live model again
         cfg = RlConfig(entropy_coef=0.1)
         model = init_model(np.random.default_rng(11), context=1, hidden_width=3,
                            query_dim=2)
-        carried = toy_sampled_batch(model, model, 9.0, cfg, seed=12,
-                                    carry_forward=True)
-        fresh = toy_sampled_batch(model, model, 9.0, cfg, seed=12)
-        a = objective_and_grads(model, carried, cfg, 9.0)
-        b = objective_and_grads(model, fresh, cfg, 9.0)
+        carried, adv = toy_rollout(model, 9.0, seed=12, carry_forward=True)
+        fresh, _ = toy_rollout(model, 9.0, seed=12)
+        a = objective_and_grads(model, carried, adv, cfg)
+        b = objective_and_grads(model, fresh, adv, cfg)
         assert a.objective == b.objective
         for result in (a, b):
             assert result.ratio_mean == 1.0
@@ -355,7 +350,7 @@ class TestTrainStep:
     def test_one_log_prob_per_mask_and_no_kl_gradient(self, toy_world,
                                                       monkeypatch):
         # sampling does not score its masks, and the objective reuses the
-        # sampler's forward, where every log-ratio is 0, so no mask is
+        # rollout's forward, where every log-ratio is 0, so no mask is
         # scored; the objective has no KL term, so only the kl_post probe
         # evaluates a KL
         from masksep import policy, rl
@@ -483,47 +478,95 @@ def test_evaluate_mean_reward_deterministic(toy_world):
 PARAMS = ("w1", "b1", "w2", "b2")
 
 
+def assert_same_rollout(ro, ref):
+    """Every field of two rollouts, bit for bit; a forward cache is
+    compared by whether it is there."""
+    assert ro.items == ref.items and ro.kappa == ref.kappa
+    for old, ref_old in zip(ro.old_policies, ref.old_policies, strict=True):
+        assert old.kappa == ref_old.kappa
+        assert old.proposal.tobytes() == ref_old.proposal.tobytes()
+    for masks, ref_masks in zip(ro.masks, ref.masks, strict=True):
+        assert masks.shape == ref_masks.shape
+        assert masks.tobytes() == ref_masks.tobytes()
+    assert ro.rewards.shape == ref.rewards.shape
+    assert ro.rewards.tobytes() == ref.rewards.tobytes()
+    assert [c is None for c in ro.caches] == [c is None for c in ref.caches]
+
+
 class TestBatchedRollout:
     """The step samples, reconstructs and embeds every mask of the batch
-    together; the per-item loop in ``oracles`` is the reference."""
+    together; the per-mask rollout in ``oracles`` is the reference. Both
+    rollouts feed the same update."""
+
+    @staticmethod
+    def two_steps(model, items, cfg, seed, roll, ctx, **kw):
+        live, opt, rng = copy.deepcopy(model), AdamWState(), np.random.default_rng(seed)
+        rollouts, reports = [], []
+        for k in range(2):
+            ro = roll(live, items[k : k + 4], cfg, rng, ctx, cfg.kappa_at(k), **kw)
+            rollouts.append(ro)
+            reports.append(update(live, opt, ro, cfg, k))
+        return rollouts, reports, rng.bit_generator.state, live
 
     @pytest.mark.parametrize("mc_samples", [1, 3])
     def test_step_matches_per_item_loop_bitwise(self, toy_world, mc_samples):
         items, reward_ctx, model = toy_world
         cfg = RlConfig(batch_size=4, mc_samples=mc_samples, steps=8)
-        runs = []
-        for step, ctx in ((train_step, reward_ctx),
-                          (train_step_per_item, reward_ctx.embedder)):
-            live, opt = copy.deepcopy(model), AdamWState()
-            rng = np.random.default_rng(8)
-            reports = [step(live, opt, items[k : k + 4], cfg, rng, ctx,
-                            step_index=k) for k in range(2)]
-            runs.append((reports, rng.bit_generator.state, live))
-        (reports, state, live), (ref_reports, ref_state, ref_live) = runs
+        rollouts, reports, state, live = self.two_steps(
+            model, items, cfg, 8, rollout, reward_ctx)
+        ref_rollouts, ref_reports, ref_state, ref_live = self.two_steps(
+            model, items, cfg, 8, rollout_per_mask, reward_ctx.embedder)
+        for ro, ref in zip(rollouts, ref_rollouts):
+            assert_same_rollout(ro, ref)
         assert reports == ref_reports
         assert state == ref_state
         for name in PARAMS:
             assert getattr(live, name).tobytes() == getattr(ref_live, name).tobytes()
+        # train_step is one rollout and one update
+        step_live, opt, rng = copy.deepcopy(model), AdamWState(), np.random.default_rng(8)
+        assert [train_step(step_live, opt, items[k : k + 4], cfg, rng, reward_ctx,
+                           step_index=k) for k in range(2)] == reports
+        for name in PARAMS:
+            assert getattr(step_live, name).tobytes() == getattr(live, name).tobytes()
 
     def test_live_path_matches_per_item_loop_bitwise(self, toy_world):
-        # without the sampler's forward cache, the objective forwards the
-        # live model again and scores each mask under the old and the new
+        # without the rollout's forward cache, the update forwards the live
+        # model again and scores each mask under the old and the new
         # policy; at a single pass that is the cached step, bit for bit
         items, reward_ctx, model = toy_world
         cfg = RlConfig(batch_size=4, mc_samples=2, steps=8)
-        runs = []
-        for step, ctx, kw in ((train_step, reward_ctx, {}),
-                              (train_step_per_item, reward_ctx.embedder,
-                               {"carry_forward": False})):
-            live, opt = copy.deepcopy(model), AdamWState()
-            rng = np.random.default_rng(13)
-            reports = [step(live, opt, items[k : k + 4], cfg, rng, ctx,
-                            step_index=k, **kw) for k in range(2)]
-            runs.append((reports, live))
-        (reports, live), (ref_reports, ref_live) = runs
+        rollouts, reports, _, live = self.two_steps(
+            model, items, cfg, 13, rollout, reward_ctx)
+        ref_rollouts, ref_reports, _, ref_live = self.two_steps(
+            model, items, cfg, 13, rollout_per_mask, reward_ctx.embedder,
+            carry_forward=False)
+        for ro, ref in zip(rollouts, ref_rollouts):
+            assert all(c is None for c in ref.caches)
+            assert_same_rollout(ro, replace(ref, caches=ro.caches))
         assert reports == ref_reports
         for name in PARAMS:
             assert getattr(live, name).tobytes() == getattr(ref_live, name).tobytes()
+
+    def test_rollout_has_no_side_effects(self, toy_world):
+        # the model keeps its parameters and version, and the generator
+        # moves by exactly one rng.beta call over every mask's bins
+        items, reward_ctx, model = toy_world
+        model = copy.deepcopy(model)
+        before = {n: getattr(model, n).tobytes() for n in PARAMS}
+        version = model.version
+        cfg = RlConfig(batch_size=4, mc_samples=2, steps=8)
+        rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
+        ro = rollout(model, items[:4], cfg, rng, reward_ctx, cfg.kappa_at(0))
+        assert {n: getattr(model, n).tobytes() for n in PARAMS} == before
+        assert model.version == version
+        g = cfg.mc_samples
+        draws = ref_rng.beta(
+            np.concatenate([np.tile(p.alpha.ravel(), g) for p in ro.old_policies]),
+            np.concatenate([np.tile(p.beta.ravel(), g) for p in ro.old_policies]))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        clipped = np.clip(draws, cfg.sample_clamp, 1.0 - cfg.sample_clamp)
+        assert np.concatenate([m.ravel() for m in ro.masks]).tobytes() == \
+            clipped.tobytes()
 
     def test_validation_matches_per_item_sum_bitwise(self, toy_world):
         items, reward_ctx, model = toy_world

@@ -3,12 +3,14 @@
     python3 tools/same_bytes.py --base PATH [--head PATH] [--summary FILE]
 
 Each tree's ``src/`` runs ``synth`` -> ``train-rl`` -> ``separate`` ->
-``eval``, then a one-epoch ``train-align``, on a 40-item set, one command
-per fresh process, with BLAS held to one thread. The report says whether
-``train.jsonl``, the checkpoints, the estimate WAVs, ``eval``'s
-``summary.json`` and the alignment heads, ``gap.json`` and
-``curriculum.txt`` are byte-identical between the trees, and names every
-file that differs. It is appended to ``--summary`` (a CI job summary) when
+``eval``, then a one-epoch ``train-align`` and a second ``train-rl`` with
+two masks per item (G = 2, which reshapes the rewards into (B, G)
+groups), on a 40-item set, one command per fresh process, with BLAS held
+to one thread. The report says whether ``train.jsonl``, the checkpoints,
+the estimate WAVs, ``eval``'s ``summary.json``, the alignment heads,
+``gap.json``, ``curriculum.txt`` and the G = 2 run's ``train.jsonl`` and
+checkpoints are byte-identical between the trees, and names every file
+that differs. It is appended to ``--summary`` (a CI job summary) when
 given, and printed either way.
 
 The check informs and does not gate: a change may move bytes on purpose.
@@ -25,16 +27,18 @@ import sys
 import tempfile
 from pathlib import Path
 
+TRAIN_RL = ["train-rl", "--dataset", "ds", "--steps", "4", "--batch-size",
+            "4", "--val-interval", "2", "--warm-start-steps", "5"]
 COMMANDS = (
     ["synth", "--out", "ds", "--items", "40", "--seed", "5",
      "--duration", "16384"],
-    ["train-rl", "--dataset", "ds", "--run-dir", "run", "--steps", "4",
-     "--batch-size", "4", "--val-interval", "2", "--warm-start-steps", "5"],
+    [*TRAIN_RL, "--run-dir", "run"],
     ["separate", "--checkpoint", "run/checkpoints/last.json",
      "--dataset", "ds", "--out", "sep"],
     ["eval", "--manifest", "sep/eval_manifest.jsonl", "--out", "eval"],
     ["train-align", "--dataset", "ds", "--run-dir", "align", "--epochs", "1",
      "--steps-per-epoch", "3"],
+    [*TRAIN_RL, "--run-dir", "run_g2", "--mc-samples", "2"],
 )
 
 # (what the report calls it, glob under the work directory)
@@ -46,6 +50,8 @@ COMPARED = (
     ("alignment heads", "align/checkpoints/heads_*.json"),
     ("gap.json", "align/reports/gap.json"),
     ("curriculum.txt", "align/reports/curriculum.txt"),
+    ("train.jsonl, G = 2", "run_g2/logs/train.jsonl"),
+    ("checkpoints, G = 2", "run_g2/checkpoints/*.json"),
 )
 
 
