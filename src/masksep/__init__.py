@@ -12,9 +12,9 @@ Subpackage map:
 - ``optim``      AdamW with global-norm gradient clipping
 - ``rl``         clipped-surrogate policy optimization loop; the clip is the
                  trust region, with no KL penalty
-- ``reward``     cosine rewards, and the one map from a query modality or
-                 reward mode to a vector: one modality's, their mixup or
-                 their elementwise product
+- ``reward``     mask -> waveform -> embedding -> cosine rewards, and the one
+                 map from a query modality or reward mode to a vector: one
+                 modality's, their mixup or their elementwise product
 - ``embed``      embedding stores, synthetic oracle embedders, projection heads
 - ``align``      three-stage contrastive alignment curriculum
 - ``metrics``    SI-SDR / SI-SDRi, permutation assignment, SDR/SIR/SAR

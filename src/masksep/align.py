@@ -63,15 +63,23 @@ class StageConfig:
     weight_decay: float = 0.0
     clip_norm: float = 1.0
 
+    # the keys a stage never reads (stage 3 replays stage 2, so reads all)
+    UNREAD = {1: {"margin", "replay_fraction", "lambda1", "lambda2", "lambda3",
+                  "mu1", "mu2", "mu3", "mu4"}, 2: {"mu1", "mu2", "mu3", "mu4"},
+              3: set()}
+
     def __post_init__(self):
         check_fields(self, self.BOUNDS, where=f"stage {self.stage}: ")
 
     @classmethod
     def from_dict(cls, stage: int, d: dict) -> "StageConfig":
-        """Stage ``stage`` with the config-file overrides ``d``."""
-        unknown = set(d) - (set(cls.__dataclass_fields__) - {"stage"})
+        """Stage ``stage`` with the config-file overrides ``d``; a key the
+        stage never reads is unknown to it, so no override is ignored."""
+        reads = set(cls.__dataclass_fields__) - {"stage"} - cls.UNREAD[stage]
+        unknown = set(d) - reads
         if unknown:
-            raise ConfigError(f"stage {stage}: unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"stage {stage}: unknown config keys: "
+                              f"{sorted(unknown)}; it reads {', '.join(sorted(reads))}")
         return cls(stage=stage, **d)
 
 

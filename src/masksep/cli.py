@@ -191,7 +191,6 @@ def cmd_train_rl(args) -> int:
     _check_split(dataset, "val")
     train_items = pipeline.prepare_train_items(dataset, "train", rl_cfg, stft_cfg)
     val_items = pipeline.prepare_train_items(dataset, "val", rl_cfg, stft_cfg)
-    reward_ctx = rl.RewardContext(embedder=dataset.embedder)
     run_dir = Path(cfg["run_dir"])
     _echo_config(run_dir, "train-rl", cfg)
     (run_dir / "logs").mkdir(exist_ok=True)
@@ -208,7 +207,7 @@ def cmd_train_rl(args) -> int:
         train_items,
         val_items,
         rl_cfg,
-        reward_ctx,
+        dataset.embedder,
         log_path=run_dir / "logs" / "train.jsonl",
         checkpoint_dir=run_dir / "checkpoints",
     )
@@ -389,7 +388,8 @@ def cmd_separate(args) -> int:
         dataset = (
             pipeline.load_dataset(cfg["dataset"]) if cfg["dataset"] else None
         )
-        mix = read_wav(cfg["mixture"], rate_policy=cfg["rate_policy"])
+        rate = dataset.embedder.sample_rate if dataset else 16000
+        mix = read_wav(cfg["mixture"], rate, rate_policy=cfg["rate_policy"])
         if len(mix) < stft_cfg.window_size:
             raise ConfigError(f"{cfg['mixture']}: waveform too short: {len(mix)} "
                               f"samples < window_size {stft_cfg.window_size}")

@@ -11,11 +11,10 @@ import numpy as np
 from .align import GapEntry
 from .embed import MODALITIES, AudioFeatureEmbedder, EmbeddingStore, load_store
 from .metrics import UtteranceEval, si_sdri
-from .reward import modality_vector
-from .rl import RlConfig, TrainItem, embed_reconstructions
+from .reward import embed_reconstructions, modality_vector
+from .rl import RlConfig, TrainItem
 from .separator import SeparatorModel, forward
 from .spectral import (
-    Mask,
     StftConfig,
     Waveform,
     apply_mask_reconstruct,
@@ -172,8 +171,8 @@ def prepare_train_items(
     its reward target once. The reward's audio embedding is that of the
     target source's reconstruction through its ideal ratio mask, matching
     how estimates are formed during training; equal-length crops are
-    reconstructed and embedded together, ``cfg.batch_size`` at a time, and
-    a silent reconstruction falls back to the item's stored audio vector."""
+    reconstructed and embedded together, in the reward's batches, and a
+    silent reconstruction falls back to the item's stored audio vector."""
     records = dataset.split(split)
     mixes, masks = [], []
     for rec in records:
@@ -189,8 +188,7 @@ def prepare_train_items(
                             target_ref.sample_rate)
         mixes.append(stft(mix_crop, stft_cfg))
         masks.append(ideal_ratio_mask(stft(ref_crop, stft_cfg), mixes[-1]))
-    embeds = embed_reconstructions(dataset.embedder, mixes, masks,
-                                   lambda f, t: cfg.batch_size)
+    embeds = embed_reconstructions(dataset.embedder, mixes, masks)
 
     items = []
     for rec, mix_spec, irm, audio in zip(records, mixes, masks, embeds):
@@ -212,7 +210,7 @@ def prepare_train_items(
                     dataset.store.get("text", rec["item_id"]),
                     dataset.store.get("video", rec["item_id"]),
                 ),
-                ideal_mask=irm.values,
+                ideal_mask=irm,
                 bce_weight=weight,
             )
         )
@@ -241,7 +239,7 @@ def separate_waveform(
     """Mask the mixture with the deterministic proposal and resynthesize."""
     spec = stft(mix, stft_cfg)
     proposal, _ = forward(model, log_compress(spec), query, keep_cache=False)
-    return apply_mask_reconstruct(spec, Mask(proposal))
+    return apply_mask_reconstruct(spec, proposal)
 
 
 def separate_split(

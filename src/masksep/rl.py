@@ -2,11 +2,12 @@
 
 Each step is a rollout, then an update. ``rollout`` samples masks from
 the live separator's Beta policy, the frozen old policy, and scores their
-reconstructions with embedding rewards; it returns what it measured as a
-``Rollout``. ``update`` normalizes the rewards within the batch (the batch
-mean is the baseline, as in GRPO) into advantages, then takes one
-gradient step on the clipped surrogate with an entropy bonus. As in PPO's
-clip variant, the clip is the trust region; there is no KL penalty.
+reconstructions with the audio embedder through ``reward.mask_rewards``;
+it returns what it measured as a ``Rollout``. ``update`` normalizes the
+rewards within the batch (the batch mean is the baseline, as in GRPO) into
+advantages, then takes one gradient step on the clipped surrogate with an
+entropy bonus. As in PPO's clip variant, the clip is the trust region;
+there is no KL penalty.
 
 The rollout batches all B x G masks of a step: one generator call samples
 them, one inverse FFT reconstructs them and one STFT feeds the embedder.
@@ -42,7 +43,7 @@ from .policy import (
     params_from_proposal,
     sample,
 )
-from .reward import QUERY_MODALITIES, REWARD_MODES, cosine_sim
+from .reward import QUERY_MODALITIES, REWARD_MODES, mask_rewards
 from .separator import (
     ParamGrads,
     SeparatorModel,
@@ -52,10 +53,9 @@ from .separator import (
     save_model,
     warm_start_supervised,
 )
-from .spectral import Mask, Spectrogram, reconstruct
+from .spectral import Spectrogram
 
 RATIO_LOG_CLAMP = 20.0
-REWARD_BATCH_BINS = 1 << 20  # masked bins reconstructed and embedded at once
 
 
 @dataclass
@@ -122,47 +122,6 @@ class TrainItem:
     reward_target: np.ndarray
     ideal_mask: np.ndarray
     bce_weight: np.ndarray
-
-
-def embed_reconstructions(embedder, mixes: list[Spectrogram], masks: list[Mask],
-                          batch_rows) -> list:
-    """The embedding of mask i resynthesized under mixture i's phase, or
-    None where that reconstruction is silent. Mixtures of one shape and
-    length are reconstructed and embedded together, ``batch_rows(F, T)``
-    of them at a time."""
-    out = [None] * len(masks)
-    groups = {}
-    for i, mix in enumerate(mixes):
-        groups.setdefault((mix.bins.shape, mix.num_samples), []).append(i)
-    for ((f, t), _), group in groups.items():
-        size = batch_rows(f, t)
-        for idx in np.split(np.array(group), range(size, len(group), size)):
-            waves = reconstruct([mixes[i] for i in idx], [masks[i] for i in idx])
-            live = np.max(np.abs(waves), axis=1) != 0.0
-            for i, e in zip(idx[live], embedder.embed_rows(waves[live])):
-                out[i] = e
-    return out
-
-
-@dataclass
-class RewardContext:
-    """Everything needed to turn reconstructions into scalar rewards."""
-
-    embedder: object  # AudioFeatureEmbedder
-
-    def rewards(self, items: list[TrainItem], masks) -> np.ndarray:
-        """The reward of every mask, item after item: ``masks[i]`` stacks
-        item i's masks (G, F, T). Masks of equal-length crops are
-        reconstructed and embedded together, up to REWARD_BATCH_BINS bins a
-        batch. A silent reconstruction scores -1.0, the worst case."""
-        pairs = [(item, Mask(m)) for item, stack in zip(items, masks, strict=True)
-                 for m in stack]
-        embeds = embed_reconstructions(
-            self.embedder, [item.mix_spec for item, _ in pairs],
-            [m for _, m in pairs],
-            lambda f, t: max(1, REWARD_BATCH_BINS // (f * t)))
-        return np.array([-1.0 if e is None else cosine_sim(e, item.reward_target)
-                         for (item, _), e in zip(pairs, embeds)])
 
 
 def normalize_advantages(a, eps: float) -> np.ndarray:
@@ -299,16 +258,16 @@ class TrainStepReport:
 
 
 def rollout(model: SeparatorModel, items: list[TrainItem], cfg: RlConfig,
-            rng: np.random.Generator, reward_ctx: RewardContext,
-            kappa: float) -> Rollout:
+            rng: np.random.Generator, embedder, kappa: float) -> Rollout:
     """Sample cfg.mc_samples masks per item from the live policy at
-    ``kappa`` and score their reconstructions. The model is not changed,
-    and ``rng`` is advanced by one ``rng.beta`` call."""
+    ``kappa`` and score their reconstructions with the audio ``embedder``.
+    The model is not changed, and ``rng`` is advanced by one ``rng.beta``
+    call."""
     # one forward per item serves sampling now and the update later
     proposals, caches = zip(*(forward(model, it.log_mag, it.query) for it in items))
     policies = [params_from_proposal(p, kappa) for p in proposals]
     masks = sample(policies, rng, cfg.mc_samples, clamp_eps=cfg.sample_clamp)
-    rewards = reward_ctx.rewards(items, masks).reshape(len(items), -1)
+    rewards = mask_rewards(embedder, items, masks).reshape(len(items), -1)
     return Rollout(list(items), kappa, policies, masks, rewards, list(caches))
 
 
@@ -360,21 +319,20 @@ def update(model: SeparatorModel, opt_state: AdamWState, ro: Rollout,
 
 def train_step(model: SeparatorModel, opt_state: AdamWState,
                items: list[TrainItem], cfg: RlConfig, rng: np.random.Generator,
-               reward_ctx: RewardContext, step_index: int = 0) -> TrainStepReport:
+               embedder, step_index: int = 0) -> TrainStepReport:
     """One policy step: a rollout from the live policy, then an update of
     the live model from it."""
-    ro = rollout(model, items, cfg, rng, reward_ctx, cfg.kappa_at(step_index))
+    ro = rollout(model, items, cfg, rng, embedder, cfg.kappa_at(step_index))
     return update(model, opt_state, ro, cfg, step_index)
 
 
-def evaluate_mean_reward(
-    model: SeparatorModel, items: list[TrainItem], reward_ctx: RewardContext
-) -> float:
+def evaluate_mean_reward(model: SeparatorModel, items: list[TrainItem],
+                         embedder) -> float:
     """Mean reward of the reconstructions under the proposal (the mode)."""
     masks = [forward(model, it.log_mag, it.query, keep_cache=False)[0][None]
              for it in items]
     total = 0.0
-    for r in reward_ctx.rewards(items, masks):
+    for r in mask_rewards(embedder, items, masks):
         total += float(r)
     return total / len(items)
 
@@ -413,7 +371,7 @@ def train_loop(
     train_items: list[TrainItem],
     val_items: list[TrainItem],
     cfg: RlConfig,
-    reward_ctx: RewardContext,
+    embedder,
     log_path,
     checkpoint_dir,
 ) -> TrainLoopResult:
@@ -436,7 +394,7 @@ def train_loop(
         warm_start(model, train_items, cfg, rng)
     opt_state = AdamWState()
 
-    initial_val = evaluate_mean_reward(model, val_items, reward_ctx)
+    initial_val = evaluate_mean_reward(model, val_items, embedder)
     best_val = initial_val
     best_step = 0
     if cfg.steps > 0:
@@ -454,13 +412,13 @@ def train_loop(
             size = min(cfg.batch_size, len(train_items))
             idx = rng.choice(len(train_items), size=size, replace=False)
             batch = [train_items[i] for i in idx]
-            report = train_step(model, opt_state, batch, cfg, rng, reward_ctx,
+            report = train_step(model, opt_state, batch, cfg, rng, embedder,
                                 step_index=step)
             write(report.to_dict())
             steps_run = step + 1
 
             if (step + 1) % cfg.val_interval == 0:
-                val_reward = evaluate_mean_reward(model, val_items, reward_ctx)
+                val_reward = evaluate_mean_reward(model, val_items, embedder)
                 write({"event": "validation", "step": step + 1,
                        "val_reward": val_reward})
                 if val_reward > best_val:
@@ -476,7 +434,7 @@ def train_loop(
 
     if cfg.steps > 0:
         save_model(checkpoint_dir / "last.json", model)
-    final_val = evaluate_mean_reward(model, val_items, reward_ctx)
+    final_val = evaluate_mean_reward(model, val_items, embedder)
     return TrainLoopResult(
         steps_run=steps_run,
         best_step=best_step,

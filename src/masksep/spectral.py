@@ -145,23 +145,6 @@ class Spectrogram:
         object.__setattr__(self, "bins", bins)
 
 
-@dataclass(frozen=True)
-class Mask:
-    """Real F x T matrix with entries in [0, 1]."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError(f"expected an F x T matrix, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("mask contains non-finite entries")
-        if values.min() < 0.0 or values.max() > 1.0:
-            raise ValueError("mask entries must lie in [0, 1]")
-        object.__setattr__(self, "values", values)
-
-
 def analyze(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """Frame-major (N, T, F) centered STFT of every row of an (N, L) sample
     stack, through one reflect pad, one strided frame view and one rfft."""
@@ -215,31 +198,34 @@ def istft(s: Spectrogram, target_len: int | None = None) -> Waveform:
     return Waveform(samples=samples, sample_rate=s.sample_rate)
 
 
-def reconstruct(mixes: list[Spectrogram], masks: list[Mask]) -> np.ndarray:
-    """Row i: mask i under mixture i's phase, resynthesized. The mixtures
-    share one configuration, shape and length, and their masked bins go
-    through one irfft, stacked frame-major like stft's bins."""
+def reconstruct(mixes: list[Spectrogram], masks: list[np.ndarray]) -> np.ndarray:
+    """Row i: mask i (F x T, in [0, 1]) under mixture i's phase, resynthesized.
+    The mixtures share one configuration, shape and length, and their masked
+    bins go through one irfft, stacked frame-major like stft's bins."""
     first = (mixes[0].config, mixes[0].bins.shape, mixes[0].num_samples)
     stack = np.empty((len(masks), *first[1][::-1]), dtype=np.complex128)
     for k, (mix, m) in enumerate(zip(mixes, masks, strict=True)):
-        if m.values.shape != mix.bins.shape:
-            raise ValueError(f"mask shape {m.values.shape} does not match "
+        if m.shape != mix.bins.shape:
+            raise ValueError(f"mask shape {m.shape} does not match "
                              f"spectrogram shape {mix.bins.shape}")
         if (mix.config, mix.bins.shape, mix.num_samples) != first:
             raise ValueError("a batch's mixtures must share their configuration, "
                              "shape and length")
-        np.multiply(m.values, mix.bins, out=stack[k].T, order="F")
+        if not (m.min() >= 0.0 and m.max() <= 1.0):  # false on NaN too
+            raise ValueError("mask holds a non-finite entry or one outside [0, 1]")
+        # a float32 mask promotes to complex128 exactly
+        np.multiply(m, mix.bins, out=stack[k].T, order="F")
     return _synthesize(stack, first[0], first[2])
 
 
-def apply_mask_reconstruct(mix: Spectrogram, m: Mask) -> Waveform:
+def apply_mask_reconstruct(mix: Spectrogram, m: np.ndarray) -> Waveform:
     """Apply a magnitude mask under the mixture phase and resynthesize."""
     return Waveform(samples=reconstruct([mix], [m])[0],
                     sample_rate=mix.sample_rate)
 
 
 def ideal_ratio_mask(target: Spectrogram, mix: Spectrogram,
-                     floor: float = 1e-8) -> Mask:
+                     floor: float = 1e-8) -> np.ndarray:
     """|target| / max(|mix|, floor), clipped to [0, 1]."""
     if target.bins.shape != mix.bins.shape:
         raise ValueError(
@@ -250,7 +236,7 @@ def ideal_ratio_mask(target: Spectrogram, mix: Spectrogram,
     if floor <= 0:
         raise ValueError("floor must be positive")
     ratio = np.abs(target.bins) / np.maximum(np.abs(mix.bins), floor)
-    return Mask(np.clip(ratio, 0.0, 1.0))
+    return np.clip(ratio, 0.0, 1.0)
 
 
 def log_compress(s: Spectrogram) -> np.ndarray:

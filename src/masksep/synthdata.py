@@ -316,10 +316,7 @@ def build_dataset(
                 target_cls.name,
                 oracle.embed(modality, target_cls.class_id, instance_seed),
             )
-        for modality in ("audio", "text", "video"):
-            source_files[(modality, item_id)] = str(
-                Path("items") / f"{item_id}_mix.wav"
-            )
+        source_files[("audio", item_id)] = ref_paths[0]
 
         records.append(
             {

@@ -17,7 +17,7 @@ from masksep.policy import log_prob, params_from_proposal
 from masksep.reward import cosine_sim
 from masksep.rl import Rollout
 from masksep.separator import forward
-from masksep.spectral import Mask, Spectrogram, istft, stft
+from masksep.spectral import Spectrogram, istft, stft
 
 
 def si_sdr(est, ref) -> float:
@@ -48,10 +48,10 @@ def sample_mask(params, rng, clamp_eps):
     return mask, log_prob(params, mask)
 
 
-def reconstruct_one(mix, m: Mask):
-    """One mask under its mixture's phase, resynthesized."""
+def reconstruct_one(mix, m):
+    """One F x T mask under its mixture's phase, resynthesized."""
     masked = Spectrogram(
-        bins=np.multiply(m.values, mix.bins, order="F"),
+        bins=np.multiply(m, mix.bins, order="F"),
         config=mix.config,
         sample_rate=mix.sample_rate,
         num_samples=mix.num_samples,
@@ -115,7 +115,7 @@ def rollout_per_mask(model, items, cfg, rng, embedder, kappa,
         masks = []
         for _ in range(cfg.mc_samples):
             mask, _ = sample_mask(params, rng, cfg.sample_clamp)
-            wav = reconstruct_one(item.mix_spec, Mask(mask))
+            wav = reconstruct_one(item.mix_spec, mask)
             masks.append(mask)
             rewards.append(mask_reward(embedder, item, wav))
         policies.append(params)
@@ -130,6 +130,6 @@ def mean_reward_per_item(model, items, embedder) -> float:
     total = 0.0
     for item in items:
         proposal, _ = forward(model, item.log_mag, item.query, keep_cache=False)
-        wav = reconstruct_one(item.mix_spec, Mask(proposal))
+        wav = reconstruct_one(item.mix_spec, proposal)
         total += mask_reward(embedder, item, wav)
     return total / len(items)

@@ -264,7 +264,7 @@ def test_criterion_2_gradient_fidelity():
                 f"{separator_err:.1e}, alignment+step <= 1e-3")
 
 
-def test_criterion_3_ppo_mechanics():
+def test_criterion_3_ppo_mechanics(monkeypatch):
     from masksep.rl import (
         RlConfig,
         clipped_surrogate,
@@ -288,21 +288,19 @@ def test_criterion_3_ppo_mechanics():
                                   reward_target=None, ideal_mask=None,
                                   bce_weight=None))
 
-    class FixedReward:
-        def __init__(self, values):
-            self.values = list(values)
-
-        def rewards(self, items, masks):
-            return np.array([self.values.pop(0) for stack in masks for _ in stack])
+    def fixed_rewards(values):
+        values = list(values)
+        return lambda embedder, items, masks: np.array(
+            [values.pop(0) for stack in masks for _ in stack])
 
     # ratio exactly 1 and zero clipping at a single-pass gradient step,
     # where the live policy still equals the sampled one
     model = init_model(np.random.default_rng(4), context=3, hidden_width=8,
                        query_dim=4)
     cfg = RlConfig(batch_size=4, steps=10)
+    monkeypatch.setattr(rl, "mask_rewards", fixed_rewards([0.1, 0.5, -0.2, 0.9]))
     result = train_step(model, AdamWState(), items, cfg,
-                        np.random.default_rng(5),
-                        FixedReward([0.1, 0.5, -0.2, 0.9]))
+                        np.random.default_rng(5), embedder=None)
     assert result.ratio_mean == 1.0
     assert result.frac_clipped == 0.0
 
@@ -324,9 +322,9 @@ def test_criterion_3_ppo_mechanics():
     before = {n: getattr(model2, n).copy() for n in ("w1", "b1", "w2", "b2")}
     cfg2 = RlConfig(batch_size=4, steps=10, entropy_coef=0.0,
                     weight_decay=0.0)
+    monkeypatch.setattr(rl, "mask_rewards", fixed_rewards([0.5] * 4))
     result = train_step(model2, AdamWState(), items, cfg2,
-                        np.random.default_rng(8),
-                        FixedReward([0.5, 0.5, 0.5, 0.5]))
+                        np.random.default_rng(8), embedder=None)
     assert result.grad_norm == 0.0
     for name, arr in before.items():
         assert np.array_equal(getattr(model2, name), arr)

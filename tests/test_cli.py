@@ -32,7 +32,7 @@ from masksep.errors import ConfigError, check_value
 from masksep.rl import RlConfig
 from masksep.separator import init_model, load_model, save_model
 from masksep.spectral import StftConfig, Waveform
-from masksep.wavio import write_wav
+from masksep.wavio import read_wav, write_wav
 
 
 @pytest.fixture(scope="module")
@@ -570,6 +570,28 @@ class TestSeparate:
                      "--query", f"store:text:{rec['item_id']}",
                      "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_single_file_mode_reads_at_the_dataset_rate(self, trained_run,
+                                                        tmp_path, capsys):
+        # with --dataset the mixture is read at the dataset's rate; without
+        # one, at 16 kHz
+        rate_file = tmp_path / "rate.json"
+        rate_file.write_text(json.dumps({"sample_rate": 24000}))
+        ds = tmp_path / "ds"
+        assert main(["synth", "--out", str(ds), "--items", "2", "--duration",
+                     "4096", "--config", str(rate_file)]) == 0
+        qfile = tmp_path / "q.json"
+        qfile.write_text(json.dumps(list(np.ones(16) / 4.0)))
+        mixture = str(ds / "items" / "item_0000_mix.wav")
+        separate = ["separate", "--checkpoint",
+                    str(trained_run / "checkpoints" / "best.json"),
+                    "--mixture", mixture, "--out", str(tmp_path / "est.wav")]
+        assert main([*separate, "--query", str(qfile)]) == 2
+        assert "sample rate 24000 != expected 16000" in capsys.readouterr().err
+        assert main([*separate, "--dataset", str(ds),
+                     "--query", "store:text:item_0000"]) == 0
+        assert read_wav(tmp_path / "est.wav", expected_rate=24000).sample_rate \
+            == 24000
 
     def test_single_file_mode_with_vector_file(self, small_dataset,
                                                trained_run, tmp_path):
@@ -1391,8 +1413,8 @@ class TestTrainAlign:
          "stage 1: config key 'weight_decay' must be a number >= 0, got -5.0"),
         ({"stages": {"2": {"margin": -1}}},
          "stage 2: config key 'margin' must be a number >= 0, got -1"),
-        ({"stages": {"1": {"lambda1": -1}}},
-         "stage 1: config key 'lambda1' must be a number >= 0, got -1"),
+        ({"stages": {"2": {"lambda1": -1}}},
+         "stage 2: config key 'lambda1' must be a number >= 0, got -1"),
         ({"stages": {"2": {"replay_fraction": 1.5}}},
          "stage 2: config key 'replay_fraction' must be a number in [0, 1], got 1.5"),
     ])
@@ -1417,9 +1439,15 @@ class TestTrainAlign:
         ({"2": [1.0]}, "stage 2: overrides must be a JSON object"),
         ({"4": {}}, "'stages' must be a JSON object"),
         ([{"lambda1": 2.0}], "'stages' must be a JSON object"),
-        ({"1": {"lambda1": "x"}},
-         "stage 1: config key 'lambda1' must be a number >= 0, got 'x'"),
+        ({"2": {"lambda1": "x"}},
+         "stage 2: config key 'lambda1' must be a number >= 0, got 'x'"),
         ({"2": {"epochs": 1.5}}, "stage 2: config key 'epochs' must be an integer"),
+        # a key the stage never reads would be silently ignored
+        ({"1": {"margin": 5.0, "lambda1": 7.0}},
+         "stage 1: unknown config keys: ['lambda1', 'margin']; it reads "
+         "batch_size, clip_norm, epochs, lr, steps_per_epoch, weight_decay"),
+        ({"2": {"mu1": 9.0, "mu4": 0.0}},
+         "stage 2: unknown config keys: ['mu1', 'mu4']"),
     ])
     def test_bad_stage_overrides_are_config_errors(self, small_dataset,
                                                    tmp_path, capsys, stages,

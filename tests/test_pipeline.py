@@ -6,10 +6,10 @@ import shutil
 import numpy as np
 import pytest
 
-from masksep import pipeline, rl
+from masksep import pipeline, reward, rl
 from masksep.reward import modality_vector
 from masksep.separator import init_model
-from masksep.spectral import Mask, StftConfig, Waveform, apply_mask_reconstruct
+from masksep.spectral import StftConfig, Waveform, apply_mask_reconstruct, stft
 from masksep.synthdata import build_dataset
 from masksep.wavio import read_wav, write_wav
 
@@ -95,15 +95,23 @@ class TestPrepareTrainItems:
             expected = dataset.store.get(mode, rec["item_id"])
             assert np.array_equal(items[0].reward_target, expected)
 
-    def test_batched_reward_targets_match_one_item_builds(self, dataset):
-        # batch_size 3 splits the crops into several batches; each target
-        # must be the bytes of its item's reconstruction embedded alone
-        cfg = rl.RlConfig(segment_samples=4096, seed=1, batch_size=3)
+    def test_batched_reward_targets_match_one_item_builds(self, dataset,
+                                                          monkeypatch):
+        # a 3-crop bin budget splits the crops into several batches; each
+        # target must be the bytes of its item's reconstruction embedded alone
+        cfg = rl.RlConfig(segment_samples=4096, seed=1)
+        f, t = stft(Waveform(np.zeros(4096), 16000), STFT).bins.shape
+        sizes = []
+        real = reward.reconstruct
+        monkeypatch.setattr(reward, "REWARD_BATCH_BINS", 3 * f * t)
+        monkeypatch.setattr(reward, "reconstruct",
+                            lambda mixes, masks: sizes.append(len(masks))
+                            or real(mixes, masks))
         items = pipeline.prepare_train_items(dataset, "train", cfg, STFT)
-        assert len(items) > 2 * cfg.batch_size
+        assert len(sizes) > 2 and set(sizes[:-1]) == {3}
         for item in items:
             alone = dataset.embedder.embed(
-                apply_mask_reconstruct(item.mix_spec, Mask(item.ideal_mask)))
+                apply_mask_reconstruct(item.mix_spec, item.ideal_mask))
             expected = modality_vector(
                 cfg.reward_mode, alone,
                 dataset.store.get("text", item.item_id),

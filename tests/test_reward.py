@@ -1,10 +1,17 @@
-"""Cosine rewards, the mixup and pooled-anchor vectors, and the modality
-choice."""
+"""Cosine rewards, the mixup and pooled-anchor vectors, the modality
+choice, and the batched mask -> waveform -> embedding path."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from masksep import reward
+from masksep.policy import params_from_proposal, sample
 from masksep.reward import cosine_sim, modality_vector
+from masksep.separator import forward, init_model
+from masksep.spectral import StftConfig, Waveform, log_compress, stft
+from masksep.synthdata import DEFAULT_CLASSES, build_embedder
 
 
 def unit(v):
@@ -155,3 +162,68 @@ class TestCompositeReward:
             for _ in range(20):
                 r = cosine_sim(rng.standard_normal(8), target)
                 assert -1.0 <= r <= 1.0
+
+
+class TestBatchSplits:
+    """The bins-per-batch rule serves the rollout, validation and item
+    preparation alike because a row's bits do not depend on its batch."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        oracle, embedder = build_embedder(DEFAULT_CLASSES[:2], dim=16, seed=0)
+        rng = np.random.default_rng(20)
+        items = [SimpleNamespace(
+            mix_spec=stft(Waveform(0.1 * rng.standard_normal(4096), 16000),
+                          StftConfig(256, 64, 256)),
+            query=oracle.embed("text", k % 2, instance_seed=k),
+            reward_target=oracle.embed("audio", k % 2, instance_seed=k))
+            for k in range(5)]
+        return embedder, items
+
+    @staticmethod
+    def sampled_stack(items):
+        # one item's five float64 masks, drawn as the rollout draws them
+        model = init_model(np.random.default_rng(21), context=3,
+                           hidden_width=8, query_dim=16)
+        proposal, _ = forward(model, log_compress(items[0].mix_spec),
+                              items[0].query, keep_cache=False)
+        return items[:1], sample([params_from_proposal(proposal, 4.0)],
+                                 np.random.default_rng(22), 5)
+
+    @staticmethod
+    def proposal_stacks(items):
+        # five items' float32 proposals, as validation scores them
+        model = init_model(np.random.default_rng(23), context=3,
+                           hidden_width=8, query_dim=16, dtype=np.float32)
+        return items, [forward(model, log_compress(it.mix_spec), it.query,
+                               keep_cache=False)[0][None] for it in items]
+
+    @pytest.mark.parametrize("build,dtype", [("sampled_stack", np.float64),
+                                             ("proposal_stacks", np.float32)])
+    def test_two_two_one_split_matches_one_batch_bitwise(self, world,
+                                                         monkeypatch, build,
+                                                         dtype):
+        embedder, items = world
+        items, masks = getattr(self, build)(items)
+        flat = [m for stack in masks for m in stack]
+        assert len(flat) == 5 and {m.dtype for m in flat} == {np.dtype(dtype)}
+        mixes = [it.mix_spec for it, stack in zip(items, masks) for _ in stack]
+
+        def run():
+            return (reward.mask_rewards(embedder, items, masks),
+                    reward.embed_reconstructions(embedder, mixes, flat))
+
+        sizes = []
+        real = reward.reconstruct
+        monkeypatch.setattr(reward, "reconstruct",
+                            lambda mixes, masks: sizes.append(len(masks))
+                            or real(mixes, masks))
+        rewards, embeds = run()
+        f, t = items[0].mix_spec.bins.shape
+        monkeypatch.setattr(reward, "REWARD_BATCH_BINS", 2 * f * t + 1)
+        split_rewards, split_embeds = run()
+        assert sizes == [5, 5, 2, 2, 1, 2, 2, 1]
+        assert split_rewards.tobytes() == rewards.tobytes()
+        assert all(e is not None for e in embeds)
+        for a, b in zip(split_embeds, embeds, strict=True):
+            assert a.tobytes() == b.tobytes()

@@ -12,7 +12,6 @@ from masksep.errors import DivergenceError
 from masksep.optim import AdamWState
 from masksep.policy import params_from_proposal, sample
 from masksep.rl import (
-    RewardContext,
     RlConfig,
     Rollout,
     TrainItem,
@@ -25,9 +24,9 @@ from masksep.rl import (
     train_step,
     update,
 )
-from masksep.reward import modality_vector
+from masksep.reward import mask_rewards, modality_vector
 from masksep.separator import forward, init_model, load_model
-from masksep.spectral import Mask, StftConfig, Waveform, log_compress, stft
+from masksep.spectral import StftConfig, Waveform, log_compress, stft
 from masksep.synthdata import DEFAULT_CLASSES, build_embedder
 from oracles import mask_reward, mean_reward_per_item, reconstruct_one, rollout_per_mask
 
@@ -67,14 +66,13 @@ def toy_world():
                     oracle.embed("text", target_cls, instance_seed=i),
                     oracle.embed("video", target_cls, instance_seed=i),
                 ),
-                ideal_mask=irm.values,
+                ideal_mask=irm,
                 bce_weight=magnitude / magnitude.sum(),
             )
         )
-    reward_ctx = RewardContext(embedder=audio_embedder)
     model = init_model(np.random.default_rng(1), context=3, hidden_width=8,
                        query_dim=16)
-    return items, reward_ctx, model
+    return items, audio_embedder, model
 
 
 class TestNormalizeAdvantages:
@@ -277,56 +275,60 @@ class TestEndToEndGradient:
             assert np.array_equal(getattr(a.grads, name), getattr(b.grads, name))
 
 
-class _ConstantReward:
-    def __init__(self, value=0.5):
-        self.value = value
+def constant_rewards(monkeypatch, value=0.5):
+    """Make the rollout score every mask ``value``, whatever its embedder."""
+    from masksep import rl
 
-    def rewards(self, items, masks):
-        return np.full(sum(len(stack) for stack in masks), self.value)
+    monkeypatch.setattr(rl, "mask_rewards", lambda embedder, items, masks:
+                        np.full(sum(len(stack) for stack in masks), value))
 
 
 class TestTrainStep:
     def test_ratio_one_and_no_clipping_after_snapshot(self, toy_world):
-        items, reward_ctx, model = toy_world
+        items, embedder, model = toy_world
         model = copy.deepcopy(model)
         cfg = RlConfig(batch_size=4, steps=10)
         result = train_step(
             model, AdamWState(), items[:4], cfg,
-            np.random.default_rng(0), reward_ctx,
+            np.random.default_rng(0), embedder,
         )
         assert result.ratio_mean == 1.0
         assert result.frac_clipped == 0.0
 
-    def test_constant_rewards_freeze_surrogate(self, toy_world):
+    def test_constant_rewards_freeze_surrogate(self, toy_world, monkeypatch):
         items, _, model = toy_world
         model = copy.deepcopy(model)
         before = {n: getattr(model, n).copy() for n in ("w1", "b1", "w2", "b2")}
         cfg = RlConfig(batch_size=4, steps=10, entropy_coef=0.0,
                        weight_decay=0.0)
+        constant_rewards(monkeypatch)
         result = train_step(
             model, AdamWState(), items[:4], cfg,
-            np.random.default_rng(2), _ConstantReward(),
+            np.random.default_rng(2), embedder=None,
         )
         assert result.grad_norm == 0.0
         for name, arr in before.items():
             assert np.array_equal(getattr(model, name), arr)
 
-    def test_entropy_still_moves_parameters_with_flat_rewards(self, toy_world):
+    def test_entropy_still_moves_parameters_with_flat_rewards(self, toy_world,
+                                                             monkeypatch):
         items, _, model = toy_world
         model = copy.deepcopy(model)
         before = model.w1.copy()
         cfg = RlConfig(batch_size=4, steps=10, entropy_coef=0.1)
+        constant_rewards(monkeypatch)
         train_step(model, AdamWState(), items[:4], cfg,
-                   np.random.default_rng(3), _ConstantReward())
+                   np.random.default_rng(3), embedder=None)
         assert not np.array_equal(model.w1, before)
 
-    def test_nonfinite_reward_raises_divergence(self, toy_world):
+    def test_nonfinite_reward_raises_divergence(self, toy_world, monkeypatch):
         items, _, model = toy_world
         model = copy.deepcopy(model)
         cfg = RlConfig(batch_size=4, steps=10)
+        constant_rewards(monkeypatch, np.nan)
         with pytest.raises(DivergenceError):
             train_step(model, AdamWState(), items[:4], cfg,
-                       np.random.default_rng(4), _ConstantReward(np.nan))
+                       np.random.default_rng(4), embedder=None)
 
     def test_one_table_set_per_item_plus_probe(self, toy_world, monkeypatch):
         # each item's tables serve its sampling, objective and gradients;
@@ -334,7 +336,7 @@ class TestTrainStep:
         # log-normalizer
         from masksep import policy
 
-        items, reward_ctx, model = toy_world
+        items, embedder, model = toy_world
         model = copy.deepcopy(model)
         calls = {}
         for name in ("log_gamma", "digamma", "trigamma"):
@@ -344,7 +346,7 @@ class TestTrainStep:
             monkeypatch.setattr(policy, name, counted)
         b = 4
         train_step(model, AdamWState(), items[:b], RlConfig(batch_size=b),
-                   np.random.default_rng(6), reward_ctx)
+                   np.random.default_rng(6), embedder)
         assert calls == {"log_gamma": b + 1, "digamma": b + 1, "trigamma": b}
 
     def test_one_log_prob_per_mask_and_no_kl_gradient(self, toy_world,
@@ -355,7 +357,7 @@ class TestTrainStep:
         # evaluates a KL
         from masksep import policy, rl
 
-        items, reward_ctx, model = toy_world
+        items, embedder, model = toy_world
         model = copy.deepcopy(model)
         calls = {}
 
@@ -373,22 +375,22 @@ class TestTrainStep:
             monkeypatch.setattr(rl, name, wrapper)
         b = 4
         train_step(model, AdamWState(), items[:b], RlConfig(batch_size=b),
-                   np.random.default_rng(7), reward_ctx)
+                   np.random.default_rng(7), embedder)
         assert calls == {"kl_divergence": 1}
 
     def test_report_fields_finite(self, toy_world):
-        items, reward_ctx, model = toy_world
+        items, embedder, model = toy_world
         model = copy.deepcopy(model)
         cfg = RlConfig(batch_size=4, steps=10)
         result = train_step(model, AdamWState(), items[:4], cfg,
-                            np.random.default_rng(5), reward_ctx)
+                            np.random.default_rng(5), embedder)
         for value in result.to_dict().values():
             assert np.isfinite(value)
 
 
 class TestTrainLoop:
     def run(self, tmp_path, steps, seed=0, name="run", **cfg_kw):
-        items, reward_ctx, model = TestTrainLoop._world
+        items, embedder, model = TestTrainLoop._world
         model = copy.deepcopy(model)
         cfg_kw.setdefault("warm_start_steps", 5)
         cfg = RlConfig(batch_size=3, steps=steps, seed=seed, val_interval=5,
@@ -396,7 +398,7 @@ class TestTrainLoop:
         run_dir = tmp_path / name
         run_dir.mkdir()
         result = train_loop(
-            model, items[:4], items[4:], cfg, reward_ctx,
+            model, items[:4], items[4:], cfg, embedder,
             log_path=run_dir / "train.jsonl",
             checkpoint_dir=run_dir / "ckpt",
         )
@@ -407,9 +409,9 @@ class TestTrainLoop:
         TestTrainLoop._world = toy_world
 
     def test_empty_validation_set_rejected(self, tmp_path):
-        items, reward_ctx, model = TestTrainLoop._world
+        items, embedder, model = TestTrainLoop._world
         with pytest.raises(ValueError, match="must be nonempty"):
-            train_loop(model, items[:4], [], RlConfig(steps=1), reward_ctx,
+            train_loop(model, items[:4], [], RlConfig(steps=1), embedder,
                        log_path=tmp_path / "train.jsonl",
                        checkpoint_dir=tmp_path / "ckpt")
         assert not (tmp_path / "ckpt").exists()
@@ -468,9 +470,9 @@ class TestTrainLoop:
 
 
 def test_evaluate_mean_reward_deterministic(toy_world):
-    items, reward_ctx, model = toy_world
-    a = evaluate_mean_reward(model, items, reward_ctx)
-    b = evaluate_mean_reward(model, items, reward_ctx)
+    items, embedder, model = toy_world
+    a = evaluate_mean_reward(model, items, embedder)
+    b = evaluate_mean_reward(model, items, embedder)
     assert a == b
     assert -1.0 <= a <= 1.0
 
@@ -499,23 +501,24 @@ class TestBatchedRollout:
     rollouts feed the same update."""
 
     @staticmethod
-    def two_steps(model, items, cfg, seed, roll, ctx, **kw):
+    def two_steps(model, items, cfg, seed, roll, embedder, **kw):
         live, opt, rng = copy.deepcopy(model), AdamWState(), np.random.default_rng(seed)
         rollouts, reports = [], []
         for k in range(2):
-            ro = roll(live, items[k : k + 4], cfg, rng, ctx, cfg.kappa_at(k), **kw)
+            ro = roll(live, items[k : k + 4], cfg, rng, embedder, cfg.kappa_at(k),
+                      **kw)
             rollouts.append(ro)
             reports.append(update(live, opt, ro, cfg, k))
         return rollouts, reports, rng.bit_generator.state, live
 
     @pytest.mark.parametrize("mc_samples", [1, 3])
     def test_step_matches_per_item_loop_bitwise(self, toy_world, mc_samples):
-        items, reward_ctx, model = toy_world
+        items, embedder, model = toy_world
         cfg = RlConfig(batch_size=4, mc_samples=mc_samples, steps=8)
         rollouts, reports, state, live = self.two_steps(
-            model, items, cfg, 8, rollout, reward_ctx)
+            model, items, cfg, 8, rollout, embedder)
         ref_rollouts, ref_reports, ref_state, ref_live = self.two_steps(
-            model, items, cfg, 8, rollout_per_mask, reward_ctx.embedder)
+            model, items, cfg, 8, rollout_per_mask, embedder)
         for ro, ref in zip(rollouts, ref_rollouts):
             assert_same_rollout(ro, ref)
         assert reports == ref_reports
@@ -524,7 +527,7 @@ class TestBatchedRollout:
             assert getattr(live, name).tobytes() == getattr(ref_live, name).tobytes()
         # train_step is one rollout and one update
         step_live, opt, rng = copy.deepcopy(model), AdamWState(), np.random.default_rng(8)
-        assert [train_step(step_live, opt, items[k : k + 4], cfg, rng, reward_ctx,
+        assert [train_step(step_live, opt, items[k : k + 4], cfg, rng, embedder,
                            step_index=k) for k in range(2)] == reports
         for name in PARAMS:
             assert getattr(step_live, name).tobytes() == getattr(live, name).tobytes()
@@ -533,12 +536,12 @@ class TestBatchedRollout:
         # without the rollout's forward cache, the update forwards the live
         # model again and scores each mask under the old and the new
         # policy; at a single pass that is the cached step, bit for bit
-        items, reward_ctx, model = toy_world
+        items, embedder, model = toy_world
         cfg = RlConfig(batch_size=4, mc_samples=2, steps=8)
         rollouts, reports, _, live = self.two_steps(
-            model, items, cfg, 13, rollout, reward_ctx)
+            model, items, cfg, 13, rollout, embedder)
         ref_rollouts, ref_reports, _, ref_live = self.two_steps(
-            model, items, cfg, 13, rollout_per_mask, reward_ctx.embedder,
+            model, items, cfg, 13, rollout_per_mask, embedder,
             carry_forward=False)
         for ro, ref in zip(rollouts, ref_rollouts):
             assert all(c is None for c in ref.caches)
@@ -550,13 +553,13 @@ class TestBatchedRollout:
     def test_rollout_has_no_side_effects(self, toy_world):
         # the model keeps its parameters and version, and the generator
         # moves by exactly one rng.beta call over every mask's bins
-        items, reward_ctx, model = toy_world
+        items, embedder, model = toy_world
         model = copy.deepcopy(model)
         before = {n: getattr(model, n).tobytes() for n in PARAMS}
         version = model.version
         cfg = RlConfig(batch_size=4, mc_samples=2, steps=8)
         rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
-        ro = rollout(model, items[:4], cfg, rng, reward_ctx, cfg.kappa_at(0))
+        ro = rollout(model, items[:4], cfg, rng, embedder, cfg.kappa_at(0))
         assert {n: getattr(model, n).tobytes() for n in PARAMS} == before
         assert model.version == version
         g = cfg.mc_samples
@@ -569,63 +572,61 @@ class TestBatchedRollout:
             clipped.tobytes()
 
     def test_validation_matches_per_item_sum_bitwise(self, toy_world):
-        items, reward_ctx, model = toy_world
-        assert evaluate_mean_reward(model, items, reward_ctx) == \
-            mean_reward_per_item(model, items, reward_ctx.embedder)
+        items, embedder, model = toy_world
+        assert evaluate_mean_reward(model, items, embedder) == \
+            mean_reward_per_item(model, items, embedder)
 
     def test_silent_mask_scores_minus_one_alone(self, toy_world):
-        items, reward_ctx, _ = toy_world
+        items, embedder, _ = toy_world
         rng = np.random.default_rng(9)
         masks = [rng.uniform(0.05, 0.95, (2, *item.mix_spec.bins.shape))
                  for item in items[:3]]
         masks[1][0] = 0.0
-        rewards = reward_ctx.rewards(items[:3], masks)
+        rewards = mask_rewards(embedder, items[:3], masks)
         assert rewards.shape == (6,)
         assert rewards[2] == -1.0
         silent = [np.zeros((1, *item.mix_spec.bins.shape)) for item in items[:2]]
-        assert reward_ctx.rewards(items[:2], silent).tolist() == [-1.0, -1.0]
+        assert mask_rewards(embedder, items[:2], silent).tolist() == [-1.0, -1.0]
         for k, (item, stack) in enumerate(zip(items[:3], masks)):
             for g, mask in enumerate(stack):
-                wav = reconstruct_one(item.mix_spec, Mask(mask))
-                assert rewards[2 * k + g] == mask_reward(reward_ctx.embedder,
-                                                         item, wav)
+                wav = reconstruct_one(item.mix_spec, mask)
+                assert rewards[2 * k + g] == mask_reward(embedder, item, wav)
 
     @pytest.mark.parametrize("budget,batches", [(None, [6]), (2, [2, 2, 2]),
                                                 (4, [4, 2]), (0.5, [1] * 6)])
     def test_batches_split_at_the_bin_budget(self, toy_world, monkeypatch,
                                              budget, batches):
-        from masksep import rl
+        from masksep import reward
 
-        items, reward_ctx, _ = toy_world
+        items, embedder, _ = toy_world
         f, t = items[0].mix_spec.bins.shape
         if budget is not None:
-            monkeypatch.setattr(rl, "REWARD_BATCH_BINS", int(budget * f * t))
+            monkeypatch.setattr(reward, "REWARD_BATCH_BINS", int(budget * f * t))
         sizes = []
-        real = rl.reconstruct
-        monkeypatch.setattr(rl, "reconstruct",
+        real = reward.reconstruct
+        monkeypatch.setattr(reward, "reconstruct",
                             lambda mixes, masks: sizes.append(len(masks))
                             or real(mixes, masks))
         rng = np.random.default_rng(12)
         masks = [rng.uniform(0.05, 0.95, (2, f, t)) for _ in items[:3]]
-        rewards = reward_ctx.rewards(items[:3], masks)
+        rewards = mask_rewards(embedder, items[:3], masks)
         assert sizes == batches
         for k, (item, stack) in enumerate(zip(items[:3], masks)):
             for g, mask in enumerate(stack):
-                wav = reconstruct_one(item.mix_spec, Mask(mask))
-                assert rewards[2 * k + g] == mask_reward(reward_ctx.embedder,
-                                                         item, wav)
+                wav = reconstruct_one(item.mix_spec, mask)
+                assert rewards[2 * k + g] == mask_reward(embedder, item, wav)
 
     def test_crops_of_different_lengths_in_one_call(self, toy_world):
-        items, reward_ctx, _ = toy_world
+        items, embedder, _ = toy_world
         short = copy.copy(items[0])
         wave = Waveform(np.random.default_rng(10).standard_normal(3000), 16000)
         short.mix_spec = stft(wave, TOY_STFT)
         batch = [items[1], short, items[2]]
         masks = [np.full((1, *item.mix_spec.bins.shape), 0.5) for item in batch]
-        rewards = reward_ctx.rewards(batch, masks)
+        rewards = mask_rewards(embedder, batch, masks)
         for r, item, stack in zip(rewards, batch, masks):
-            wav = reconstruct_one(item.mix_spec, Mask(stack[0]))
-            assert r == mask_reward(reward_ctx.embedder, item, wav)
+            wav = reconstruct_one(item.mix_spec, stack[0])
+            assert r == mask_reward(embedder, item, wav)
 
     @pytest.mark.parametrize("bad,match", [
         (np.nan, "non-finite"),
@@ -633,26 +634,26 @@ class TestBatchedRollout:
         (-0.5, r"\[0, 1\]"),
     ])
     def test_bad_mask_in_a_batch_rejected(self, toy_world, bad, match):
-        items, reward_ctx, _ = toy_world
+        items, embedder, _ = toy_world
         masks = [np.full((2, *item.mix_spec.bins.shape), 0.5)
                  for item in items[:3]]
         masks[2][1, 3, 4] = bad
         with pytest.raises(ValueError, match=match):
-            reward_ctx.rewards(items[:3], masks)
+            mask_rewards(embedder, items[:3], masks)
 
     def test_mask_of_another_shape_rejected(self, toy_world):
-        items, reward_ctx, _ = toy_world
+        items, embedder, _ = toy_world
         f, t = items[0].mix_spec.bins.shape
         masks = [np.full((1, f, t), 0.5), np.full((1, f, t - 1), 0.5)]
         with pytest.raises(ValueError, match="does not match"):
-            reward_ctx.rewards(items[:2], masks)
+            mask_rewards(embedder, items[:2], masks)
 
     def test_crop_too_short_for_the_embedder_rejected(self, toy_world):
-        items, reward_ctx, _ = toy_world
+        items, embedder, _ = toy_world
         short = copy.copy(items[0])
         wave = Waveform(np.random.default_rng(11).standard_normal(300), 16000)
         short.mix_spec = stft(wave, TOY_STFT)
         masks = [np.full((1, *item.mix_spec.bins.shape), 0.5)
                  for item in (items[1], short)]
         with pytest.raises(ValueError, match="too short for the embedder"):
-            reward_ctx.rewards([items[1], short], masks)
+            mask_rewards(embedder, [items[1], short], masks)

@@ -149,6 +149,24 @@ class TestBuildDataset:
             for modality in ("audio", "text", "video"):
                 assert (modality, rec["item_id"]) in store
 
+    def test_store_manifest_names_each_vector_source(self, dataset_dir):
+        # the audio vector is embedded from the target reference; text and
+        # video come from the oracle and have no file
+        from masksep.embed import AudioFeatureEmbedder, load_store, read_store_manifest
+        from masksep.wavio import read_wav
+
+        store = load_store(dataset_dir / "embeddings.embd")
+        embedder = AudioFeatureEmbedder.load(dataset_dir / "audio_embedder.json")
+        lines = read_store_manifest(dataset_dir / "embeddings.manifest")
+        assert len(lines) == len(store)
+        for modality, item_id, _, src in lines:
+            if modality != "audio":
+                assert src == "-"
+                continue
+            assert src == f"items/{item_id}_ref0.wav"
+            vector = embedder.embed(read_wav(dataset_dir / src))
+            assert np.allclose(vector, store.get("audio", item_id), atol=1e-5)
+
     def test_seed_determinism(self, dataset_dir, tmp_path):
         build_dataset(tmp_path / "again", n_items=20, seed=7, duration=16384)
         a = (dataset_dir / "manifest.jsonl").read_bytes()
