@@ -12,6 +12,9 @@ no distortion filters), so values track the filtered classic variant in
 trend without being bit-identical to it. When the listed references do not
 add up to the mixture (``separate`` lists the target alone), the rest of
 the mixture joins the span as one more interferer.
+
+``scipy.optimize`` (about 20 MB) is imported on the first assignment, not
+with this module, so only ``eval`` loads it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .spectral import Waveform
 
@@ -58,6 +60,7 @@ def _db_ratio(num: float, den: float, floor: float = 0.0) -> float:
 
 def optimal_assignment(score_matrix: np.ndarray) -> tuple:
     """Permutation pi maximizing sum_k S[k, pi(k)], exact (Hungarian)."""
+    from scipy.optimize import linear_sum_assignment  # 20 MB, so only here
     s = np.asarray(score_matrix, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")

@@ -201,8 +201,8 @@ def kappa_schedule(
     ramp_frac: float = 0.2,
 ) -> float:
     """Linear ramp from start to end over the first ramp_frac of training,
-    constant afterwards."""
-    if total_steps <= 0:
+    constant afterwards; a ramp_frac of 0 is no ramp at all."""
+    if total_steps <= 0 or ramp_frac <= 0:
         return end
     ramp_steps = max(1, int(round(ramp_frac * total_steps)))
     if step >= ramp_steps:

@@ -2,8 +2,9 @@
 
 Readers enforce a sample-rate policy: ``reject`` (default) raises on any
 rate other than the expected one, ``resample`` converts with a polyphase
-filter, ``accept`` keeps whatever the file carries. A truncated or garbled
-file, or one holding non-finite samples, is a ValueError naming the file.
+filter (``scipy.signal``, imported only then), ``accept`` keeps whatever
+the file carries. A truncated or garbled file, or one holding non-finite
+samples, is a ValueError naming the file.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import warnings
 
 import numpy as np
 from scipy.io import wavfile
-from scipy.signal import resample_poly
 
 from .spectral import Waveform
 
@@ -72,6 +72,7 @@ def read_wav(path, expected_rate: int = 16000, rate_policy: str = "reject") -> W
     if data.dtype == np.int16:
         samples /= 32768.0
     if rate != expected_rate and rate_policy == "resample":
+        from scipy.signal import resample_poly  # 48 MB, so only here
         g = np.gcd(int(rate), int(expected_rate))
         samples = resample_poly(samples, expected_rate // g, rate // g)
         rate = expected_rate

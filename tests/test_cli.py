@@ -235,6 +235,62 @@ class TestAllocator:
             tmp_path / "without" / "manifest.jsonl").read_bytes()
 
 
+_LAZY_SCIPY = """
+import sys
+import numpy as np
+from masksep import cli
+from masksep.spectral import Waveform
+from masksep.wavio import read_wav, write_wav
+
+root = sys.argv[1]
+HEAVY = ("scipy.signal", "scipy.optimize")
+
+
+def loaded():
+    return [name for name in HEAVY if name in sys.modules]
+
+
+for argv in (
+    ["synth", "--out", root + "/ds", "--items", "8", "--duration", "4096"],
+    ["train-rl", "--dataset", root + "/ds", "--run-dir", root + "/rl",
+     "--steps", "1", "--warm-start-steps", "2"],
+    ["separate", "--checkpoint", root + "/rl/checkpoints/last.json",
+     "--dataset", root + "/ds", "--out", root + "/sep"],
+    ["train-align", "--dataset", root + "/ds", "--run-dir", root + "/al",
+     "--epochs", "1", "--steps-per-epoch", "2"],
+):
+    assert cli.main(argv) == 0, argv
+    assert loaded() == [], (argv[0], loaded())
+assert cli.main(["eval", "--manifest", root + "/sep/eval_manifest.jsonl",
+                 "--out", root + "/eval"]) == 0
+assert loaded() == ["scipy.optimize"], loaded()
+
+rng = np.random.default_rng(0)
+write_wav(root + "/r.wav", Waveform(0.3 * rng.standard_normal(2400), 24000))
+back = read_wav(root + "/r.wav", 16000, rate_policy="resample")
+assert loaded() == ["scipy.signal", "scipy.optimize"], loaded()
+from scipy.signal import resample_poly
+kept = read_wav(root + "/r.wav", 16000, rate_policy="accept").samples
+assert back.sample_rate == 16000
+assert back.samples.tobytes() == resample_poly(kept, 2, 3).tobytes()
+"""
+
+
+def test_only_their_users_load_scipy_signal_and_optimize(tmp_path):
+    """Importing the CLI and running synth, train-rl, separate and
+    train-align loads neither scipy.signal nor scipy.optimize (together
+    about 48 MB and 0.7 s of every process's start-up); eval's first
+    assignment loads scipy.optimize, and a resampling read loads
+    scipy.signal and returns the polyphase filter's samples."""
+    src = str(Path(masksep.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", _LAZY_SCIPY, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
 class TestTrainRl:
     def test_zero_steps_initial_checkpoint_only(self, small_dataset, tmp_path):
         run = tmp_path / "run0"

@@ -353,6 +353,11 @@ class TestKappaSchedule:
         assert kappa_schedule(100, 1000) == pytest.approx(6.5)
         assert kappa_schedule(200, 1000) == pytest.approx(9.0)
         assert kappa_schedule(999, 1000) == pytest.approx(9.0)
+        # no ramp at all at 0; a positive fraction ramps over at least a step
+        assert [kappa_schedule(s, 1000, 4.0, 9.0, 0.0)
+                for s in (0, 1, 999)] == [9.0, 9.0, 9.0]
+        assert [kappa_schedule(s, 1000, 4.0, 9.0, 1e-4)
+                for s in (0, 1)] == [4.0, 9.0]
 
     def test_zero_total_steps(self):
         assert kappa_schedule(0, 0) == 9.0

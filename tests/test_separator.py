@@ -155,10 +155,10 @@ class TestCacheFreeForward:
         assert no_cache and same_dtype and same_bits
 
     def test_peak_allocation_under_a_quarter(self):
-        # one 513 x 257 mixture grid, as separate sees it
+        # one 513 x 256 grid, as separate sees a 65535-sample mixture
         model = init_model(np.random.default_rng(0), dtype=np.float32)
         rng = np.random.default_rng(1)
-        log_mag = rng.uniform(0.0, 3.0, size=(513, 257)).astype(np.float32)
+        log_mag = rng.uniform(0.0, 3.0, size=(513, 256)).astype(np.float32)
         query = rng.standard_normal(model.query_dim)
         peaks = {}
         for keep_cache in (True, False):
