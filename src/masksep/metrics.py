@@ -13,8 +13,9 @@ trend without being bit-identical to it. When the listed references do not
 add up to the mixture (``separate`` lists the target alone), the rest of
 the mixture joins the span as one more interferer.
 
-``scipy.optimize`` (about 20 MB) is imported on the first assignment, not
-with this module, so only ``eval`` loads it.
+``scipy.optimize`` (about 49 MB) is imported on the first assignment of
+two or more sources, not with this module; the one-reference manifests
+``separate`` writes are assigned without it.
 """
 
 from __future__ import annotations
@@ -60,12 +61,14 @@ def _db_ratio(num: float, den: float, floor: float = 0.0) -> float:
 
 def optimal_assignment(score_matrix: np.ndarray) -> tuple:
     """Permutation pi maximizing sum_k S[k, pi(k)], exact (Hungarian)."""
-    from scipy.optimize import linear_sum_assignment  # 20 MB, so only here
     s = np.asarray(score_matrix, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError("score matrix must be finite (cap sentinels first)")
+    if s.shape[0] == 1:
+        return (0,)
+    from scipy.optimize import linear_sum_assignment  # 49 MB, so only here
     rows, cols = linear_sum_assignment(-s)
     perm = np.empty(s.shape[0], dtype=int)
     perm[rows] = cols

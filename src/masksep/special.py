@@ -9,15 +9,15 @@ scipy 1.17.1, numpy 2.4.6, an Intel Xeon core),
 against 0.28 ms here, about +35 ms per 16-item policy step, and
 ``scipy.special.gammaln`` takes 214 to 236 us against 195 to 238 us.
 Digamma is scipy's ``psi``, which is faster there: 140 to 191 us against
-265 to 280 us for the same recurrence and series. Accuracy is close to
-machine precision on [1e-3, 1e6]; see tests/test_special.py for the
-reference values the functions are held to.
+265 to 280 us for the same recurrence and series. ``scipy.special`` is
+imported on the first digamma, not with this module, so only a policy
+step loads it. Accuracy is close to machine precision on [1e-3, 1e6]; see
+tests/test_special.py for the reference values the functions are held to.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import psi
 
 # Lanczos approximation, g = 7, 9 coefficients.
 _LANCZOS_G = 7.0
@@ -114,6 +114,7 @@ def _lanczos(x: np.ndarray) -> np.ndarray:
 
 def digamma(x):
     """psi(x) = d/dx ln Gamma(x), elementwise, for x > 0."""
+    from scipy.special import psi  # 26 MB, so only here
     x = np.asarray(x, dtype=np.float64)
     _validate_positive(x, "digamma")
     return psi(x)

@@ -123,6 +123,12 @@ class TestAssignment:
         with pytest.raises(ValueError, match="finite"):
             optimal_assignment(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    def test_single_source_is_checked_too(self):
+        with pytest.raises(ValueError, match="finite"):
+            optimal_assignment(np.array([[np.nan]]))
+        with pytest.raises(ValueError, match="square"):
+            optimal_assignment(np.zeros((1, 2)))
+
 
 class TestSiSdri:
     def two_source_setup(self, seed=11, n=8000):
