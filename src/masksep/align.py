@@ -28,6 +28,7 @@ from .embed import (
 )
 from .errors import POSITIVE, ConfigError, DivergenceError, check_fields
 from .optim import AdamWState, adamw_step
+from .spectral import Waveform
 
 STAGE_TRAINABLE_HEADS = {1: ("audio", "text"), 2: ("audio",), 3: ("audio", "vision")}
 # store modality -> the HeadSet head that projects it
@@ -563,12 +564,16 @@ def load_heads(path) -> HeadSet:
 
 @dataclass
 class GapEntry:
-    """One evaluation item: its raw query-text vector plus clean-target and
-    mixture waveforms."""
+    """One evaluation item: its raw query-text vector, the samples of its
+    clean target and of its mixture, and their one sample rate. The samples
+    may be float32 or float64 (pipeline.gap_entries keeps float32 where it
+    holds a file's samples exactly); discrimination_gap widens each to a
+    float64 Waveform only while embedding it."""
 
     text_vector: np.ndarray
-    target: object
-    mixture: object
+    target: np.ndarray
+    mixture: np.ndarray
+    sample_rate: int
 
 
 @dataclass
@@ -582,9 +587,13 @@ def discrimination_gap(entries, audio_embedder, heads: HeadSet) -> GapResult:
     """Mean of sim(text, target) - sim(text, mixture) over evaluation items."""
     if not entries:
         raise ValueError("need at least one evaluation item")
+
+    def embed(samples, rate):
+        return audio_embedder.embed(Waveform(samples, rate))
+
     zt = project(heads.text, [e.text_vector for e in entries])
-    z_target = project(heads.audio, [audio_embedder.embed(e.target) for e in entries])
-    z_mix = project(heads.audio, [audio_embedder.embed(e.mixture) for e in entries])
+    z_target = project(heads.audio, [embed(e.target, e.sample_rate) for e in entries])
+    z_mix = project(heads.audio, [embed(e.mixture, e.sample_rate) for e in entries])
     gaps = np.einsum("ij,ij->i", zt, z_target) - np.einsum("ij,ij->i", zt, z_mix)
     return GapResult(mean=float(gaps.mean()), std=float(gaps.std()),
                      per_item=gaps.tolist())

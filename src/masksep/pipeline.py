@@ -307,11 +307,20 @@ def evaluate_manifest(manifest_path, with_bss: bool = False) -> list[UtteranceEv
     return utterances
 
 
+def _float32_if_exact(samples: np.ndarray) -> np.ndarray:
+    """``samples`` as float32 when float32 holds every one exactly (as it
+    does a float-32 or PCM-16 file's), else as given."""
+    narrow = samples.astype(np.float32)
+    return narrow if np.array_equal(narrow, samples) else samples
+
+
 def gap_entries(dataset: Dataset, split: str = "all",
                 max_items: int | None = None):
     """Discrimination-gap evaluation items: per record, the query text
-    vector with the clean target and the two-source mixture. ``split`` may
-    be a split name or "all"."""
+    vector with the clean target's and the two-source mixture's samples,
+    held as float32 where that is exact, which halves what the items keep
+    resident through a curriculum. ``split`` may be a split name or
+    "all"."""
     records = dataset.records if split == "all" else dataset.split(split)
     entries = []
     for rec in records:
@@ -320,8 +329,9 @@ def gap_entries(dataset: Dataset, split: str = "all",
         entries.append(
             GapEntry(
                 text_vector=dataset.store.get("text", rec["item_id"]),
-                target=target,
-                mixture=mix,
+                target=_float32_if_exact(target.samples),
+                mixture=_float32_if_exact(mix.samples),
+                sample_rate=mix.sample_rate,
             )
         )
         if max_items is not None and len(entries) >= max_items:

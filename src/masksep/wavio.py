@@ -113,7 +113,7 @@ def _read_checked(path, expected_rate: int, rate_policy: str):
             f"{'int' if tag == _PCM else 'float'}{8 * width}")
         raise ValueError(
             f"{path}: unsupported sample format {name}; "
-            "use PCM 16-bit or IEEE float-32"
+            "use PCM 16-bit or IEEE float-32/64"
         )
     if start + size > len(buf):
         raise ValueError(

@@ -504,14 +504,15 @@ def heads_file(tmp_path_factory):
 
 class TestDiscriminationGap:
     def test_identical_target_and_mixture_give_zero(self):
+        # the same samples, held as float32 and as float64
         from masksep.synthdata import DEFAULT_CLASSES, build_embedder
-        from masksep.spectral import Waveform
 
         oracle, audio = build_embedder(DEFAULT_CLASSES, dim=16, seed=0)
         rng = np.random.default_rng(6)
-        w = Waveform(rng.standard_normal(8192) * 0.2, 16000)
+        w = (rng.standard_normal(8192) * 0.2).astype(np.float32)
         entries = [
-            GapEntry(text_vector=oracle.embed("text", 0, 1), target=w, mixture=w)
+            GapEntry(text_vector=oracle.embed("text", 0, 1), target=w,
+                     mixture=w.astype(np.float64), sample_rate=16000)
         ]
         res = discrimination_gap(entries, audio, HeadSet.identity(16))
         assert res.mean == 0.0

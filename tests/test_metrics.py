@@ -1,11 +1,13 @@
 """Separation metrics against brute-force and hand-derived oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from masksep.metrics import (
+    BOOTSTRAP_BLOCK_DRAWS,
     ENERGY_GUARD,
     SENTINEL_DB,
     aggregate,
@@ -334,3 +336,39 @@ class TestAggregate:
         lo, hi = report.ci95_si_sdri
         assert lo <= report.mean_si_sdri <= hi
         assert hi - lo < 4.0
+
+    @staticmethod
+    def unblocked_ci(values, resamples, seed, confidence=0.95):
+        """The bootstrap CI from one (resamples, n) draw: the reference
+        aggregate's blocked draws must equal."""
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, values.size, size=(resamples, values.size))
+        means = values[idx].mean(axis=1)
+        return (float(np.quantile(means, (1.0 - confidence) / 2.0)),
+                float(np.quantile(means, 1.0 - (1.0 - confidence) / 2.0)))
+
+    @pytest.mark.parametrize("n", [1, 7, 160])
+    def test_blocked_bootstrap_is_the_unblocked_one(self, n):
+        rows = max(1, BOOTSTRAP_BLOCK_DRAWS // n)
+        values = np.random.default_rng(n).normal(3.0, 2.0, size=n)
+        utts = [self.utterance(v) for v in values]
+        for resamples in (1, rows, rows + 1, 10_000):
+            report = aggregate(utts, bootstrap_resamples=resamples, seed=5)
+            assert report.ci95_si_sdri == self.unblocked_ci(
+                values, resamples, seed=5), resamples
+
+    def test_bootstrap_peak_allocation_under_a_quarter(self):
+        # 160 utterances is the separate-eval benchmark's manifest; one
+        # (10,000 x 160) draw and its gather hold 25.6 MB at once
+        values = np.random.default_rng(0).normal(3.0, 2.0, size=160)
+        utts = [self.utterance(v) for v in values]
+        peaks = []
+        for run in (lambda: self.unblocked_ci(values, 10_000, seed=0),
+                    lambda: aggregate(utts, bootstrap_resamples=10_000)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] / 4, peaks

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from masksep import pipeline, reward, rl
+from masksep.align import HeadSet, discrimination_gap
+from masksep.embed import ProjectionHead, project
 from masksep.reward import modality_vector
 from masksep.separator import init_model
 from masksep.spectral import StftConfig, Waveform, apply_mask_reconstruct, stft
@@ -163,6 +165,60 @@ class TestSeparateAndEvaluate:
         assert len(test_entries) == len(dataset.split("test"))
         capped = pipeline.gap_entries(dataset, "all", max_items=3)
         assert len(capped) == 3
+
+
+class TestGapEntries:
+    def test_float32_files_are_held_as_float32(self, dataset):
+        entries = pipeline.gap_entries(dataset, "all")
+        assert len(entries) == len(dataset.records)
+        for rec, entry in zip(dataset.records, entries):
+            assert entry.sample_rate == rec["sample_rate"]
+            for samples, path in ((entry.target, rec["references"][0]),
+                                  (entry.mixture, rec["mixture"])):
+                assert samples.dtype == np.float32
+                assert np.array_equal(samples,
+                                      read_wav(dataset.root / path).samples)
+
+    def test_float64_samples_float32_cannot_hold_stay_float64(self, dataset,
+                                                              tmp_path):
+        from scipy.io import wavfile
+
+        root = tmp_path / "ds"
+        shutil.copytree(dataset.root, root)
+        rec = dataset.records[0]
+        fine = np.random.default_rng(3).standard_normal(8192) * 0.1
+        assert not np.array_equal(fine.astype(np.float32), fine)
+        wavfile.write(root / rec["mixture"], rec["sample_rate"], fine)
+        entry = pipeline.gap_entries(pipeline.load_dataset(root), "all",
+                                     max_items=1)[0]
+        assert entry.mixture.dtype == np.float64
+        assert entry.mixture.tobytes() == fine.tobytes()
+        assert entry.target.dtype == np.float32
+
+    def test_gap_is_the_gap_over_float64_waveforms(self, dataset):
+        # the oracle embeds the float64 waveforms read_wav returns
+        rng = np.random.default_rng(7)
+        heads = HeadSet.identity(16)
+        heads.audio = ProjectionHead(rng.standard_normal((16, 16)),
+                                     rng.standard_normal(16))
+        heads.text = ProjectionHead(rng.standard_normal((16, 16)),
+                                    rng.standard_normal(16))
+        got = discrimination_gap(pipeline.gap_entries(dataset, "all"),
+                                 dataset.embedder, heads)
+
+        def z_audio(key):
+            return project(heads.audio, [
+                dataset.embedder.embed(read_wav(dataset.root / key(rec)))
+                for rec in dataset.records])
+
+        zt = project(heads.text, [dataset.store.get("text", rec["item_id"])
+                                  for rec in dataset.records])
+        z_target = z_audio(lambda rec: rec["references"][0])
+        z_mix = z_audio(lambda rec: rec["mixture"])
+        expected = (np.einsum("ij,ij->i", zt, z_target)
+                    - np.einsum("ij,ij->i", zt, z_mix))
+        assert got.per_item == expected.tolist()
+        assert got.mean == float(expected.mean())
 
 
 def test_hash_id_stable_across_processes():

@@ -127,7 +127,8 @@ class TestRejected:
     def test_unsupported_sample_format(self, tmp_path, data, name):
         wavfile.write(tmp_path / "x.wav", 16000, data)
         with pytest.raises(ValueError,
-                           match=f"unsupported sample format {name}"):
+                           match=f"unsupported sample format {name}; use "
+                                 "PCM 16-bit or IEEE float-32/64$"):
             check_wav(tmp_path / "x.wav")
 
     @pytest.mark.parametrize("chunks", [

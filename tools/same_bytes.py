@@ -10,8 +10,10 @@ to one thread. The report says whether ``train.jsonl``, the checkpoints,
 the estimate WAVs, ``eval``'s ``summary.json``, the alignment heads,
 ``gap.json``, ``curriculum.txt`` and the G = 2 run's ``train.jsonl`` and
 checkpoints are byte-identical between the trees, and names every file
-that differs. It is appended to ``--summary`` (a CI job summary) when
-given, and printed either way.
+that differs. It also gives each command's peak resident memory under
+either tree (``ru_maxrss`` of its process, from ``os.wait4``), so a memory
+move shows even at these sizes. It is appended to ``--summary`` (a CI job
+summary) when given, and printed either way.
 
 The check informs and does not gate: a change may move bytes on purpose.
 The exit status is 0 whether or not bytes differ, and 1 only when a
@@ -55,18 +57,39 @@ COMPARED = (
 )
 
 
-def run_pipeline(tree: Path, work: Path) -> None:
+def run_pipeline(tree: Path, work: Path) -> list[float]:
     """Run COMMANDS in ``work`` with ``tree``/src first on the path; relative
-    paths keep every written file independent of where ``work`` is."""
+    paths keep every written file independent of where ``work`` is. Returns
+    each command's peak resident MB (Linux gives ``ru_maxrss`` in KiB)."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": str(tree.resolve() / "src")}
     work.mkdir(parents=True)
+    peaks = []
     for argv in COMMANDS:
-        done = subprocess.run([sys.executable, "-m", "masksep.cli", *argv],
-                              cwd=work, env=env, capture_output=True, text=True)
-        if done.returncode != 0:
-            raise RuntimeError(f"{tree}: masksep {argv[0]} exited "
-                               f"{done.returncode}: {done.stderr.strip()}")
+        with tempfile.TemporaryFile() as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "masksep.cli", *argv], cwd=work,
+                env=env, stdout=subprocess.DEVNULL, stderr=err)
+            # reaped here rather than by Popen.wait, for the child's rusage
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            if proc.returncode != 0:
+                err.seek(0)
+                raise RuntimeError(
+                    f"{tree}: masksep {argv[0]} exited {proc.returncode}: "
+                    f"{err.read().decode(errors='replace').strip()}")
+        peaks.append(usage.ru_maxrss / 1024)
+    return peaks
+
+
+def memory_table(base: list[float], head: list[float]) -> list[str]:
+    """Markdown report lines, one per command: its peak resident MB under
+    either tree."""
+    lines = ["### Peak resident memory", "",
+             "| command | base MB | head MB |", "| --- | ---: | ---: |"]
+    for argv, b, h in zip(COMMANDS, base, head):
+        lines.append(f"| `{' '.join(argv)}` | {b:.1f} | {h:.1f} |")
+    return lines
 
 
 def compare(base: Path, head: Path) -> list[str]:
@@ -97,13 +120,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            for name, tree in (("base", args.base), ("head", args.head)):
-                run_pipeline(tree, Path(tmp) / name)
+            peaks = [run_pipeline(tree, Path(tmp) / name)
+                     for name, tree in (("base", args.base), ("head", args.head))]
         except RuntimeError as exc:
             lines = ["### Same bytes as base", "", f"not compared: {exc}"]
             status = 1
         else:
-            lines = compare(Path(tmp) / "base", Path(tmp) / "head")
+            lines = [*compare(Path(tmp) / "base", Path(tmp) / "head"), "",
+                     *memory_table(*peaks)]
             status = 0
     report = "\n".join(lines) + "\n"
     print(report, end="")
