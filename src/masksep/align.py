@@ -455,7 +455,6 @@ def run_curriculum(
         best = heads.copy()
         best_val = _validation_loss(store, heads, cfg, stage, val_ids, train_ids)
         opt_state = AdamWState()
-        epochs_run = 0
 
         for _ in range(cfg.epochs):
             for _ in range(cfg.steps_per_epoch):
@@ -490,16 +489,15 @@ def run_curriculum(
                            clip_norm=cfg.clip_norm)
                 heads.temperature.log_tau = float(log_tau_arr[0])
                 heads.temperature.clamp()
-            epochs_run += 1
             val = _validation_loss(store, heads, cfg, stage, val_ids, train_ids)
             if val < best_val:
                 best_val = val
                 best = heads.copy()
 
-        final_val = _validation_loss(store, heads, cfg, stage, val_ids, train_ids)
+        # epochs >= 1, so val is the last epoch's loss on the final heads
         state.stage_reports.append(
-            StageReport(stage=stage, epochs_run=epochs_run,
-                        best_val_loss=best_val, final_val_loss=final_val)
+            StageReport(stage=stage, epochs_run=cfg.epochs,
+                        best_val_loss=best_val, final_val_loss=val)
         )
         state.stage_best[stage] = best.copy()
         heads = best.copy()

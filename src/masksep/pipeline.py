@@ -172,16 +172,25 @@ def prepare_train_items(
     target source's reconstruction through its ideal ratio mask, matching
     how estimates are formed during training; equal-length crops are
     reconstructed and embedded together, in the reward's batches, and a
-    silent reconstruction falls back to the item's stored audio vector."""
+    silent reconstruction falls back to the item's stored audio vector.
+    A segment or a mixture shorter than the STFT window is a ValueError,
+    the first raised before any WAV is read, the second naming the item."""
+    window = stft_cfg.window_size
+    if cfg.segment_samples < window:
+        raise ValueError(f"segment_samples is shorter than the STFT window: "
+                         f"segment_samples {cfg.segment_samples} < "
+                         f"window_size {window}")
     records = dataset.split(split)
     mixes, masks = [], []
     for rec in records:
         mix = read_item_wav(dataset, rec, rec["mixture"])
         target_ref = read_item_wav(dataset, rec, rec["references"][0])
         total = len(mix)
+        if total < window:
+            raise ValueError(f"{dataset.root / 'manifest.jsonl'}: item "
+                             f"{rec['item_id']!r}: waveform too short: "
+                             f"{total} samples < window_size {window}")
         segment = min(cfg.segment_samples, total)
-        if segment < stft_cfg.window_size:
-            raise ValueError("segment_samples is shorter than the STFT window")
         start = _crop_start(rec["item_id"], cfg.seed, total, segment)
         mix_crop = Waveform(mix.samples[start : start + segment], mix.sample_rate)
         ref_crop = Waveform(target_ref.samples[start : start + segment],

@@ -11,6 +11,12 @@ divergence are closed-form, as are the gradients dJ/dP of log-density and
 entropy that training needs; all reductions run in float64. The parameters
 carry their digamma, trigamma and log-normalizer tables, built once on
 first use and shared by every evaluation of the same policy.
+
+Inputs are checked once, where they enter: ``BetaPolicyParams`` checks P
+and kappa, so every table argument (alpha, beta, 2 + kappa) is finite and
+>= 1 and the special functions check nothing; ``sample`` clamps masks into
+[eps, 1 - eps] with the policy's shape, so ``log_prob_grad`` checks none.
+``log_prob`` still rejects a mask outside (0, 1) or of another shape.
 """
 
 from __future__ import annotations
@@ -34,7 +40,9 @@ class BetaPolicyParams:
     trigamma and log-gamma tables that log-density, entropy, KL and the
     gradients read are built on first use and cached on the instance. Each
     family is one vectorized call over that buffer; the results are bitwise
-    those of separate calls, since the functions are elementwise."""
+    those of separate calls, since the functions are elementwise. P outside
+    [0, 1] or NaN, and kappa < 0 or non-finite, are rejected here, the one
+    check the tables' arguments get."""
 
     proposal: np.ndarray
     kappa: float
@@ -130,19 +138,14 @@ def sample(
             for p, d in zip(policies, np.split(draws, ends[:-1]))]
 
 
-def _check_mask(params: BetaPolicyParams, mask: np.ndarray) -> np.ndarray:
+def log_prob(params: BetaPolicyParams, mask: np.ndarray) -> float:
+    """Total log-density of a mask: sum over bins of the Beta log-pdf."""
     mask = np.asarray(mask, dtype=np.float64)
     if not (mask.min() > 0.0 and mask.max() < 1.0):  # NaN fails it too
         raise ValueError("mask entries must be finite and lie strictly inside "
                          "(0, 1); clamp upstream")
     if mask.shape != params.shape:
         raise ValueError(f"mask shape {mask.shape} != params shape {params.shape}")
-    return mask
-
-
-def log_prob(params: BetaPolicyParams, mask: np.ndarray) -> float:
-    """Total log-density of a mask: sum over bins of the Beta log-pdf."""
-    mask = _check_mask(params, mask)
     a, b = params.alpha, params.beta
     terms = (a - 1.0) * np.log(mask) + (b - 1.0) * np.log1p(-mask) - params.log_norm
     return float(np.sum(terms))
@@ -179,8 +182,8 @@ def kl_divergence(p: BetaPolicyParams, q: BetaPolicyParams) -> float:
 
 def log_prob_grad(params: BetaPolicyParams, mask: np.ndarray) -> np.ndarray:
     """Per-bin gradient of log_prob w.r.t. the proposal P; the digamma at
-    alpha + beta = 2 + kappa cancels."""
-    mask = _check_mask(params, mask)
+    alpha + beta = 2 + kappa cancels. The mask is not checked: ``sample``
+    draws it inside (0, 1) with the policy's shape."""
     psi_a, psi_b, _ = params.psi
     return params.kappa * (np.log(mask) - np.log1p(-mask) - psi_a + psi_b)
 

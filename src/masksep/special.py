@@ -1,4 +1,4 @@
-"""Log-gamma, digamma and trigamma for positive real arguments.
+"""Log-gamma, digamma and trigamma for finite arguments x >= 1e-3.
 
 Log-gamma (Lanczos series) and trigamma (upward recurrence plus an
 asymptotic Bernoulli series) are implemented here because scipy is slower
@@ -11,8 +11,15 @@ against 0.28 ms here, about +35 ms per 16-item policy step, and
 Digamma is scipy's ``psi``, which is faster there: 140 to 191 us against
 265 to 280 us for the same recurrence and series. ``scipy.special`` is
 imported on the first digamma, not with this module, so only a policy
-step loads it. Accuracy is close to machine precision on [1e-3, 1e6]; see
-tests/test_special.py for the reference values the functions are held to.
+step loads it.
+
+The functions check nothing. Their one caller, ``policy.BetaPolicyParams``,
+passes 1 + kappa P, 1 + kappa (1 - P) and 2 + kappa only after it has
+checked that P lies in [0, 1] and kappa is finite and >= 0, so every
+argument is finite and >= 1. The Lanczos series alone (no reflection) is
+accurate to close to machine precision on [1e-3, 1e6], as is trigamma;
+see tests/test_special.py for the reference values they are held to. A
+0-d input gives a 0-d or scalar result.
 """
 
 from __future__ import annotations
@@ -53,47 +60,16 @@ _TRIGAMMA_ASYMPT = np.array(
 _RECURRENCE_CUTOFF = 10.0
 
 
-def _validate_positive(x: np.ndarray, name: str) -> None:
-    if x.size == 0:
-        return
-    # min/max propagate NaN and expose +-inf, so two reductions cover
-    # both checks without a boolean temporary per check
-    lo, hi = x.min(), x.max()
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError(f"{name} requires finite input")
-    if lo <= 0.0:
-        raise ValueError(f"{name} is only defined here for x > 0")
-
-
 # The kernels below run in a few buffers allocated once per call, with
 # out= and in-place ufuncs, in the operation order of the plain formulas
 # in their comments; results are bitwise identical to those formulas.
 
 
 def log_gamma(x):
-    """Natural log of the gamma function, elementwise, for x > 0."""
-    x = np.asarray(x, dtype=np.float64)
-    _validate_positive(x, "log_gamma")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-
-    small = x < 0.5
-    if not small.any():
-        out = _lanczos(x)
-    else:
-        out = np.empty_like(x)
-        xs = x[small]
-        # reflection: lnGamma(x) = ln(pi / sin(pi x)) - lnGamma(1 - x)
-        out[small] = np.log(np.pi / np.sin(np.pi * xs)) - _lanczos(1.0 - xs)
-        large = ~small
-        out[large] = _lanczos(x[large])
-    return out[0] if scalar else out
-
-
-def _lanczos(x: np.ndarray) -> np.ndarray:
+    """Natural log of the gamma function, elementwise."""
     # z = x - 1; series = c0 + sum_i c_i / (z + i); base = z + g + 0.5
     # result = HALF_LOG_TWO_PI + (z + 0.5) * log(base) - base + log(series)
-    z = np.subtract(x, 1.0)
+    z = np.subtract(x, 1.0, dtype=np.float64)
     series = np.full_like(z, _LANCZOS_COEF[0])
     tmp = np.empty_like(z)
     for i in range(1, _LANCZOS_COEF.size):
@@ -113,46 +89,35 @@ def _lanczos(x: np.ndarray) -> np.ndarray:
 
 
 def digamma(x):
-    """psi(x) = d/dx ln Gamma(x), elementwise, for x > 0."""
+    """psi(x) = d/dx ln Gamma(x), elementwise."""
     from scipy.special import psi  # 26 MB, so only here
-    x = np.asarray(x, dtype=np.float64)
-    _validate_positive(x, "digamma")
     return psi(x)
 
 
 def trigamma(x):
-    """psi'(x), elementwise, for x > 0."""
+    """psi'(x), elementwise."""
+    # acc = sum_k 1 / ((x + k) * (x + k));  inv = 1 / (x + cutoff)
+    # series = (series + c) * inv^2 for c from the highest order, from 0
+    # result = acc + inv + 0.5 * inv^2 + series * inv
     x = np.asarray(x, dtype=np.float64)
-    _validate_positive(x, "trigamma")
-    scalar = x.ndim == 0
-    y = np.atleast_1d(x)
-
-    # acc = sum_k 1 / ((y + k) * (y + k));  y' = y + cutoff
-    # result = acc + 1 / y' + 0.5 / y'^2 + series(1 / y'^2) / y'
-    acc = np.zeros_like(y)
-    tmp = np.empty_like(y)
+    acc = np.zeros_like(x)
+    tmp = np.empty_like(x)
     for k in range(int(_RECURRENCE_CUTOFF)):
-        np.add(y, k, out=tmp)
+        np.add(x, k, out=tmp)
         np.multiply(tmp, tmp, out=tmp)
         np.divide(1.0, tmp, out=tmp)
         acc += tmp
-    inv = np.add(y, _RECURRENCE_CUTOFF, out=tmp)
+    inv = np.add(x, _RECURRENCE_CUTOFF, out=tmp)
     np.divide(1.0, inv, out=inv)
 
     inv2 = inv * inv
-    series = _asymptotic_series(_TRIGAMMA_ASYMPT, inv2)
+    series = np.zeros_like(inv2)
+    for c in _TRIGAMMA_ASYMPT[::-1]:
+        series += c
+        series *= inv2
     acc += inv
     inv2 *= 0.5
     acc += inv2
     series *= inv
     acc += series
-    return acc[0] if scalar else acc
-
-
-def _asymptotic_series(coef: np.ndarray, inv2: np.ndarray) -> np.ndarray:
-    # Horner from the highest order: series = (series + c) * inv2, from 0
-    series = np.zeros_like(inv2)
-    for c in coef[::-1]:
-        series += c
-        series *= inv2
-    return series
+    return acc

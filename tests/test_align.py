@@ -407,6 +407,26 @@ class TestCurriculum:
         assert np.array_equal(s2_initial.vision.weight, s2_best.vision.weight)
         assert not np.array_equal(s2_initial.audio.weight, s2_best.audio.weight)
 
+    def test_final_val_loss_is_the_last_epoch_score(self, monkeypatch):
+        # one validation before the first epoch and one after each; the
+        # report reuses the last, taken on the heads the stage ends with
+        from masksep import align
+
+        seen = []
+
+        def counted(*args, _fn=align._validation_loss):
+            seen.append(_fn(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(align, "_validation_loss", counted)
+        epochs = 3
+        state = run_curriculum(toy_store(n_items=18), self.configs(epochs, 2),
+                               np.random.default_rng(3))
+        assert len(seen) == 3 * (epochs + 1)
+        for report, last in zip(state.stage_reports, seen[epochs::epochs + 1]):
+            assert report.epochs_run == epochs
+            assert report.final_val_loss == last
+
     def test_determinism(self):
         store = toy_store()
         a = run_curriculum(store, self.configs(epochs=1),

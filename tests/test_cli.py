@@ -480,6 +480,29 @@ class TestTrainRl:
         assert named in err
         assert not (tmp_path / "run").exists()
 
+    def test_short_segment_or_mixture_is_named(self, small_dataset, tmp_path,
+                                               capsys):
+        # a segment shorter than the window names both keys and values; a
+        # mixture shorter than it names the manifest and the item, not the
+        # segment, which is legal
+        short = tmp_path / "short"
+        assert main(["synth", "--out", str(short), "--items", "12",
+                     "--duration", "600"]) == 0
+        capsys.readouterr()
+        for dataset, extra, named in [
+            (small_dataset, ["--segment-samples", "512"],
+             "segment_samples 512 < window_size 1024"),
+            (short, [], f"{short / 'manifest.jsonl'}: item 'item_0000': "
+                        f"waveform too short: 600 samples < window_size 1024"),
+        ]:
+            code = main(["train-rl", "--dataset", str(dataset), "--run-dir",
+                         str(tmp_path / "run"), "--steps", "1", *extra])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert "Traceback" not in err and len(err.splitlines()) == 1
+            assert named in err
+            assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("key", ["clip_norm", "entropy_coef", "weight_decay"])
     def test_zero_stays_legal(self, key):
         assert getattr(RlConfig(**{key: 0.0}), key) == 0.0

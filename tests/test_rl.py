@@ -333,7 +333,8 @@ class TestTrainStep:
     def test_one_table_set_per_item_plus_probe(self, toy_world, monkeypatch):
         # each item's tables serve its sampling, objective and gradients;
         # the kl_post probe builds one more set and reuses the lead item's
-        # log-normalizer
+        # log-normalizer. Every argument the tables see is finite and >= 1,
+        # which is why the special functions check none
         from masksep import policy
 
         items, embedder, model = toy_world
@@ -342,6 +343,7 @@ class TestTrainStep:
         for name in ("log_gamma", "digamma", "trigamma"):
             def counted(x, _fn=getattr(policy, name), _name=name):
                 calls[_name] = calls.get(_name, 0) + 1
+                assert np.all(np.isfinite(x)) and np.min(x) >= 1.0
                 return _fn(x)
             monkeypatch.setattr(policy, name, counted)
         b = 4

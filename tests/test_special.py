@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from masksep import special
+from masksep.policy import BetaPolicyParams
 from masksep.special import digamma, log_gamma, trigamma
 
 # (x, lgamma(x), digamma(x), trigamma(x))
@@ -48,6 +49,18 @@ def test_trigamma_reference(x, ref_lg, ref_dg, ref_tg):
     assert abs(trigamma(x) - ref_tg) <= max(1e-12, 1e-13 * abs(ref_tg))
 
 
+def test_log_gamma_dense_against_scipy():
+    # the Lanczos series alone, with no reflection, over the whole range
+    # the reference rows span, at test_log_gamma_reference's tolerance
+    from scipy.special import gammaln
+
+    x = np.exp(np.random.default_rng(11).uniform(np.log(1e-3), np.log(1e6),
+                                                  100_000))
+    ref = gammaln(x)
+    tol = np.maximum(1e-12, 8 * np.spacing(np.abs(ref)))
+    assert np.all(np.abs(log_gamma(x) - ref) <= tol)
+
+
 def test_vectorized_matches_scalar():
     xs = np.array([x for x, *_ in REFERENCE])
     assert np.allclose(log_gamma(xs), [log_gamma(x) for x in xs], rtol=0, atol=0)
@@ -60,8 +73,7 @@ def test_vectorized_matches_scalar():
                          ids=["log_gamma", "digamma", "trigamma"])
 def test_array_is_bitwise_elementwise(fn, size):
     # the stacked (alpha, beta, [2 + kappa]) tables of the Beta policy rely
-    # on an array call giving every element the bits of a call on it alone;
-    # the range covers the reflection branch of log_gamma as well
+    # on an array call giving every element the bits of a call on it alone
     x = np.exp(np.random.default_rng(size).uniform(np.log(1e-3), np.log(1e4),
                                                     size))
     whole = fn(x)
@@ -70,22 +82,15 @@ def test_array_is_bitwise_elementwise(fn, size):
 
 
 def plain_log_gamma(x):
-    """The straightforward formulas (Lanczos series, reflection below 0.5)
-    the in-place kernels must reproduce bit for bit."""
-    def lanczos(x):
-        z = x - 1.0
-        series = np.full_like(z, special._LANCZOS_COEF[0])
-        for i in range(1, special._LANCZOS_COEF.size):
-            series = series + special._LANCZOS_COEF[i] / (z + i)
-        base = z + special._LANCZOS_G + 0.5
-        return (special._HALF_LOG_TWO_PI + (z + 0.5) * np.log(base) - base
-                + np.log(series))
-
-    out = lanczos(x)
-    small = x < 0.5
-    xs = x[small]
-    out[small] = np.log(np.pi / np.sin(np.pi * xs)) - lanczos(1.0 - xs)
-    return out
+    """The straightforward Lanczos series the in-place kernel must
+    reproduce bit for bit."""
+    z = x - 1.0
+    series = np.full_like(z, special._LANCZOS_COEF[0])
+    for i in range(1, special._LANCZOS_COEF.size):
+        series = series + special._LANCZOS_COEF[i] / (z + i)
+    base = z + special._LANCZOS_G + 0.5
+    return (special._HALF_LOG_TWO_PI + (z + 0.5) * np.log(base) - base
+            + np.log(series))
 
 
 def plain_trigamma(x):
@@ -149,9 +154,11 @@ def test_log_beta_symmetry_and_known_value():
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        digamma(-1.0)
-    with pytest.raises(ValueError):
-        trigamma(np.nan)
+    # the functions check nothing: their arguments 1 + kappa P,
+    # 1 + kappa (1 - P) and 2 + kappa are finite and >= 1 because the
+    # policy's parameters reject every P and kappa that could break that
+    for proposal, kappa in [([np.nan], 9.0), ([-0.1], 9.0), ([1.2], 9.0),
+                            ([0.5], -1.0), ([0.5], np.nan), ([0.5], np.inf),
+                            ([0.5], -np.inf)]:
+        with pytest.raises(ValueError):
+            BetaPolicyParams(np.array(proposal), kappa)
