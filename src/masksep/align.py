@@ -313,8 +313,6 @@ def build_pairs(
         else:
             positives.append(("video", anchor))
             other = [i for i in all_ids if i != anchor]
-            if not other:
-                raise ValueError("stage 3 needs at least two items")
             negatives.append(("video", other[int(rng.integers(len(other)))]))
 
     return PairBatch(
@@ -474,13 +472,13 @@ def run_curriculum(
                         f"non-finite alignment loss in stage {stage}"
                     )
                 params, grads = {}, {}
+                # every batch projects each head its stage trains
                 for head_name in STAGE_TRAINABLE_HEADS[stage]:
-                    if head_name in head_grads:
-                        head = getattr(heads, head_name)
-                        params[f"{head_name}_weight"] = head.weight
-                        params[f"{head_name}_bias"] = head.bias
-                        (grads[f"{head_name}_weight"],
-                         grads[f"{head_name}_bias"]) = head_grads[head_name]
+                    head = getattr(heads, head_name)
+                    params[f"{head_name}_weight"] = head.weight
+                    params[f"{head_name}_bias"] = head.bias
+                    (grads[f"{head_name}_weight"],
+                     grads[f"{head_name}_bias"]) = head_grads[head_name]
                 log_tau_arr = np.array([heads.temperature.log_tau])
                 params["log_tau"] = log_tau_arr
                 grads["log_tau"] = np.array([d_log_tau])

@@ -230,7 +230,8 @@ def cmd_train_align(args) -> int:
         required=("dataset", "run_dir"),
     )
 
-    # config and dataset checks all come before the run directory is written
+    # config and dataset checks, the curriculum and both gaps all come
+    # before the run directory is written
     stages = cfg["stages"]
     if set(stages) - {"1", "2", "3"}:
         raise ConfigError(
@@ -251,26 +252,25 @@ def cmd_train_align(args) -> int:
         _check_split(dataset, cfg["gap_split"])
     entries = pipeline.gap_entries(dataset, cfg["gap_split"],
                                    max_items=cfg["gap_items"])
+    initial = align.HeadSet.identity(dataset.store.dimension,
+                                     tau_init=cfg["tau_init"])
+    gap_before = align.discrimination_gap(entries, dataset.embedder, initial)
+    rng = np.random.default_rng(cfg["seed"])
+    state = align.run_curriculum(dataset.store, stage_configs, rng,
+                                 tau_init=cfg["tau_init"])
+    gap_after = align.discrimination_gap(entries, dataset.embedder, state.heads)
+
     run_dir = Path(cfg["run_dir"])
     _echo_config(run_dir, "train-align", cfg)
     (run_dir / "checkpoints").mkdir(exist_ok=True)
     (run_dir / "reports").mkdir(exist_ok=True)
-
-    initial = align.HeadSet.identity(dataset.store.dimension,
-                                     tau_init=cfg["tau_init"])
     align.save_heads(run_dir / "checkpoints" / "heads_init.json", initial)
-    gap_before = align.discrimination_gap(entries, dataset.embedder, initial)
-
-    rng = np.random.default_rng(cfg["seed"])
-    state = align.run_curriculum(dataset.store, stage_configs, rng,
-                                 tau_init=cfg["tau_init"])
     align.save_heads(run_dir / "checkpoints" / "heads_best.json", state.heads)
     for stage in (1, 2, 3):
         align.save_heads(
             run_dir / "checkpoints" / f"heads_stage{stage}.json",
             state.stage_best[stage],
         )
-    gap_after = align.discrimination_gap(entries, dataset.embedder, state.heads)
 
     lines = ["curriculum report", "================="]
     for report in state.stage_reports:

@@ -167,12 +167,14 @@ def prepare_train_items(
     cfg: RlConfig,
     stft_cfg: StftConfig,
 ) -> list[TrainItem]:
-    """Crop each item (fixed, seeded), transform, and build its query and
-    its reward target once. The reward's audio embedding is that of the
-    target source's reconstruction through its ideal ratio mask, matching
-    how estimates are formed during training; equal-length crops are
-    reconstructed and embedded together, in the reward's batches, and a
-    silent reconstruction falls back to the item's stored audio vector.
+    """Crop each item (fixed, seeded), transform, and build its query, its
+    ideal ratio mask and its reward target once; rl.warm_start weights the
+    mask's bins from the crop itself when it needs them. The reward's audio
+    embedding is that of the target source's reconstruction through its
+    ideal ratio mask, matching how estimates are formed during training;
+    equal-length crops are reconstructed and embedded together, in the
+    reward's batches, and a silent reconstruction falls back to the item's
+    stored audio vector.
     A segment or a mixture shorter than the STFT window is a ValueError,
     the first raised before any WAV is read, the second naming the item."""
     window = stft_cfg.window_size
@@ -203,8 +205,6 @@ def prepare_train_items(
     for rec, mix_spec, irm, audio in zip(records, mixes, masks, embeds):
         if audio is None:
             audio = dataset.store.get("audio", rec["item_id"])
-        magnitude = np.abs(mix_spec.bins)
-        weight = magnitude / max(magnitude.sum(), 1e-12)
         items.append(
             TrainItem(
                 item_id=rec["item_id"],
@@ -220,7 +220,6 @@ def prepare_train_items(
                     dataset.store.get("video", rec["item_id"]),
                 ),
                 ideal_mask=irm,
-                bce_weight=weight,
             )
         )
     return items
@@ -286,8 +285,8 @@ def separate_split(
 
 def evaluate_manifest(manifest_path, with_bss: bool = False) -> list[UtteranceEval]:
     """Score every record of an evaluation manifest. ValueError names the
-    manifest and the line of a record that is unusable, names a file that
-    cannot be read, or cannot be scored."""
+    manifest when it holds no record, and the line of a record that is
+    unusable, names a file that cannot be read, or cannot be scored."""
     path = Path(manifest_path)
     utterances = []
     for lineno, rec in _jsonl_records(path):
@@ -313,6 +312,8 @@ def evaluate_manifest(manifest_path, with_bss: bool = False) -> list[UtteranceEv
             )
         except (OSError, ValueError) as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    if not utterances:
+        raise ValueError(f"{path}: holds no record")
     return utterances
 
 

@@ -14,6 +14,10 @@ them, one inverse FFT reconstructs them and one STFT feeds the embedder.
 Forward, backward and the Beta tables stay per item: BLAS rounds a row by
 its position in the call, and stacked table calls were slower.
 
+Before the first policy step, ``warm_start`` pretrains the separator
+with supervision: weighted binary cross-entropy toward the train items'
+ideal ratio masks.
+
 The frozen old policy is the (P, kappa) policy the masks were drawn from.
 Updates are single-pass, so at the gradient step the live policy still
 equals the old one: the ratio is exactly 1, no mask is scored, and the
@@ -51,7 +55,6 @@ from .separator import (
     backward,
     forward,
     save_model,
-    warm_start_supervised,
 )
 from .spectral import Spectrogram
 
@@ -110,9 +113,8 @@ class TrainItem:
     """One prepared training example: a mixture crop plus its query and
     the reward mode's target vector.
 
-    ``ideal_mask``/``bce_weight`` back the supervised warm start: the
-    crop's ideal ratio mask and its magnitudes normalized to sum to 1,
-    both F x T."""
+    ``ideal_mask``, the crop's F x T ideal ratio mask, is warm_start's
+    target."""
 
     item_id: str
     category: str
@@ -121,7 +123,6 @@ class TrainItem:
     query: np.ndarray
     reward_target: np.ndarray
     ideal_mask: np.ndarray
-    bce_weight: np.ndarray
 
 
 def normalize_advantages(a, eps: float) -> np.ndarray:
@@ -352,18 +353,30 @@ def warm_start(
     train_items: list[TrainItem],
     cfg: RlConfig,
     rng: np.random.Generator,
-) -> list[float]:
-    """Supervised pretraining phase: weighted BCE toward the items' ideal
-    ratio masks, mirroring how the supervised baseline initializes the
-    separator before policy optimization."""
+) -> None:
+    """Supervised pretraining, as the supervised baseline initializes the
+    separator before policy optimization: cfg.warm_start_steps AdamW steps
+    (lr cfg.warm_start_lr, no weight decay) on binary cross-entropy toward
+    the items' ideal ratio masks, 8 items a step, each bin weighted by its
+    share of the crop's mixture magnitude, so near-silent bins with
+    noise-valued targets do not drown the loss."""
     size = min(8, len(train_items))
-    batches = []
+    state = AdamWState()
     for _ in range(cfg.warm_start_steps):
         idx = rng.choice(len(train_items), size=size, replace=False)
-        batches.append([(it.log_mag, it.query, it.ideal_mask, it.bce_weight)
-                        for it in (train_items[i] for i in idx)])
-    return warm_start_supervised(model, batches, AdamWState(),
-                                 lr=cfg.warm_start_lr)
+        total = None
+        for it in (train_items[i] for i in idx):
+            magnitude = np.abs(it.mix_spec.bins)
+            weight = magnitude / max(magnitude.sum(), 1e-12)
+            proposal, cache = forward(model, it.log_mag, it.query)
+            p = np.clip(proposal, 1e-7, 1.0 - 1e-7)
+            # dBCE/dP = w (P - y) / (P (1-P)); the sigmoid factor inside
+            # backward cancels the denominator, keeping this conditioned
+            upstream = weight * (p - it.ideal_mask) / (p * (1.0 - p)) / size
+            grads = backward(model, cache, upstream)
+            total = grads if total is None else total + grads
+        apply_adamw_step(model, total, state, lr=cfg.warm_start_lr,
+                         weight_decay=0.0)
 
 
 def train_loop(
@@ -378,10 +391,10 @@ def train_loop(
     """Run cfg.steps updates with minibatch sampling, periodic validation,
     best-checkpoint retention and early stopping. Fully seeded.
 
-    When cfg.warm_start_steps > 0, the untrained initial checkpoint is written
-    first, then the separator is pretrained on ideal-ratio-mask targets
-    before any policy step (the paper-style supervised-then-fine-tune
-    pipeline); validation step 0 refers to the warm-started model.
+    The untrained initial checkpoint is written first, then warm_start
+    pretrains the separator on ideal-ratio-mask targets before any policy
+    step (the paper-style supervised-then-fine-tune pipeline); validation
+    step 0 refers to the warm-started model.
     """
     if not train_items or not val_items:
         raise ValueError("the training and validation sets must be nonempty")
@@ -390,8 +403,7 @@ def train_loop(
     save_model(checkpoint_dir / "init.json", model)
 
     rng = np.random.default_rng(cfg.seed)
-    if cfg.warm_start_steps > 0:
-        warm_start(model, train_items, cfg, rng)
+    warm_start(model, train_items, cfg, rng)
     opt_state = AdamWState()
 
     initial_val = evaluate_mean_reward(model, val_items, embedder)

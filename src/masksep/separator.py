@@ -339,42 +339,3 @@ def load_model(path) -> SeparatorModel:
     del dims["k_sources"]
     return SeparatorModel(**arrays, **dims)
 
-
-def warm_start_supervised(
-    model: SeparatorModel,
-    batches,
-    state: AdamWState,
-    lr: float = 1e-2,
-    weight_decay: float = 0.0,
-    clip_norm: float = 1.0,
-) -> list[float]:
-    """Supervised pretraining: weighted binary cross-entropy toward ideal
-    ratio masks, the same objective family the supervised baseline uses.
-
-    ``batches`` yields lists of (log_mag, query, target_mask, weight)
-    tuples; weight is a per-bin array summing to 1 (commonly normalized
-    mixture magnitude, so near-silent bins with noise-valued mask targets
-    do not drown the loss). Returns the per-batch losses.
-    """
-    losses = []
-    for batch in batches:
-        total_grads = None
-        loss = 0.0
-        for log_mag, query, target, weight in batch:
-            proposal, cache = forward(model, log_mag, query)
-            p = np.clip(proposal, 1e-7, 1.0 - 1e-7)
-            loss += -float(
-                np.sum(weight * (target * np.log(p)
-                                 + (1.0 - target) * np.log1p(-p)))
-            ) / len(batch)
-            # dWBCE/dP = w (P - y) / (P (1-P)); the sigmoid factor inside
-            # backward cancels the denominator, keeping this conditioned
-            upstream = weight * (p - target) / (p * (1.0 - p)) / len(batch)
-            grads = backward(model, cache, upstream)
-            total_grads = grads if total_grads is None else total_grads + grads
-        apply_adamw_step(
-            model, total_grads, state, lr=lr, weight_decay=weight_decay,
-            clip_norm=clip_norm,
-        )
-        losses.append(loss)
-    return losses

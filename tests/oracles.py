@@ -7,16 +7,20 @@
 - The policy step's rollout one mask at a time: one generator call, one
   reconstruction and one embedding per mask. The package batches these
   stages over every mask of a step and must match this bit for bit.
+- The supervised warm start with every step's items drawn before the
+  first step and every item's bin weights built before that. The package
+  draws and weights as it goes and must match this bit for bit.
 """
 
 import numpy as np
 
 from masksep.embed import _feature_layout, unit_normalize
 from masksep.metrics import _bss_prepped, _prep, _si_sdr_prepped
+from masksep.optim import AdamWState
 from masksep.policy import log_prob, params_from_proposal
 from masksep.reward import cosine_sim
 from masksep.rl import Rollout
-from masksep.separator import forward
+from masksep.separator import apply_adamw_step, backward, forward
 from masksep.spectral import Spectrogram, istft, stft
 
 
@@ -133,3 +137,29 @@ def mean_reward_per_item(model, items, embedder) -> float:
         wav = reconstruct_one(item.mix_spec, proposal)
         total += mask_reward(embedder, item, wav)
     return total / len(items)
+
+
+def warm_start_upfront(model, train_items, cfg, rng):
+    """rl.warm_start from batches drawn up front: each item's mixture
+    magnitudes normalized to sum to 1 as bin weights, then every step's
+    items, then one weighted-BCE AdamW step per batch."""
+    weights = []
+    for it in train_items:
+        magnitude = np.abs(it.mix_spec.bins)
+        weights.append(magnitude / max(magnitude.sum(), 1e-12))
+    size = min(8, len(train_items))
+    batches = [rng.choice(len(train_items), size=size, replace=False)
+               for _ in range(cfg.warm_start_steps)]
+    state = AdamWState()
+    for batch in batches:
+        total = None
+        for i in batch:
+            it = train_items[i]
+            proposal, cache = forward(model, it.log_mag, it.query)
+            p = np.clip(proposal, 1e-7, 1.0 - 1e-7)
+            upstream = (weights[i] * (p - it.ideal_mask) / (p * (1.0 - p))
+                        / len(batch))
+            grads = backward(model, cache, upstream)
+            total = grads if total is None else total + grads
+        apply_adamw_step(model, total, state, lr=cfg.warm_start_lr,
+                         weight_decay=0.0, clip_norm=1.0)

@@ -231,7 +231,7 @@ def test_criterion_2_gradient_fidelity():
         item = TrainItem(item_id=f"fd{i}", category="x", mix_spec=None,
                          log_mag=rng.uniform(0, 2, (2, 2)),
                          query=rng.standard_normal(2), reward_target=None,
-                         ideal_mask=None, bce_weight=None)
+                         ideal_mask=None)
         proposal_old, _ = forward(old, item.log_mag, item.query)
         params_old = params_from_proposal(proposal_old, 9.0)
         (masks,) = sample([params_old], np.random.default_rng(10 + i))
@@ -285,8 +285,7 @@ def test_criterion_3_ppo_mechanics(monkeypatch):
         items.append(rl.TrainItem(item_id=f"m{i}", category="c", mix_spec=spec,
                                   log_mag=log_compress(spec),
                                   query=rng.standard_normal(4),
-                                  reward_target=None, ideal_mask=None,
-                                  bce_weight=None))
+                                  reward_target=None, ideal_mask=None))
 
     def fixed_rewards(values):
         values = list(values)

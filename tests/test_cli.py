@@ -1485,6 +1485,19 @@ class TestEval:
         assert f"{manifest}: line 1: not a JSON record" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"])
+    def test_manifest_without_records_writes_nothing(self, tmp_path, capsys,
+                                                     text):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(text)
+        code = main(["eval", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert f"{manifest}: holds no record" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrainAlign:
     @pytest.mark.parametrize("bad, named", [
@@ -1576,6 +1589,36 @@ class TestTrainAlign:
         code = main(["train-align", "--dataset", str(small_dataset),
                      "--run-dir", str(tmp_path / "run"), "--config",
                      str(config), "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert named in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("synth, named", [
+        # every target of these three items is am_tone
+        (["--items", "3", "--seed", "0"],
+         "need at least two classes to build negatives"),
+        (["--items", "2", "--seed", "1"],
+         "no class has two instances; cannot build positives"),
+        # the store keeps its vectors, but the manifest names no item
+        (None, "need at least one evaluation item"),
+    ])
+    def test_unusable_dataset_leaves_no_run_dir(self, small_dataset, tmp_path,
+                                                capsys, synth, named):
+        dataset = tmp_path / "ds"
+        if synth is None:
+            dataset.mkdir()
+            for name in ("embeddings.embd", "audio_embedder.json"):
+                shutil.copy(small_dataset / name, dataset / name)
+            (dataset / "manifest.jsonl").write_text("")
+        else:
+            assert main(["synth", "--out", str(dataset), "--duration",
+                         "16384", *synth]) == 0
+        capsys.readouterr()
+        code = main(["train-align", "--dataset", str(dataset), "--run-dir",
+                     str(tmp_path / "run"), "--epochs", "1",
+                     "--steps-per-epoch", "2"])
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err and len(err.splitlines()) == 1

@@ -60,8 +60,6 @@ class TestPrepareTrainItems:
             assert item.reward_target.shape == (dataset.store.dimension,)
             assert np.all(np.isfinite(item.reward_target))
             assert item.ideal_mask.shape == item.mix_spec.bins.shape
-            assert item.bce_weight.shape == item.mix_spec.bins.shape
-            assert item.bce_weight.sum() == pytest.approx(1.0)
 
     def test_crops_are_seed_deterministic(self, dataset):
         cfg = rl.RlConfig(segment_samples=4096, seed=1)

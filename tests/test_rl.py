@@ -23,12 +23,25 @@ from masksep.rl import (
     train_loop,
     train_step,
     update,
+    warm_start,
 )
 from masksep.reward import mask_rewards, modality_vector
 from masksep.separator import forward, init_model, load_model
-from masksep.spectral import StftConfig, Waveform, log_compress, stft
+from masksep.spectral import (
+    StftConfig,
+    Waveform,
+    ideal_ratio_mask,
+    log_compress,
+    stft,
+)
 from masksep.synthdata import DEFAULT_CLASSES, build_embedder
-from oracles import mask_reward, mean_reward_per_item, reconstruct_one, rollout_per_mask
+from oracles import (
+    mask_reward,
+    mean_reward_per_item,
+    reconstruct_one,
+    rollout_per_mask,
+    warm_start_upfront,
+)
 
 TOY_STFT = StftConfig(fft_size=256, hop=64, window_size=256)
 
@@ -49,10 +62,7 @@ def toy_world():
         interf = 0.4 * np.sin(2 * np.pi * f_interf * t + rng.uniform(0, 6))
         mix = Waveform(target + interf, fs)
         mix_spec = stft(mix, TOY_STFT)
-        from masksep.spectral import ideal_ratio_mask
-
         irm = ideal_ratio_mask(stft(Waveform(target, fs), TOY_STFT), mix_spec)
-        magnitude = np.abs(mix_spec.bins)
         items.append(
             TrainItem(
                 item_id=f"toy_{i}",
@@ -67,7 +77,6 @@ def toy_world():
                     oracle.embed("video", target_cls, instance_seed=i),
                 ),
                 ideal_mask=irm,
-                bce_weight=magnitude / magnitude.sum(),
             )
         )
     model = init_model(np.random.default_rng(1), context=3, hidden_width=8,
@@ -172,7 +181,6 @@ def toy_rollout(old, kappa, seed=0, carry_forward=False):
             query=rng.standard_normal(2),
             reward_target=None,
             ideal_mask=None,
-            bce_weight=None,
         )
         items.append(item)
     policies, stacks, advantages, caches = [], [], [], []
@@ -469,6 +477,81 @@ class TestTrainLoop:
         med = np.median(kls)
         if med > 0:
             assert max(kls) <= 10 * med
+
+
+def noise_items(n, seed):
+    """``n`` train items of noise mixtures whose target is one of two
+    noise sources, with the query width of ``small_model``."""
+    rng = np.random.default_rng(seed)
+    items = []
+    for i in range(n):
+        target = 0.1 * rng.standard_normal(2048)
+        mix_spec = stft(Waveform(target + 0.1 * rng.standard_normal(2048),
+                                 16000), TOY_STFT)
+        irm = ideal_ratio_mask(stft(Waveform(target, 16000), TOY_STFT),
+                               mix_spec)
+        items.append(TrainItem(
+            item_id=f"n{i}", category="c", mix_spec=mix_spec,
+            log_mag=log_compress(mix_spec), query=rng.standard_normal(4),
+            reward_target=None, ideal_mask=irm))
+    return items
+
+
+def small_model(dtype=np.float64):
+    return init_model(np.random.default_rng(3), context=3, hidden_width=8,
+                      query_dim=4, dtype=dtype)
+
+
+def weighted_bce(model, items) -> float:
+    """Mean over ``items`` of the binary cross-entropy of the proposal
+    toward the ideal ratio mask, each bin weighted by its share of the
+    mixture magnitude."""
+    total = 0.0
+    for it in items:
+        magnitude = np.abs(it.mix_spec.bins)
+        weight = magnitude / magnitude.sum()
+        proposal, _ = forward(model, it.log_mag, it.query, keep_cache=False)
+        p = np.clip(proposal, 1e-7, 1.0 - 1e-7)
+        total -= float(np.sum(weight * (it.ideal_mask * np.log(p)
+                                        + (1.0 - it.ideal_mask)
+                                        * np.log1p(-p))))
+    return total / len(items)
+
+
+class TestWarmStart:
+    # 10 items draw 8 a step; 5 items draw all 5 each step
+    @pytest.mark.parametrize("n_items", [10, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_upfront_oracle_bitwise(self, dtype, n_items):
+        items = noise_items(n_items, seed=n_items)
+        cfg = RlConfig(warm_start_steps=4)
+        model, oracle = small_model(dtype), small_model(dtype)
+        rng, oracle_rng = (np.random.default_rng(9) for _ in range(2))
+        assert warm_start(model, items, cfg, rng) is None
+        warm_start_upfront(oracle, items, cfg, oracle_rng)
+        for name, value in model.params().items():
+            assert value.dtype == dtype, name
+            assert np.array_equal(value, getattr(oracle, name)), name
+        assert rng.random() == oracle_rng.random()
+
+    def test_zero_steps_change_nothing(self):
+        items = noise_items(3, seed=0)
+        model = small_model()
+        rng = np.random.default_rng(9)
+        warm_start(model, items, RlConfig(warm_start_steps=0), rng)
+        untouched = small_model()
+        assert model.version == 0
+        for name, value in model.params().items():
+            assert np.array_equal(value, getattr(untouched, name)), name
+        assert rng.random() == np.random.default_rng(9).random()
+
+    def test_warm_start_reduces_weighted_bce(self, toy_world):
+        items, _, model = toy_world
+        model = copy.deepcopy(model)
+        before = weighted_bce(model, items)
+        warm_start(model, items, RlConfig(warm_start_steps=60),
+                   np.random.default_rng(20))
+        assert weighted_bce(model, items) < before
 
 
 def test_evaluate_mean_reward_deterministic(toy_world):

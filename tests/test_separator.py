@@ -26,7 +26,6 @@ from masksep.separator import (
     init_model,
     load_model,
     save_model,
-    warm_start_supervised,
 )
 
 
@@ -593,15 +592,3 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="separator"):
             load_model(path)
 
-
-def test_warm_start_reduces_weighted_bce():
-    model = small_model(seed=19)
-    rng = np.random.default_rng(20)
-    log_mag = rng.uniform(0, 2, size=(6, 5))
-    query = rng.standard_normal(4)
-    target = (rng.uniform(size=(6, 5)) > 0.5).astype(float)
-    weight = rng.uniform(0.5, 1.5, size=(6, 5))
-    weight /= weight.sum()
-    batches = [[(log_mag, query, target, weight)]] * 60
-    losses = warm_start_supervised(copy.deepcopy(model), batches, AdamWState(), lr=1e-2)
-    assert losses[-1] < losses[0]
