@@ -8,7 +8,8 @@ Flag > config file > default, for every key; a flag is its config key with
 dashes, and every value is checked before a command writes anything. Each
 run directory receives an echo of the effective configuration; rerunning
 with the same config and seed reproduces all manifests, logs and
-checkpoints byte for byte.
+checkpoints byte for byte. The STFT is ``pipeline.STFT``, not a key, and
+``separate`` reads audio at the sample rate its checkpoint records.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime divergence or an
 unusable result, 4 I/O failure.
@@ -36,13 +37,14 @@ from .errors import (
     check_value,
 )
 from .reward import QUERY_MODALITIES, REWARD_MODES
-from .spectral import StftConfig
-from .wavio import RATE_POLICIES, check_wav, read_wav, write_wav
+from .wavio import check_wav, read_wav, write_wav
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
+
+RATE_POLICIES = ("reject", "resample")  # accept would separate at a wrong rate
 
 
 def _read_json(path) -> object:
@@ -103,29 +105,21 @@ def _check_split(dataset: pipeline.Dataset, name: str) -> None:
                           f"its splits are: {splits}")
 
 
-def _check_mixtures(dataset: pipeline.Dataset, name: str,
-                    stft_cfg: StftConfig) -> None:
+def _check_mixtures(dataset: pipeline.Dataset, name: str) -> None:
     """Read every mixture of a split, keeping none, so that one that cannot
     be separated stops the run before it writes anything."""
     for rec in dataset.split(name):
         path = dataset.root / rec["mixture"]
         n = pipeline.read_item_wav(dataset, rec, rec["mixture"], check_wav)
-        if n < stft_cfg.window_size:
+        if n < pipeline.STFT.window_size:
             raise ConfigError(f"{path}: waveform too short: {n} samples < "
-                              f"window_size {stft_cfg.window_size}")
+                              f"window_size {pipeline.STFT.window_size}")
 
 
 def _check_query_dim(checkpoint, model, dim: int, source) -> None:
     if model.query_dim != dim:
         raise ConfigError(f"{checkpoint}: query_dim {model.query_dim} is not "
                           f"the dimension {dim} of {source}")
-
-
-_STFT_DEFAULTS = {f.name: f.default for f in fields(StftConfig)}
-
-
-def _stft_config(cfg: dict) -> StftConfig:
-    return StftConfig(**{key: cfg[key] for key in _STFT_DEFAULTS})
 
 
 def cmd_synth(args) -> int:
@@ -176,21 +170,19 @@ def cmd_train_rl(args) -> int:
     rl_defaults = {f.name: f.default for f in fields(rl.RlConfig)}
     cfg = _config(
         args,
-        {**rl_defaults, "dataset": str, "run_dir": str, **_STFT_DEFAULTS,
+        {**rl_defaults, "dataset": str, "run_dir": str,
          "model_dtype": "float32"},
-        {**rl.RlConfig.BOUNDS, **StftConfig.BOUNDS,
-         "model_dtype": ("float32", "float64")},
+        {**rl.RlConfig.BOUNDS, "model_dtype": ("float32", "float64")},
         required=("dataset", "run_dir"),
     )
 
     # config and dataset checks all come before the run directory is written
     rl_cfg = rl.RlConfig(**{key: cfg[key] for key in rl_defaults})
-    stft_cfg = _stft_config(cfg)
     dataset = pipeline.load_dataset(cfg["dataset"])
     _check_split(dataset, "train")
     _check_split(dataset, "val")
-    train_items = pipeline.prepare_train_items(dataset, "train", rl_cfg, stft_cfg)
-    val_items = pipeline.prepare_train_items(dataset, "val", rl_cfg, stft_cfg)
+    train_items = pipeline.prepare_train_items(dataset, "train", rl_cfg)
+    val_items = pipeline.prepare_train_items(dataset, "val", rl_cfg)
     run_dir = Path(cfg["run_dir"])
     _echo_config(run_dir, "train-rl", cfg)
     (run_dir / "logs").mkdir(exist_ok=True)
@@ -200,6 +192,7 @@ def cmd_train_rl(args) -> int:
         np.random.default_rng(rl_cfg.seed),
         query_dim=dataset.store.dimension,
         dtype=np.dtype(cfg["model_dtype"]),
+        sample_rate=dataset.embedder.sample_rate,
     )
     started = time.perf_counter()
     result = rl.train_loop(
@@ -374,13 +367,11 @@ def cmd_separate(args) -> int:
         args,
         {"checkpoint": str, "dataset": str, "split": "test", "out": str,
          "mixture": str, "query": str, "query_modality": "text",
-         "rate_policy": "reject", **_STFT_DEFAULTS},
-        {"query_modality": QUERY_MODALITIES, "rate_policy": RATE_POLICIES,
-         **StftConfig.BOUNDS},
+         "rate_policy": "reject"},
+        {"query_modality": QUERY_MODALITIES, "rate_policy": RATE_POLICIES},
         required=("checkpoint", "out"),
     )
     model = separator.load_model(cfg["checkpoint"])
-    stft_cfg = _stft_config(cfg)
 
     if cfg["mixture"] is not None:
         if cfg["query"] is None:
@@ -388,15 +379,16 @@ def cmd_separate(args) -> int:
         dataset = (
             pipeline.load_dataset(cfg["dataset"]) if cfg["dataset"] else None
         )
-        rate = dataset.embedder.sample_rate if dataset else 16000
-        mix = read_wav(cfg["mixture"], rate, rate_policy=cfg["rate_policy"])
-        if len(mix) < stft_cfg.window_size:
+        mix = read_wav(cfg["mixture"], model.sample_rate,
+                       rate_policy=cfg["rate_policy"])
+        window = pipeline.STFT.window_size
+        if len(mix) < window:
             raise ConfigError(f"{cfg['mixture']}: waveform too short: {len(mix)} "
-                              f"samples < window_size {stft_cfg.window_size}")
+                              f"samples < window_size {window}")
         query = _load_query(cfg["query"], dataset)
         _check_query_dim(cfg["checkpoint"], model, query.size,
                          f"the query {cfg['query']}")
-        est = pipeline.separate_waveform(model, mix, query, stft_cfg)
+        est = pipeline.separate_waveform(model, mix, query)
         out_path = Path(cfg["out"])
         out_path.parent.mkdir(parents=True, exist_ok=True)
         write_wav(out_path, est)
@@ -408,12 +400,17 @@ def cmd_separate(args) -> int:
     dataset = pipeline.load_dataset(cfg["dataset"])
     _check_query_dim(cfg["checkpoint"], model, dataset.store.dimension,
                      dataset.root / "embeddings.embd")
+    if dataset.embedder.sample_rate != model.sample_rate:
+        raise ConfigError(
+            f"{cfg['checkpoint']}: sample_rate {model.sample_rate} is not the "
+            f"rate {dataset.embedder.sample_rate} of "
+            f"{dataset.root / 'manifest.jsonl'}")
     _check_split(dataset, cfg["split"])
-    _check_mixtures(dataset, cfg["split"], stft_cfg)
+    _check_mixtures(dataset, cfg["split"])
     out = Path(cfg["out"])
     _echo_config(out, "separate", cfg)
     manifest = pipeline.separate_split(
-        model, dataset, cfg["split"], cfg["query_modality"], stft_cfg, out
+        model, dataset, cfg["split"], cfg["query_modality"], out
     )
     print(manifest)
     return EXIT_OK

@@ -24,6 +24,10 @@ from .spectral import (
 )
 from .wavio import read_wav, write_wav
 
+# the separator's one STFT: a mask means something only on the grid it was
+# learned on, so this is a constant of the package, not a setting
+STFT = StftConfig(fft_size=1024, hop=256, window_size=1024)
+
 
 @dataclass
 class Dataset:
@@ -103,8 +107,8 @@ def _check_record(path: Path, lineno: int, rec: dict, keys: dict,
 def load_dataset(root) -> Dataset:
     """The manifest, store and audio embedder of a ``synth`` directory.
     ValueError names the file, and the line of a manifest record, where a
-    record is unusable, an item lacks a vector in the store, or the
-    embedder's dimension is not the store's."""
+    record is unusable or not at the embedder's sample rate, an item lacks
+    a vector in the store, or the embedder's dimension is not the store's."""
     root = Path(root)
     manifest = root / "manifest.jsonl"
     if not manifest.exists():
@@ -119,6 +123,10 @@ def load_dataset(root) -> Dataset:
     records = []
     for lineno, rec in _jsonl_records(manifest):
         _check_record(manifest, lineno, rec, _RECORD_KEYS)
+        if rec["sample_rate"] != embedder.sample_rate:
+            raise ValueError(
+                f"{manifest}: line {lineno}: sample_rate {rec['sample_rate']} "
+                f"is not the rate {embedder.sample_rate} of {embedder_path}")
         for modality in MODALITIES:
             if (modality, rec["item_id"]) not in store:
                 raise ValueError(
@@ -165,7 +173,6 @@ def prepare_train_items(
     dataset: Dataset,
     split: str,
     cfg: RlConfig,
-    stft_cfg: StftConfig,
 ) -> list[TrainItem]:
     """Crop each item (fixed, seeded), transform, and build its query, its
     ideal ratio mask and its reward target once; rl.warm_start weights the
@@ -177,7 +184,7 @@ def prepare_train_items(
     stored audio vector.
     A segment or a mixture shorter than the STFT window is a ValueError,
     the first raised before any WAV is read, the second naming the item."""
-    window = stft_cfg.window_size
+    window = STFT.window_size
     if cfg.segment_samples < window:
         raise ValueError(f"segment_samples is shorter than the STFT window: "
                          f"segment_samples {cfg.segment_samples} < "
@@ -197,8 +204,8 @@ def prepare_train_items(
         mix_crop = Waveform(mix.samples[start : start + segment], mix.sample_rate)
         ref_crop = Waveform(target_ref.samples[start : start + segment],
                             target_ref.sample_rate)
-        mixes.append(stft(mix_crop, stft_cfg))
-        masks.append(ideal_ratio_mask(stft(ref_crop, stft_cfg), mixes[-1]))
+        mixes.append(stft(mix_crop, STFT))
+        masks.append(ideal_ratio_mask(stft(ref_crop, STFT), mixes[-1]))
     embeds = embed_reconstructions(dataset.embedder, mixes, masks)
 
     items = []
@@ -230,22 +237,20 @@ def separate_record(
     dataset: Dataset,
     rec: dict,
     query_modality: str,
-    stft_cfg: StftConfig,
 ) -> Waveform:
     """Deterministic full-length inference for one manifest record."""
     mix = read_item_wav(dataset, rec, rec["mixture"])
     query = _query_vector(query_modality, dataset.store, rec["item_id"])
-    return separate_waveform(model, mix, query, stft_cfg)
+    return separate_waveform(model, mix, query)
 
 
 def separate_waveform(
     model: SeparatorModel,
     mix: Waveform,
     query: np.ndarray,
-    stft_cfg: StftConfig,
 ) -> Waveform:
     """Mask the mixture with the deterministic proposal and resynthesize."""
-    spec = stft(mix, stft_cfg)
+    spec = stft(mix, STFT)
     proposal, _ = forward(model, log_compress(spec), query, keep_cache=False)
     return apply_mask_reconstruct(spec, proposal)
 
@@ -255,7 +260,6 @@ def separate_split(
     dataset: Dataset,
     split: str,
     query_modality: str,
-    stft_cfg: StftConfig,
     out_dir,
 ) -> Path:
     """Run inference over a split; write estimate WAVs plus an evaluation
@@ -264,7 +268,7 @@ def separate_split(
     out.mkdir(parents=True, exist_ok=True)
     eval_records = []
     for rec in dataset.split(split):
-        est = separate_record(model, dataset, rec, query_modality, stft_cfg)
+        est = separate_record(model, dataset, rec, query_modality)
         est_path = out / f"{rec['item_id']}_est.wav"
         write_wav(est_path, est)
         eval_records.append(

@@ -15,6 +15,9 @@ up: the first-layer products run over the patch, the frequency and that
 The frequency coordinate is what lets a per-bin model express
 query-conditional band gates; a local magnitude patch alone carries no
 absolute-frequency information.
+
+A checkpoint records the sample rate the model separates at; every model
+runs at the one STFT of ``pipeline.STFT``, which is not recorded.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from . import checkpoint
 from .optim import AdamWState, adamw_step
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
+# what a checkpoint records besides the weights
+HPARAMS = ("context", "hidden_width", "query_dim", "k_sources", "sample_rate")
 
 # bins per slab of a cache-free forward: on a 513 x 256 float32 grid, 16
 # rows a slab peak at 2.1 MB of numpy arrays, the cached forward at 32 MB;
@@ -37,7 +42,7 @@ SLAB_BINS = 4096
 
 @dataclass
 class SeparatorModel:
-    """Weights plus architecture hyperparameters.
+    """Weights, architecture hyperparameters and the sample rate.
 
     ``version`` counts parameter mutations (used to invalidate stale
     forward caches).
@@ -50,6 +55,7 @@ class SeparatorModel:
     context: int
     hidden_width: int
     query_dim: int
+    sample_rate: int
     version: int = 0
     # one output column: a query names one target. Checkpoints still record
     # the count as an hparam, and the benchmark's FLOP counters read it.
@@ -106,6 +112,7 @@ def init_model(
     hidden_width: int = 32,
     query_dim: int = 16,
     dtype=np.float64,
+    sample_rate: int = 16000,
 ) -> SeparatorModel:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
 
@@ -128,6 +135,7 @@ def init_model(
         context=context,
         hidden_width=hidden_width,
         query_dim=query_dim,
+        sample_rate=sample_rate,
     )
 
 
@@ -305,20 +313,11 @@ def apply_adamw_step(
 
 
 def save_model(path, model: SeparatorModel) -> None:
-    checkpoint.save_checkpoint(
-        path,
-        kind="separator",
-        hparams={
-            "context": model.context,
-            "hidden_width": model.hidden_width,
-            "query_dim": model.query_dim,
-            "k_sources": model.k_sources,
-        },
-        arrays=model.params(),
-    )
+    hparams = {name: getattr(model, name) for name in HPARAMS}
+    checkpoint.save_checkpoint(path, "separator", hparams, model.params())
 
 
-def _shapes(context, hidden_width, query_dim, k_sources) -> dict:
+def _shapes(context, hidden_width, query_dim, k_sources, sample_rate) -> dict:
     """The array shapes a separator checkpoint's hparams give; ValueError
     for more than one output column or an even context (see init_model)."""
     if k_sources != 1:
@@ -332,10 +331,7 @@ def _shapes(context, hidden_width, query_dim, k_sources) -> dict:
 def load_model(path) -> SeparatorModel:
     """Load a separator checkpoint through checkpoint.load_checked."""
     dims, arrays = checkpoint.load_checked(
-        path, "separator",
-        dict.fromkeys(("context", "hidden_width", "query_dim", "k_sources"),
-                      int),
-        _shapes)
+        path, "separator", dict.fromkeys(HPARAMS, int), _shapes)
     del dims["k_sources"]
     return SeparatorModel(**arrays, **dims)
 

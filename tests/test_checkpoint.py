@@ -23,7 +23,8 @@ def empty_hidden_layer(path):
     # hidden_width 0 with arrays of the shapes it gives
     checkpoint.save_checkpoint(
         path, "separator",
-        {"context": 3, "hidden_width": 0, "query_dim": 4, "k_sources": 1},
+        {"context": 3, "hidden_width": 0, "query_dim": 4, "k_sources": 1,
+         "sample_rate": 16000},
         {"w1": np.zeros((14, 0)), "b1": np.zeros(0), "w2": np.zeros((0, 1)),
          "b2": np.zeros(1)})
 

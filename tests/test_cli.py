@@ -51,6 +51,12 @@ def keyed(bad: dict, named: str):
         f"{key}={value!r}" for key, value in bad.items()))
 
 
+# train-rl and separate take no STFT key, not even at pipeline.STFT's value
+STFT_KEYS = [keyed(bad, f"unknown config key {next(iter(bad))!r}") for bad in (
+    {"hop": True}, {"fft_size": 1024.7}, {"hop": 0}, {"fft_size": -5},
+    {"window_size": 1024})]
+
+
 def run_dirs(tmp_path, *names):
     return [tmp_path / n for n in names]
 
@@ -422,10 +428,7 @@ class TestTrainRl:
          "config key 'kappa_start' must be a positive finite number, got -1"),
         # legal alone, but shorter than the STFT window
         ({"segment_samples": 512}, "segment_samples is shorter than the STFT"),
-        # the STFT keys are integers: neither truncated nor read as 1
-        keyed({"fft_size": 1024.7},
-              "config key 'fft_size' must be an integer >= 1, got 1024.7"),
-        keyed({"hop": True}, "config key 'hop' must be an integer >= 1, got True"),
+        *STFT_KEYS,
         keyed({"lr": float("nan")},
               "config key 'lr' must be a positive finite number, got nan"),
     ])
@@ -530,6 +533,7 @@ def test_interval_bound_ends(bound, inside, outside):
     (["separate", "--query-modality", "smell"], "invalid choice: 'smell'"),
     (["train-rl", "--steps", "x"], "invalid int value: 'x'"),
     ([], "the following arguments are required: command"),
+    (["separate", "--rate-policy", "accept"], "invalid choice: 'accept'"),
 ])
 def test_bad_flag_is_one_line(capsys, argv, named):
     with pytest.raises(SystemExit) as exc:
@@ -559,30 +563,6 @@ def test_unreadable_json_file_is_named(corrupt_case, tmp_path, capsys, flag,
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert f"{bad}: {named}" in err
     assert not (tmp_path / "o.wav").exists()
-
-
-@pytest.mark.parametrize("bad, named", [
-    keyed({"hop": 0}, "config key 'hop' must be an integer >= 1, got 0"),
-    keyed({"fft_size": -5}, "config key 'fft_size' must be an integer >= 1, got -5"),
-])
-@pytest.mark.parametrize("command", ["train-rl", "separate"])
-def test_stft_key_out_of_bound_is_named(small_dataset, trained_run, tmp_path,
-                                        capsys, command, bad, named):
-    cfg_file = tmp_path / "bad.json"
-    cfg_file.write_text(json.dumps(bad))
-    out = tmp_path / "out"
-    argv = {
-        "train-rl": ["train-rl", "--run-dir", str(out)],
-        "separate": ["separate", "--out", str(out), "--checkpoint",
-                     str(trained_run / "checkpoints" / "best.json")],
-    }[command]
-    code = main(argv + ["--dataset", str(small_dataset), "--config",
-                        str(cfg_file)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "Traceback" not in err and len(err.splitlines()) == 1
-    assert named in err
-    assert not out.exists()
 
 
 def test_help_keeps_usage(capsys):
@@ -637,6 +617,17 @@ def trained_run(small_dataset, tmp_path_factory):
     return run
 
 
+@pytest.fixture(scope="module")
+def set_24k(tmp_path_factory):
+    """A 10-item synthetic set at 24 kHz, with a test split."""
+    root = tmp_path_factory.mktemp("set_24k")
+    rate_file = root / "rate.json"
+    rate_file.write_text(json.dumps({"sample_rate": 24000}))
+    assert main(["synth", "--out", str(root / "ds"), "--items", "10",
+                 "--duration", "4096", "--config", str(rate_file)]) == 0
+    return root / "ds"
+
+
 class TestSeparate:
     def test_split_mode_writes_estimates_and_manifest(self, small_dataset,
                                                       trained_run, tmp_path):
@@ -665,27 +656,52 @@ class TestSeparate:
                      "--out", str(out)]) == 0
         assert out.exists()
 
-    def test_single_file_mode_reads_at_the_dataset_rate(self, trained_run,
-                                                        tmp_path, capsys):
-        # with --dataset the mixture is read at the dataset's rate; without
-        # one, at 16 kHz
-        rate_file = tmp_path / "rate.json"
-        rate_file.write_text(json.dumps({"sample_rate": 24000}))
-        ds = tmp_path / "ds"
-        assert main(["synth", "--out", str(ds), "--items", "2", "--duration",
-                     "4096", "--config", str(rate_file)]) == 0
+    def test_dataset_at_another_rate_writes_nothing(self, trained_run,
+                                                    set_24k, tmp_path, capsys):
+        ckpt = trained_run / "checkpoints" / "best.json"
+        code = main(["separate", "--checkpoint", str(ckpt), "--dataset",
+                     str(set_24k), "--out", str(tmp_path / "est")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert (f"{ckpt}: sample_rate 16000 is not the rate 24000 of "
+                f"{set_24k / 'manifest.jsonl'}") in err
+        assert not (tmp_path / "est").exists()
+
+    def test_mixture_at_another_rate_is_rejected_or_resampled(
+            self, trained_run, set_24k, tmp_path, capsys):
         qfile = tmp_path / "q.json"
         qfile.write_text(json.dumps(list(np.ones(16) / 4.0)))
-        mixture = str(ds / "items" / "item_0000_mix.wav")
+        mixture = set_24k / "items" / "item_0000_mix.wav"
+        out = tmp_path / "est.wav"
         separate = ["separate", "--checkpoint",
                     str(trained_run / "checkpoints" / "best.json"),
-                    "--mixture", mixture, "--out", str(tmp_path / "est.wav")]
-        assert main([*separate, "--query", str(qfile)]) == 2
-        assert "sample rate 24000 != expected 16000" in capsys.readouterr().err
-        assert main([*separate, "--dataset", str(ds),
-                     "--query", "store:text:item_0000"]) == 0
-        assert read_wav(tmp_path / "est.wav", expected_rate=24000).sample_rate \
-            == 24000
+                    "--mixture", str(mixture), "--query", str(qfile),
+                    "--out", str(out)]
+        assert main(separate) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert f"{mixture}: sample rate 24000 != expected 16000" in err
+        assert not out.exists()
+        assert main([*separate, "--rate-policy", "resample"]) == 0
+        est = read_wav(out, expected_rate=16000)
+        assert len(est.samples) == 2731  # ceil(4096 x 16 / 24)
+
+    def test_checkpoint_trained_at_24k_separates_its_set(self, set_24k,
+                                                         tmp_path):
+        run = tmp_path / "run"
+        assert main(["train-rl", "--dataset", str(set_24k), "--run-dir",
+                     str(run), "--steps", "1", "--batch-size", "2",
+                     "--warm-start-steps", "1"]) == 0
+        ckpt = run / "checkpoints" / "last.json"
+        assert json.loads(ckpt.read_text())["hparams"]["sample_rate"] == 24000
+        out = tmp_path / "est"
+        assert main(["separate", "--checkpoint", str(ckpt), "--dataset",
+                     str(set_24k), "--out", str(out)]) == 0
+        ests = sorted(out.glob("*_est.wav"))
+        assert ests
+        for path in ests:
+            assert read_wav(path, expected_rate=24000).sample_rate == 24000
 
     def test_single_file_mode_with_vector_file(self, small_dataset,
                                                trained_run, tmp_path):
@@ -815,6 +831,10 @@ class TestSeparate:
         ("arrays", "b2", None, "array b2"),
         ("hparams", "context", None, "hparam context"),
         ("hparams", "context", -5, "hparam context is -5"),
+        ("hparams", "sample_rate", None, "has no hparam sample_rate"),
+        ("hparams", "sample_rate", 0, "hparam sample_rate is 0,"),
+        ("hparams", "sample_rate", 16000.5, "hparam sample_rate is 16000.5"),
+        ("hparams", "sample_rate", -1, "hparam sample_rate is -1"),
     ])
     def test_checkpoint_disagreeing_with_hparams_is_config_error(
             self, small_dataset, trained_run, tmp_path, capsys, section, key,
@@ -882,9 +902,12 @@ class TestSeparate:
         assert not (tmp_path / "est").exists()
 
     @pytest.mark.parametrize("bad, named", [
-        keyed({"hop": True}, "config key 'hop' must be an integer >= 1, got True"),
-        ({"fft_size": 1024.7}, "config key 'fft_size' must be an integer"),
+        # split so that the positional case keeps its index, and its id
+        *STFT_KEYS[:2],
         ({"rate_policy": "loose"}, "unknown rate_policy 'loose'"),
+        *STFT_KEYS[2:],
+        # it would separate at a rate the checkpoint was not trained at
+        keyed({"rate_policy": "accept"}, "unknown rate_policy 'accept'"),
     ])
     def test_bad_config_value_writes_nothing(self, small_dataset, trained_run,
                                              tmp_path, capsys, bad, named):
@@ -1222,6 +1245,11 @@ def _narrow_embedder(path):
     embedder.save(path)
 
 
+def _other_rate(path):
+    path.write_text(path.read_text().replace('"sample_rate": 16000',
+                                             '"sample_rate": 24000', 1))
+
+
 def _zero_dimension(path):
     data = path.read_bytes()
     path.write_bytes(data[:6] + struct.pack("<I", 0) + data[10:])
@@ -1247,6 +1275,10 @@ DATASET_DAMAGE = {
                        "store dimension is 0"),
     "nan vector": ("embeddings.embd", _nan_text_vectors,
                    "record 1 vector holds non-finite values"),
+    # train-rl would reward it with an embedder calibrated at 16 kHz
+    "record rate": ("manifest.jsonl", _other_rate,
+                    "line 1: sample_rate 24000 is not the rate 16000 of "
+                    "{ds}/audio_embedder.json"),
 }
 
 

@@ -11,11 +11,9 @@ from masksep.align import HeadSet, discrimination_gap
 from masksep.embed import ProjectionHead, project
 from masksep.reward import modality_vector
 from masksep.separator import init_model
-from masksep.spectral import StftConfig, Waveform, apply_mask_reconstruct, stft
+from masksep.spectral import Waveform, apply_mask_reconstruct, stft
 from masksep.synthdata import build_dataset
 from masksep.wavio import read_wav, write_wav
-
-STFT = StftConfig(512, 128, 512)
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +52,7 @@ class TestLoadDataset:
 class TestPrepareTrainItems:
     def test_items_carry_reward_targets_and_irm(self, dataset):
         cfg = rl.RlConfig(segment_samples=4096, seed=1)
-        items = pipeline.prepare_train_items(dataset, "train", cfg, STFT)
+        items = pipeline.prepare_train_items(dataset, "train", cfg)
         assert items
         for item in items:
             assert item.reward_target.shape == (dataset.store.dimension,)
@@ -63,17 +61,17 @@ class TestPrepareTrainItems:
 
     def test_crops_are_seed_deterministic(self, dataset):
         cfg = rl.RlConfig(segment_samples=4096, seed=1)
-        a = pipeline.prepare_train_items(dataset, "train", cfg, STFT)
-        b = pipeline.prepare_train_items(dataset, "train", cfg, STFT)
+        a = pipeline.prepare_train_items(dataset, "train", cfg)
+        b = pipeline.prepare_train_items(dataset, "train", cfg)
         for x, y in zip(a, b):
             assert np.array_equal(x.log_mag, y.log_mag)
 
     def test_different_seed_moves_crops(self, dataset):
         a = pipeline.prepare_train_items(
-            dataset, "train", rl.RlConfig(segment_samples=4096, seed=1), STFT
+            dataset, "train", rl.RlConfig(segment_samples=4096, seed=1)
         )
         b = pipeline.prepare_train_items(
-            dataset, "train", rl.RlConfig(segment_samples=4096, seed=2), STFT
+            dataset, "train", rl.RlConfig(segment_samples=4096, seed=2)
         )
         assert any(
             not np.array_equal(x.log_mag, y.log_mag) for x, y in zip(a, b)
@@ -82,7 +80,7 @@ class TestPrepareTrainItems:
     def test_query_modality_selection(self, dataset):
         for modality in ("text", "audio", "video"):
             cfg = rl.RlConfig(segment_samples=4096, query_modality=modality)
-            items = pipeline.prepare_train_items(dataset, "val", cfg, STFT)
+            items = pipeline.prepare_train_items(dataset, "val", cfg)
             rec = dataset.split("val")[0]
             expected = dataset.store.get(modality, rec["item_id"])
             assert np.array_equal(items[0].query, expected)
@@ -91,7 +89,7 @@ class TestPrepareTrainItems:
         rec = dataset.split("val")[0]
         for mode in ("text", "video"):
             cfg = rl.RlConfig(segment_samples=4096, reward_mode=mode)
-            items = pipeline.prepare_train_items(dataset, "val", cfg, STFT)
+            items = pipeline.prepare_train_items(dataset, "val", cfg)
             expected = dataset.store.get(mode, rec["item_id"])
             assert np.array_equal(items[0].reward_target, expected)
 
@@ -100,14 +98,14 @@ class TestPrepareTrainItems:
         # a 3-crop bin budget splits the crops into several batches; each
         # target must be the bytes of its item's reconstruction embedded alone
         cfg = rl.RlConfig(segment_samples=4096, seed=1)
-        f, t = stft(Waveform(np.zeros(4096), 16000), STFT).bins.shape
+        f, t = stft(Waveform(np.zeros(4096), 16000), pipeline.STFT).bins.shape
         sizes = []
         real = reward.reconstruct
         monkeypatch.setattr(reward, "REWARD_BATCH_BINS", 3 * f * t)
         monkeypatch.setattr(reward, "reconstruct",
                             lambda mixes, masks: sizes.append(len(masks))
                             or real(mixes, masks))
-        items = pipeline.prepare_train_items(dataset, "train", cfg, STFT)
+        items = pipeline.prepare_train_items(dataset, "train", cfg)
         assert len(sizes) > 2 and set(sizes[:-1]) == {3}
         for item in items:
             alone = dataset.embedder.embed(
@@ -129,10 +127,10 @@ class TestPrepareTrainItems:
         silent = pipeline.load_dataset(root)
         cfg = rl.RlConfig(segment_samples=4096, seed=1, batch_size=2,
                           reward_mode="audio")
-        items = pipeline.prepare_train_items(silent, "train", cfg, STFT)
+        items = pipeline.prepare_train_items(silent, "train", cfg)
         assert np.array_equal(items[1].reward_target,
                               silent.store.get("audio", rec["item_id"]))
-        others = pipeline.prepare_train_items(dataset, "train", cfg, STFT)
+        others = pipeline.prepare_train_items(dataset, "train", cfg)
         for i in (0, 2, 3):
             assert np.array_equal(items[i].reward_target,
                                   others[i].reward_target)
@@ -140,14 +138,14 @@ class TestPrepareTrainItems:
     def test_segment_shorter_than_window_rejected(self, dataset):
         cfg = rl.RlConfig(segment_samples=256)
         with pytest.raises(ValueError, match="window"):
-            pipeline.prepare_train_items(dataset, "train", cfg, STFT)
+            pipeline.prepare_train_items(dataset, "train", cfg)
 
 
 class TestSeparateAndEvaluate:
     def test_round_trip_through_manifest(self, dataset, tmp_path):
         model = init_model(np.random.default_rng(0), query_dim=16)
         manifest = pipeline.separate_split(
-            model, dataset, "test", "text", STFT, tmp_path / "est"
+            model, dataset, "test", "text", tmp_path / "est"
         )
         records = [json.loads(l) for l in manifest.read_text().splitlines()]
         assert len(records) == len(dataset.split("test"))

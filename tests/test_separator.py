@@ -552,14 +552,14 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("dtype, sha256", [
         (np.float32,
-         "74e0a0b3a6eb54e94358a6eb4e08104bb0d2f3a29f22c2853c60097c7a27a5ab"),
+         "5b4b767bebbf8d1ec1859c7a9f5e4ef81181c7eaf1805b4edb4208857820e1bd"),
         (np.float64,
-         "b6a23edfa2c09e4400a4b217fb0bc9bbd907df538c4e964cc4ec5bd685b4d348"),
+         "4fb69573090ed49afd109f0c24297fce1ab40c86f3a87a26585380d4a00c8bf9"),
     ])
     def test_format_bytes_are_pinned(self, tmp_path, dtype, sha256):
-        """A small model's checkpoint keeps the bytes the format has always
-        written (``"k_sources": 1`` included), and load then save gives
-        them back."""
+        """A small model's checkpoint keeps the bytes of the format, whose
+        hparams hold ``"k_sources": 1`` and ``"sample_rate": 16000``, and
+        load then save gives them back."""
         path = tmp_path / "model.json"
         save_model(path, init_model(np.random.default_rng(0), context=3,
                                     hidden_width=4, query_dim=4, dtype=dtype))

@@ -10,7 +10,10 @@ to one thread. The report says whether ``train.jsonl``, the checkpoints,
 the estimate WAVs, ``eval``'s ``summary.json``, the alignment heads,
 ``gap.json``, ``curriculum.txt`` and the G = 2 run's ``train.jsonl`` and
 checkpoints are byte-identical between the trees, and names every file
-that differs. It also gives each command's peak resident memory under
+that differs. For a checkpoint that differs it also says which sections
+do and whether the ``arrays`` payloads are identical ("hparams differ,
+arrays identical"), so a change of format alone shows that no weight
+moved. It also gives each command's peak resident memory under
 either tree (``ru_maxrss`` of its process, from ``os.wait4``), so a memory
 move shows even at these sizes. It is appended to ``--summary`` (a CI job
 summary) when given, and printed either way.
@@ -23,6 +26,7 @@ command fails under either tree.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -92,6 +96,22 @@ def memory_table(base: list[float], head: list[float]) -> list[str]:
     return lines
 
 
+def checkpoint_note(a: Path, b: Path) -> str:
+    """Which sections of two checkpoint files differ, and whether their
+    arrays are identical; empty when either file is not a checkpoint."""
+    try:
+        x, y = (json.loads(p.read_text()) for p in (a, b))
+    except (OSError, ValueError):
+        return ""
+    if not all(isinstance(c, dict) and "arrays" in c for c in (x, y)):
+        return ""
+    keys = sorted(k for k in x.keys() | y.keys()
+                  if k != "arrays" and x.get(k) != y.get(k))
+    same = "identical" if x["arrays"] == y["arrays"] else "differ"
+    parts = [f"{', '.join(keys)} differ"] if keys else []
+    return ", ".join(parts + [f"arrays {same}"])
+
+
 def compare(base: Path, head: Path) -> list[str]:
     """Markdown report lines, one per COMPARED group."""
     lines = ["### Same bytes as base", "",
@@ -104,7 +124,10 @@ def compare(base: Path, head: Path) -> list[str]:
                           and (base / n).read_bytes() == (head / n).read_bytes())]
         verdict = "yes" if names and not differ else "**no**"
         if differ:
-            verdict += ": " + ", ".join(f"`{n}`" for n in differ)
+            notes = {n: checkpoint_note(base / n, head / n) for n in differ}
+            verdict += ": " + ", ".join(
+                f"`{n}`" + (f" ({notes[n]})" if notes[n] else "")
+                for n in differ)
         lines.append(f"| {label} | {len(names)} | {verdict} |")
     return lines
 
