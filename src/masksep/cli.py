@@ -37,7 +37,7 @@ from .errors import (
     check_value,
 )
 from .reward import QUERY_MODALITIES, REWARD_MODES
-from .wavio import check_wav, read_wav, write_wav
+from .wavio import RESAMPLE_HINT, check_wav, read_wav, write_wav
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -379,8 +379,13 @@ def cmd_separate(args) -> int:
         dataset = (
             pipeline.load_dataset(cfg["dataset"]) if cfg["dataset"] else None
         )
-        mix = read_wav(cfg["mixture"], model.sample_rate,
-                       rate_policy=cfg["rate_policy"])
+        try:
+            mix = read_wav(cfg["mixture"], model.sample_rate,
+                           rate_policy=cfg["rate_policy"])
+        except ValueError as exc:
+            raise ValueError(str(exc).replace(
+                RESAMPLE_HINT, " (pass --rate-policy resample to convert)")
+            ) from None
         window = pipeline.STFT.window_size
         if len(mix) < window:
             raise ConfigError(f"{cfg['mixture']}: waveform too short: {len(mix)} "

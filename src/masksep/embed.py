@@ -168,16 +168,6 @@ def write_store_manifest(path, store: EmbeddingStore, source_files: dict | None 
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_store_manifest(path):
-    records = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        modality, item_id, label, src = line.split("\t")
-        records.append((modality, item_id, label, src))
-    return records
-
-
 def unit_normalize(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     norm = np.linalg.norm(v)

@@ -22,7 +22,7 @@ from .spectral import (
     log_compress,
     stft,
 )
-from .wavio import read_wav, write_wav
+from .wavio import RESAMPLE_HINT, read_wav, write_wav
 
 # the separator's one STFT: a mask means something only on the grid it was
 # learned on, so this is a constant of the package, not a setting
@@ -138,13 +138,15 @@ def load_dataset(root) -> Dataset:
 
 def read_item_wav(dataset: Dataset, rec: dict, path: str, reader=None):
     """read_wav, or ``reader`` (wavio.check_wav), of a file a manifest record
-    names; ValueError naming the manifest and the item when that fails."""
+    names; ValueError naming the manifest and the item when that fails,
+    with no advice to resample, which no dataset command offers."""
     try:
         return (reader or read_wav)(dataset.root / path,
                                     expected_rate=rec["sample_rate"])
     except (OSError, ValueError) as exc:
         raise ValueError(f"{dataset.root / 'manifest.jsonl'}: item "
-                         f"{rec['item_id']!r}: {exc}") from None
+                         f"{rec['item_id']!r}: "
+                         f"{str(exc).removesuffix(RESAMPLE_HINT)}") from None
 
 
 def _crop_start(item_id: str, seed: int, total: int, segment: int) -> int:

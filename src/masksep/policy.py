@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import digamma, log_gamma, trigamma
+from .special import digamma_trigamma, log_gamma
 
 SAMPLE_CLAMP = 1e-5
 
@@ -38,9 +38,10 @@ class BetaPolicyParams:
     (alpha, beta, 2 + kappa) are built once into one float64 buffer of
     2n + 1 entries; ``alpha`` and ``beta`` are views of it. The digamma,
     trigamma and log-gamma tables that log-density, entropy, KL and the
-    gradients read are built on first use and cached on the instance. Each
-    family is one vectorized call over that buffer; the results are bitwise
-    those of separate calls, since the functions are elementwise. P outside
+    gradients read are built on first use and cached on the instance, each
+    by one vectorized call over that buffer (digamma and trigamma by one
+    together); the results are bitwise those of separate calls, since the
+    kernels are elementwise. P outside
     [0, 1] or NaN, and kappa < 0 or non-finite, are rejected here, the one
     check the tables' arguments get."""
 
@@ -80,28 +81,32 @@ class BetaPolicyParams:
     def shape(self):
         return self.proposal.shape
 
-    def _table(self, key, fn):
-        """fn at alpha and beta per bin, and at the scalar alpha + beta."""
+    def _split(self, values):
+        """alpha and beta per bin, and the scalar at alpha + beta."""
+        n = self.alpha.size
+        return (values[:n].reshape(self.shape),
+                values[n:-1].reshape(self.shape), values[-1])
+
+    def _polygamma(self, key):
+        """The digamma ("psi") or trigamma ("tri") table, both from one call."""
         if key not in self._tables:
-            values = fn(self._args)
-            n = self.alpha.size
-            self._tables[key] = (values[:n].reshape(self.shape),
-                                 values[n:-1].reshape(self.shape), values[-1])
+            psi, tri = digamma_trigamma(self._args)
+            self._tables.update(psi=self._split(psi), tri=self._split(tri))
         return self._tables[key]
 
     @property
     def psi(self):
-        return self._table("psi", digamma)
+        return self._polygamma("psi")
 
     @property
     def tri(self):
-        return self._table("tri", trigamma)
+        return self._polygamma("tri")
 
     @property
     def log_norm(self):
         """Per-bin log B(alpha, beta)."""
         if "log_norm" not in self._tables:
-            lg_a, lg_b, lg_ab = self._table("lgamma", log_gamma)
+            lg_a, lg_b, lg_ab = self._split(log_gamma(self._args))
             self._tables["log_norm"] = lg_a + lg_b - lg_ab
         return self._tables["log_norm"]
 

@@ -24,6 +24,8 @@ import numpy as np
 from .spectral import Waveform
 
 RATE_POLICIES = ("reject", "resample", "accept")
+# ends the reject policy's message; a caller without the keyword replaces it
+RESAMPLE_HINT = " (pass rate_policy='resample' to convert)"
 
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
 # the last 8 bytes of an extensible format's sub-format GUID,
@@ -126,10 +128,8 @@ def _read_checked(path, expected_rate: int, rate_policy: str):
     if dtype.kind == "f" and not np.isfinite(data).all():
         raise ValueError(f"{path}: WAV file holds non-finite samples")
     if rate != expected_rate and rate_policy == "reject":
-        raise ValueError(
-            f"{path}: sample rate {rate} != expected {expected_rate} "
-            "(pass rate_policy='resample' to convert)"
-        )
+        raise ValueError(f"{path}: sample rate {rate} != expected "
+                         f"{expected_rate}{RESAMPLE_HINT}")
     return rate, data
 
 

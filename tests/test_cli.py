@@ -279,7 +279,7 @@ for argv in (
     assert scipy_modules() == [], (argv[0], scipy_modules())
 assert cli.main(["train-rl", "--dataset", root + "/ds", "--run-dir",
                  root + "/rl1", "--steps", "1", "--warm-start-steps", "2"]) == 0
-assert subpackages() == ["special"], subpackages()
+assert scipy_modules() == [], ("train-rl", scipy_modules())
 
 assert optimal_assignment(np.array([[0.0, 2.0], [1.0, 0.0]])) == (1, 0)
 assert "optimize" in subpackages() and "signal" not in subpackages()
@@ -296,13 +296,12 @@ assert back.samples.tobytes() == resample_poly(kept, 2, 3).tobytes()
 
 
 def test_scipy_loads_only_where_it_runs(tmp_path):
-    """In a fresh process, importing the CLI and running synth, separate,
-    a one-reference eval and train-align load no scipy module at all (about
-    28 MB and 0.25 s of every process's start-up); train-rl's first policy
-    step loads scipy.special alone, for the digamma table; a 2 x 2
-    assignment loads scipy.optimize and returns the optimal permutation,
-    and a resampling read loads scipy.signal and returns the polyphase
-    filter's samples."""
+    """In a fresh process, importing the CLI and running synth, train-rl
+    (a policy step included), separate, a one-reference eval and
+    train-align load no scipy module at all (about 28 MB and 0.25 s of
+    every process's start-up); a 2 x 2 assignment loads scipy.optimize
+    and returns the optimal permutation, and a resampling read loads
+    scipy.signal and returns the polyphase filter's samples."""
     src = str(Path(masksep.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(
@@ -669,23 +668,44 @@ class TestSeparate:
         assert not (tmp_path / "est").exists()
 
     def test_mixture_at_another_rate_is_rejected_or_resampled(
-            self, trained_run, set_24k, tmp_path, capsys):
+            self, small_dataset, trained_run, set_24k, tmp_path, capsys):
+        # the message advises the resampling flag where there is one:
+        # separate --mixture has it; train-rl and separate --dataset do not
         qfile = tmp_path / "q.json"
         qfile.write_text(json.dumps(list(np.ones(16) / 4.0)))
         mixture = set_24k / "items" / "item_0000_mix.wav"
         out = tmp_path / "est.wav"
-        separate = ["separate", "--checkpoint",
-                    str(trained_run / "checkpoints" / "best.json"),
-                    "--mixture", str(mixture), "--query", str(qfile),
-                    "--out", str(out)]
+        ckpt = trained_run / "checkpoints" / "best.json"
+        separate = ["separate", "--checkpoint", str(ckpt), "--mixture",
+                    str(mixture), "--query", str(qfile), "--out", str(out)]
         assert main(separate) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err.splitlines()) == 1
-        assert f"{mixture}: sample rate 24000 != expected 16000" in err
+        assert err.rstrip().endswith(
+            f"{mixture}: sample rate 24000 != expected 16000 "
+            "(pass --rate-policy resample to convert)")
         assert not out.exists()
         assert main([*separate, "--rate-policy", "resample"]) == 0
         est = read_wav(out, expected_rate=16000)
         assert len(est.samples) == 2731  # ceil(4096 x 16 / 24)
+
+        # a 16 kHz set whose every mixture WAV holds 24 kHz audio
+        ds = tmp_path / "ds"
+        shutil.copytree(small_dataset, ds)
+        for line in (ds / "manifest.jsonl").read_text().splitlines():
+            shutil.copyfile(mixture, ds / json.loads(line)["mixture"])
+        for argv in (["train-rl", "--dataset", str(ds), "--run-dir",
+                      str(tmp_path / "run"), "--steps", "1",
+                      "--warm-start-steps", "1"],
+                     ["separate", "--checkpoint", str(ckpt), "--dataset",
+                      str(ds), "--out", str(tmp_path / "sep")]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and len(err.splitlines()) == 1
+            assert err.rstrip().endswith(
+                "_mix.wav: sample rate 24000 != expected 16000"), err
+            assert "pass" not in err and "resample" not in err, err
+        assert not (tmp_path / "sep").exists()
 
     def test_checkpoint_trained_at_24k_separates_its_set(self, set_24k,
                                                          tmp_path):

@@ -15,7 +15,6 @@ from masksep.embed import (
     load_store,
     project,
     project_backward,
-    read_store_manifest,
     save_store,
     unit_normalize,
     write_store_manifest,
@@ -257,9 +256,11 @@ class TestStore:
         store = self.make_store(n=3)
         path = tmp_path / "store.manifest"
         write_store_manifest(path, store, {("audio", "item_0"): "items/a.wav"})
-        records = read_store_manifest(path)
+        # one modality<TAB>id<TAB>class<TAB>source line per record
+        records = [line.split("\t") for line in path.read_text().splitlines()]
         assert len(records) == len(store)
-        assert ("audio", "item_0", "class_0", "items/a.wav") in records
+        assert ["audio", "item_0", "class_0", "items/a.wav"] in records
+        assert all(len(r) == 4 for r in records)
 
 
 class TestProjectionHead:

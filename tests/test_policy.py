@@ -285,7 +285,7 @@ class TestGradients:
 class TestSharedTables:
     def test_shared_tables_match_standalone_ops_bitwise(self, monkeypatch):
         from masksep import policy
-        from masksep.special import digamma, trigamma
+        from masksep.special import digamma_trigamma
 
         rng = np.random.default_rng(13)
         params = params_from_proposal(rng.uniform(size=(7, 5)), 9.0)
@@ -301,7 +301,7 @@ class TestSharedTables:
 
         first = evaluate()
         # the second pass reads the cached tables: no special function runs
-        for name in ("digamma", "trigamma", "log_gamma"):
+        for name in ("digamma_trigamma", "log_gamma"):
             monkeypatch.setattr(policy, name, None)
         second = evaluate()
         monkeypatch.undo()
@@ -314,6 +314,9 @@ class TestSharedTables:
             return (log_gamma(q.alpha) + log_gamma(q.beta)
                     - log_gamma(2.0 + q.kappa))
 
+        def digamma(x):
+            return digamma_trigamma(x)[0]
+
         ap, bp, aq, bq = params.alpha, params.beta, other.alpha, other.beta
         assert kl_divergence(params, other) == float(np.sum(
             log_beta(other) - log_beta(params)
@@ -321,30 +324,34 @@ class TestSharedTables:
             + (other.kappa - params.kappa) * digamma(2.0 + params.kappa)
         ))
         for table, x in zip(params.tri, (ap, bp, 2.0 + params.kappa)):
-            assert np.array_equal(table, trigamma(x))
+            assert np.array_equal(table, digamma_trigamma(x)[1])
 
     def test_tables_drop_the_alpha_plus_beta_column(self, monkeypatch):
         # alpha + beta = 2 + kappa in every bin, so each table call of one
-        # policy takes its F*T alphas, its F*T betas and one scalar
+        # policy takes its F*T alphas, its F*T betas and one scalar, and
+        # digamma and trigamma come from one call whichever is read first
         from masksep import policy
 
         f, t = 9, 4
         sizes = {}
-        for name in ("log_gamma", "digamma", "trigamma"):
+        for name in ("log_gamma", "digamma_trigamma"):
             def counted(x, _fn=getattr(policy, name), _name=name):
                 sizes.setdefault(_name, []).append(np.size(x))
                 return _fn(x)
             monkeypatch.setattr(policy, name, counted)
         rng = np.random.default_rng(14)
-        params = params_from_proposal(rng.uniform(size=(f, t)), 9.0)
         mask = rng.uniform(0.05, 0.95, size=(f, t))
-        log_prob(params, mask)
-        entropy(params)
-        log_prob_grad(params, mask)
-        entropy_grad(params)
-        kl_divergence(params, params)
-        assert sizes == {name: [2 * f * t + 1]
-                         for name in ("log_gamma", "digamma", "trigamma")}
+        for first in (entropy_grad, lambda p: log_prob_grad(p, mask)):
+            sizes.clear()
+            params = params_from_proposal(rng.uniform(size=(f, t)), 9.0)
+            first(params)
+            log_prob(params, mask)
+            entropy(params)
+            log_prob_grad(params, mask)
+            entropy_grad(params)
+            kl_divergence(params, params)
+            assert sizes == {name: [2 * f * t + 1]
+                             for name in ("log_gamma", "digamma_trigamma")}
 
 
 class TestKappaSchedule:

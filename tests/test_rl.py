@@ -340,15 +340,16 @@ class TestTrainStep:
 
     def test_one_table_set_per_item_plus_probe(self, toy_world, monkeypatch):
         # each item's tables serve its sampling, objective and gradients;
-        # the kl_post probe builds one more set and reuses the lead item's
-        # log-normalizer. Every argument the tables see is finite and >= 1,
-        # which is why the special functions check none
+        # the kl_post probe builds one more set (a trigamma table with its
+        # digamma, unread) and reuses the lead item's log-normalizer. Every
+        # argument the tables see is finite and >= 1, which is why the
+        # special functions check none
         from masksep import policy
 
         items, embedder, model = toy_world
         model = copy.deepcopy(model)
         calls = {}
-        for name in ("log_gamma", "digamma", "trigamma"):
+        for name in ("log_gamma", "digamma_trigamma"):
             def counted(x, _fn=getattr(policy, name), _name=name):
                 calls[_name] = calls.get(_name, 0) + 1
                 assert np.all(np.isfinite(x)) and np.min(x) >= 1.0
@@ -357,7 +358,7 @@ class TestTrainStep:
         b = 4
         train_step(model, AdamWState(), items[:b], RlConfig(batch_size=b),
                    np.random.default_rng(6), embedder)
-        assert calls == {"log_gamma": b + 1, "digamma": b + 1, "trigamma": b}
+        assert calls == {"log_gamma": b + 1, "digamma_trigamma": b + 1}
 
     def test_one_log_prob_per_mask_and_no_kl_gradient(self, toy_world,
                                                       monkeypatch):

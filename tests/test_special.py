@@ -8,7 +8,7 @@ import pytest
 
 from masksep import special
 from masksep.policy import BetaPolicyParams
-from masksep.special import digamma, log_gamma, trigamma
+from masksep.special import digamma_trigamma, log_gamma
 
 # (x, lgamma(x), digamma(x), trigamma(x))
 REFERENCE = [
@@ -38,6 +38,14 @@ def test_log_gamma_reference(x, ref_lg, ref_dg, ref_tg):
     assert abs(log_gamma(x) - ref_lg) <= tol
 
 
+def digamma(x):
+    return digamma_trigamma(x)[0]
+
+
+def trigamma(x):
+    return digamma_trigamma(x)[1]
+
+
 @pytest.mark.parametrize("x,ref_lg,ref_dg,ref_tg", REFERENCE)
 def test_digamma_reference(x, ref_lg, ref_dg, ref_tg):
     tol = max(1e-12, 8 * np.spacing(abs(ref_dg)))
@@ -61,11 +69,29 @@ def test_log_gamma_dense_against_scipy():
     assert np.all(np.abs(log_gamma(x) - ref) <= tol)
 
 
+def test_digamma_trigamma_dense_against_scipy():
+    # the recurrence and both series over the whole range the reference
+    # rows span, at the reference tests' tolerances
+    from scipy.special import polygamma, psi
+
+    x = np.exp(np.random.default_rng(12).uniform(np.log(1e-3), np.log(1e6),
+                                                  100_000))
+    dg, tg = digamma_trigamma(x)
+    ref_dg, ref_tg = psi(x), polygamma(1, x)
+    assert np.all(np.abs(dg - ref_dg)
+                  <= np.maximum(1e-12, 8 * np.spacing(np.abs(ref_dg))))
+    assert np.all(np.abs(tg - ref_tg) <= np.maximum(1e-12, 1e-13 * ref_tg))
+
+
 def test_vectorized_matches_scalar():
+    # a Python float gives 0-d results with the bits of the array call
     xs = np.array([x for x, *_ in REFERENCE])
     assert np.allclose(log_gamma(xs), [log_gamma(x) for x in xs], rtol=0, atol=0)
-    assert np.allclose(digamma(xs), [digamma(x) for x in xs], rtol=0, atol=0)
-    assert np.allclose(trigamma(xs), [trigamma(x) for x in xs], rtol=0, atol=0)
+    whole = digamma_trigamma(xs)
+    alone = [digamma_trigamma(float(x)) for x in xs]
+    for i, table in enumerate(whole):
+        assert all(np.ndim(a[i]) == 0 for a in alone)
+        assert table.tobytes() == np.array([a[i] for a in alone]).tobytes()
 
 
 @pytest.mark.parametrize("size", [1, 9, 256, 4617])
@@ -93,25 +119,36 @@ def plain_log_gamma(x):
             + np.log(series))
 
 
-def plain_trigamma(x):
-    """Upward recurrence plus asymptotic series, as plain formulas."""
-    acc = np.zeros_like(x)
-    for k in range(int(special._RECURRENCE_CUTOFF)):
-        acc += 1.0 / ((x + k) * (x + k))
+def plain_digamma_trigamma(x):
+    """Asymptotic series at x + cutoff, then the recurrence down to x, as
+    plain formulas."""
     y = x + special._RECURRENCE_CUTOFF
     inv = 1.0 / y
     inv2 = inv * inv
-    series = np.zeros_like(y)
-    for c in special._TRIGAMMA_ASYMPT[::-1]:
-        series = (series + c) * inv2
-    return acc + inv + 0.5 * inv2 + series * inv
+    s_psi = np.zeros_like(y)
+    n = np.arange(1, special._BERNOULLI.size + 1)
+    for c in (special._BERNOULLI / (2.0 * n))[::-1]:
+        s_psi = (s_psi + c) * inv2
+    s_tri = np.zeros_like(y)
+    for c in special._BERNOULLI[::-1]:
+        s_tri = (s_tri + c) * inv2
+    psi = np.log(y) - 0.5 * inv - s_psi
+    tri = s_tri * inv + 0.5 * inv2 + inv
+    for k in range(int(special._RECURRENCE_CUTOFF) - 1, -1, -1):
+        r = 1.0 / (x + k)
+        psi = psi - r
+        tri = tri + r * r
+    return psi, tri
 
 
 def test_kernels_match_plain_formulas_bitwise():
     x = np.exp(np.random.default_rng(3).uniform(np.log(1e-3), np.log(1e6),
                                                  20_000))
     assert np.array_equal(log_gamma(x), plain_log_gamma(x))
-    assert np.array_equal(trigamma(x), plain_trigamma(x))
+    psi, tri = digamma_trigamma(x)
+    plain_psi, plain_tri = plain_digamma_trigamma(x)
+    assert psi.tobytes() == plain_psi.tobytes()
+    assert tri.tobytes() == plain_tri.tobytes()
 
 
 def test_digamma_is_derivative_of_log_gamma():

@@ -1,6 +1,7 @@
 """Synthetic source generation and dataset construction."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -152,12 +153,13 @@ class TestBuildDataset:
     def test_store_manifest_names_each_vector_source(self, dataset_dir):
         # the audio vector is embedded from the target reference; text and
         # video come from the oracle and have no file
-        from masksep.embed import AudioFeatureEmbedder, load_store, read_store_manifest
+        from masksep.embed import AudioFeatureEmbedder, load_store
         from masksep.wavio import read_wav
 
         store = load_store(dataset_dir / "embeddings.embd")
         embedder = AudioFeatureEmbedder.load(dataset_dir / "audio_embedder.json")
-        lines = read_store_manifest(dataset_dir / "embeddings.manifest")
+        lines = [line.split("\t") for line in (
+            dataset_dir / "embeddings.manifest").read_text().splitlines()]
         assert len(lines) == len(store)
         for modality, item_id, _, src in lines:
             if modality != "audio":
@@ -220,7 +222,10 @@ class TestWavIo:
 
         w = Waveform(np.zeros(1000), 8000)
         write_wav(tmp_path / "z.wav", w)
-        with pytest.raises(ValueError, match="sample rate"):
+        # the library names its own keyword; the CLI names its flag
+        with pytest.raises(ValueError, match=re.escape(
+                "sample rate 8000 != expected 16000 "
+                "(pass rate_policy='resample' to convert)")):
             read_wav(tmp_path / "z.wav", expected_rate=16000)
 
     def test_rate_policy_resample(self, tmp_path):

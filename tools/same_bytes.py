@@ -13,7 +13,11 @@ checkpoints are byte-identical between the trees, and names every file
 that differs. For a checkpoint that differs it also says which sections
 do and whether the ``arrays`` payloads are identical ("hparams differ,
 arrays identical"), so a change of format alone shows that no weight
-moved. It also gives each command's peak resident memory under
+moved; for arrays that differ it gives the largest absolute difference
+of each. For a ``train.jsonl`` that differs it names the first step that
+does and the largest relative difference of each numeric field at that
+step, so a move that starts at rounding level shows as one. It also
+gives each command's peak resident memory under
 either tree (``ru_maxrss`` of its process, from ``os.wait4``), so a memory
 move shows even at these sizes. It is appended to ``--summary`` (a CI job
 summary) when given, and printed either way.
@@ -26,12 +30,15 @@ command fails under either tree.
 from __future__ import annotations
 
 import argparse
+import base64
 import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 TRAIN_RL = ["train-rl", "--dataset", "ds", "--steps", "4", "--batch-size",
             "4", "--val-interval", "2", "--warm-start-steps", "5"]
@@ -96,9 +103,16 @@ def memory_table(base: list[float], head: list[float]) -> list[str]:
     return lines
 
 
+def _array(obj: dict) -> np.ndarray:
+    """A checkpoint's base64 array payload, decoded."""
+    return np.frombuffer(base64.b64decode(obj["data"]),
+                         dtype=obj["dtype"]).reshape(obj["shape"])
+
+
 def checkpoint_note(a: Path, b: Path) -> str:
-    """Which sections of two checkpoint files differ, and whether their
-    arrays are identical; empty when either file is not a checkpoint."""
+    """Which sections of two checkpoint files differ, whether their arrays
+    are identical, and the largest absolute difference of each array that
+    is not; empty when either file is not a checkpoint."""
     try:
         x, y = (json.loads(p.read_text()) for p in (a, b))
     except (OSError, ValueError):
@@ -107,9 +121,54 @@ def checkpoint_note(a: Path, b: Path) -> str:
         return ""
     keys = sorted(k for k in x.keys() | y.keys()
                   if k != "arrays" and x.get(k) != y.get(k))
-    same = "identical" if x["arrays"] == y["arrays"] else "differ"
     parts = [f"{', '.join(keys)} differ"] if keys else []
-    return ", ".join(parts + [f"arrays {same}"])
+    if x["arrays"] == y["arrays"]:
+        return ", ".join(parts + ["arrays identical"])
+    moved = []
+    for name in sorted(x["arrays"].keys() | y["arrays"].keys()):
+        u, v = x["arrays"].get(name), y["arrays"].get(name)
+        if u == v:
+            continue
+        if u is None or v is None:
+            moved.append(f"{name} in one tree only")
+            continue
+        try:
+            delta = np.abs(_array(u).astype(np.float64)
+                           - _array(v).astype(np.float64))
+            moved.append(f"{name} {delta.max(initial=0.0):.3g}")
+        except (AttributeError, KeyError, TypeError, ValueError):
+            moved.append(f"{name} not comparable")
+    return ", ".join(parts + ["arrays differ, max |a - b|: " + ", ".join(moved)])
+
+
+def log_note(a: Path, b: Path) -> str:
+    """The first step at which two train.jsonl logs differ, and the largest
+    relative difference |a - b| / max(|a|, |b|) of each numeric field over
+    that step's records; empty when either file is not such a log."""
+    try:
+        x, y = ([json.loads(line) for line in p.read_text().splitlines()]
+                for p in (a, b))
+    except (OSError, ValueError):
+        return ""
+    first = next((i for i, (u, v) in enumerate(zip(x, y)) if u != v), None)
+    if first is None:
+        return f"{len(x)} against {len(y)} records"
+    if not all(isinstance(r, dict) for r in x + y):
+        return ""
+    step = x[first].get("step")
+    rel = {}
+    for u, v in zip(x[first:], y[first:]):
+        if u.get("step") != step or v.get("step") != step:
+            break
+        for key in sorted((u.keys() & v.keys()) - {"step"}):
+            s, t = u[key], v[key]
+            if all(isinstance(z, (int, float)) and not isinstance(z, bool)
+                   for z in (s, t)):
+                scale = max(abs(s), abs(t))
+                diff = abs(s - t) / scale if scale else 0.0
+                rel[key] = max(rel.get(key, 0.0), diff)
+    return f"first at step {step}, max relative: " + ", ".join(
+        f"{key} {value:.3g}" for key, value in sorted(rel.items()))
 
 
 def compare(base: Path, head: Path) -> list[str]:
@@ -124,7 +183,8 @@ def compare(base: Path, head: Path) -> list[str]:
                           and (base / n).read_bytes() == (head / n).read_bytes())]
         verdict = "yes" if names and not differ else "**no**"
         if differ:
-            notes = {n: checkpoint_note(base / n, head / n) for n in differ}
+            notes = {n: (log_note if n.endswith(".jsonl") else checkpoint_note)(
+                base / n, head / n) for n in differ}
             verdict += ": " + ", ".join(
                 f"`{n}`" + (f" ({notes[n]})" if notes[n] else "")
                 for n in differ)
