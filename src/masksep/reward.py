@@ -15,7 +15,10 @@ from .spectral import reconstruct
 # legal values of RlConfig.query_modality and RlConfig.reward_mode
 QUERY_MODALITIES = ("audio", "text", "video", "mixup")
 REWARD_MODES = QUERY_MODALITIES + ("pooled",)
-REWARD_BATCH_BINS = 1 << 20  # masked bins reconstructed and embedded at once
+# masked bins reconstructed and embedded at once: a policy step's 16 x
+# 4,617 bins and validation's 20 crops go in one call, and item
+# preparation's 160 crops in six
+REWARD_BATCH_BINS = 1 << 17
 
 
 def _as_vector(v, name: str) -> np.ndarray:

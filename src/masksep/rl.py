@@ -151,14 +151,14 @@ def clipped_surrogate(log_diff: float, adv: float, clip_epsilon: float):
     return unclipped, grad, False, ratio
 
 
-@dataclass(frozen=True)
+@dataclass
 class Rollout:
     """What one rollout measured, item by item: the items and the kappa the
-    masks were drawn at, each item's frozen old policy (with the Beta tables
-    sampling built), (G, F, T) mask stack and forward cache, and the (B, G)
-    rewards. The update reuses a cache instead of forwarding the model
-    again (backward() rejects it if the model has changed since); an item
-    whose cache is None takes the live-forward path."""
+    masks were drawn at, each item's frozen old policy, (G, F, T) mask
+    stack and forward cache, and the (B, G) rewards. The update reuses a
+    cache instead of forwarding the model again, and drops it once its
+    backward has run; an item whose cache is None takes the live-forward
+    path."""
 
     items: list[TrainItem]
     kappa: float
@@ -186,17 +186,19 @@ def objective_and_grads(model: SeparatorModel, ro: Rollout,
 
     An item carrying the rollout's forward cache has the live policy equal
     to its old one: each log-ratio is 0 by construction, and no mask is
-    scored. Other items forward the live model here and score each mask
-    under the old and the new policy."""
+    scored. The cache is dropped from ``ro`` once its backward has run, so
+    the working set shrinks item by item. Other items, and every item of
+    a later pass over the same rollout, forward the live model here and
+    score each mask under the old and the new policy."""
     n_items = len(ro.items)
     n_samples = sum(len(masks) for masks in ro.masks)
     total = None
     ratios_all, values_all, entropies = [], [], []
     n_clipped = 0
 
-    for item, old, masks, cache, adv_row in zip(
+    for i, (item, old, masks, cache, adv_row) in enumerate(zip(
             ro.items, ro.old_policies, ro.masks, ro.caches, advantages,
-            strict=True):
+            strict=True)):
         reused = cache is not None
         if reused:
             new = old
@@ -222,6 +224,7 @@ def objective_and_grads(model: SeparatorModel, ro: Rollout,
             d_p += (cfg.entropy_coef / n_items) * entropy_grad(new)
 
         grads = backward(model, cache, -d_p)  # the loss is -J
+        ro.caches[i] = None
         total = grads if total is None else total + grads
 
     j = float(np.mean(values_all)) + cfg.entropy_coef * float(np.mean(entropies))
@@ -276,7 +279,9 @@ def update(model: SeparatorModel, opt_state: AdamWState, ro: Rollout,
            cfg: RlConfig, step_index: int) -> TrainStepReport:
     """Normalize the rollout's rewards into advantages over the whole
     batch, step the live model on the clipped surrogate, then probe
-    ``kl_post`` on the lead item against its old policy."""
+    ``kl_post`` on the lead item against its old policy. The update uses
+    up the rollout's forward caches: each entry of ``ro.caches`` is None
+    afterwards, and a later pass over ``ro`` forwards the live model."""
     rewards = ro.rewards.ravel()
     mean_reward = float(np.mean(rewards))
     adv = normalize_advantages(rewards, cfg.grpo_eps).reshape(ro.rewards.shape)

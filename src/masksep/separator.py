@@ -75,11 +75,12 @@ class SeparatorModel:
 
 @dataclass
 class ForwardCache:
-    """Intermediates a matching backward pass needs. ``features`` is bins x
-    [patch, frequency, 1], the transpose of the input-major buffer forward()
-    fills; ``query`` is the query in the parameter dtype."""
+    """Intermediates a matching backward pass needs, in the parameter
+    dtype. ``padded`` is the zero-padded (F + c - 1) x (T + c - 1) input
+    grid; backward rebuilds the features from it rather than keep them,
+    since they take c^2 + 2 values a bin and the grid about one."""
 
-    features: np.ndarray
+    padded: np.ndarray
     hidden: np.ndarray
     proposal_flat: np.ndarray
     query: np.ndarray
@@ -89,6 +90,12 @@ class ForwardCache:
 
     def matches(self, model) -> bool:
         return self.model_ref is model and self.model_version == model.version
+
+    @property
+    def features(self) -> np.ndarray:
+        """Bins x [patch, frequency, 1], rebuilt from the grid: the
+        transpose of the input-major matrix forward() multiplies."""
+        return _rebuild_features(self.padded, self.grid_shape).T
 
 
 @dataclass
@@ -177,6 +184,37 @@ def _slab_rows(f: int, t: int) -> int:
     return min(f, step * -(-SLAB_BINS // (step * t)))
 
 
+def _frequency(f: int, dtype) -> np.ndarray:
+    """Each frequency row's normalized coordinate, i / (F - 1)."""
+    return np.arange(f, dtype=dtype) / max(f - 1, 1)
+
+
+def _copy_patches(grid: np.ndarray, padded: np.ndarray, r0: int) -> None:
+    """Write the patch rows of the (inputs, rows, T) ``grid`` view of
+    input-major features, for the frequency rows from r0 on: row
+    di * c + dj is one contiguous copy of the zero-padded grid shifted by
+    the patch offset (di, dj)."""
+    c = math.isqrt(grid.shape[0] - 2)
+    _, rows, t = grid.shape
+    r1 = r0 + rows
+    for di in range(c):
+        for dj in range(c):
+            grid[di * c + dj] = padded[r0 + di : r1 + di, dj : dj + t]
+
+
+def _rebuild_features(padded: np.ndarray, grid_shape: tuple) -> np.ndarray:
+    """The whole grid's input-major [patch, frequency, 1] features, as
+    forward() fills them, from its zero-padded grid."""
+    f, t = grid_shape
+    n_patch = (padded.shape[0] - f + 1) ** 2
+    features = np.empty((n_patch + 2, f * t), dtype=padded.dtype)
+    grid = features.reshape(n_patch + 2, f, t)
+    _copy_patches(grid, padded, 0)
+    grid[n_patch] = _frequency(f, padded.dtype)[:, None]
+    grid[n_patch + 1] = 1.0
+    return features
+
+
 def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
             keep_cache: bool = True):
     """Proposal grid (F, T) plus the cache backward() consumes.
@@ -215,8 +253,7 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
     w_eff = np.concatenate([model.w1[: n_patch + 1],
                             (query @ model.w1[n_patch + 1 :] + model.b1)[None]])
     # input-major features, one row per input and one column per bin of a
-    # slab: row di * c + dj is the patch offset (di, dj), one contiguous
-    # copy of the zero-padded grid shifted by it; then i / (F - 1), then a
+    # slab: the patch rows (see _copy_patches), then i / (F - 1), then a
     # constant 1 that picks up w_eff's last row. BLAS packs a transposed
     # operand as it packs a row-major one, so the first layer rounds as
     # the bin-major product does.
@@ -227,13 +264,11 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
     half = c // 2
     padded = np.zeros((f + 2 * half, t + 2 * half), dtype=dtype)
     padded[half : half + f, half : half + t] = log_mag
-    freq = np.arange(f, dtype=dtype) / max(f - 1, 1)
+    freq = _frequency(f, dtype)
     for r0, r1 in zip(bounds, bounds[1:]):
         n = (r1 - r0) * t
         grid = features[:, :n].reshape(n_patch + 2, r1 - r0, t)
-        for di in range(c):
-            for dj in range(c):
-                grid[di * c + dj] = padded[r0 + di : r1 + di, dj : dj + t]
+        _copy_patches(grid, padded, r0)
         grid[n_patch] = freq[r0:r1, None]
         # the first-layer product lands in the activation buffer, and the
         # softplus runs in place there
@@ -248,7 +283,7 @@ def forward(model: SeparatorModel, log_mag: np.ndarray, query: np.ndarray,
     if not keep_cache:
         return proposal, None
     cache = ForwardCache(
-        features=features.T,
+        padded=padded,
         hidden=hidden,
         proposal_flat=proposal_flat,
         query=query,
@@ -280,11 +315,14 @@ def backward(
     # d_pre2 scales the [patch, frequency, 1] rows, -w2 the columns of
     # the result. One product gives the patch and frequency rows of d_w1
     # and, from the constant 1, d_b1; the query rows of d_w1 are the
-    # query times d_b1
+    # query times d_b1. The scaled rows are written in place over features
+    # rebuilt from the cached grid, the bits of features.T * d_pre2
     sig = np.negative(cache.hidden)
     np.expm1(sig, out=sig)
     n_fixed = model.context * model.context + 1
-    d_fixed = (cache.features.T * d_pre2) @ sig
+    scaled = _rebuild_features(cache.padded, cache.grid_shape)
+    scaled *= d_pre2
+    d_fixed = scaled @ sig
     d_fixed *= -model.w2[:, 0]
     d_b1 = d_fixed[n_fixed]
     d_w1 = np.concatenate([d_fixed[:n_fixed], np.outer(cache.query, d_b1)])

@@ -190,14 +190,6 @@ def _synthesize(frames: np.ndarray, cfg: StftConfig, target_len: int) -> np.ndar
     return out[:, pad : pad + target_len]
 
 
-def istft(s: Spectrogram, target_len: int | None = None) -> Waveform:
-    """Weighted overlap-add inverse of :func:`stft`."""
-    if target_len is None:
-        target_len = s.num_samples
-    samples = _synthesize(s.bins.T[None], s.config, target_len)[0]
-    return Waveform(samples=samples, sample_rate=s.sample_rate)
-
-
 def reconstruct(mixes: list[Spectrogram], masks: list[np.ndarray]) -> np.ndarray:
     """Row i: mask i (F x T, in [0, 1]) under mixture i's phase, resynthesized.
     The mixtures share one configuration, shape and length, and their masked

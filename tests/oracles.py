@@ -12,6 +12,8 @@
   draws and weights as it goes and must match this bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from masksep.embed import _feature_layout, unit_normalize
@@ -21,7 +23,7 @@ from masksep.policy import log_prob, params_from_proposal
 from masksep.reward import cosine_sim
 from masksep.rl import Rollout
 from masksep.separator import apply_adamw_step, backward, forward
-from masksep.spectral import Spectrogram, istft, stft
+from masksep.spectral import Spectrogram, Waveform, reconstruct, stft
 
 
 def si_sdr(est, ref) -> float:
@@ -52,6 +54,15 @@ def sample_mask(params, rng, clamp_eps):
     return mask, log_prob(params, mask)
 
 
+def inverse_stft(s, target_len=None):
+    """The first ``target_len`` samples (by default s.num_samples) of the
+    weighted overlap-add inverse of a spectrogram: its reconstruction under
+    a ones mask, which multiplies every bin exactly."""
+    if target_len is not None:
+        s = replace(s, num_samples=target_len)
+    return reconstruct([s], [np.ones(s.bins.shape)])[0]
+
+
 def reconstruct_one(mix, m):
     """One F x T mask under its mixture's phase, resynthesized."""
     masked = Spectrogram(
@@ -60,7 +71,7 @@ def reconstruct_one(mix, m):
         sample_rate=mix.sample_rate,
         num_samples=mix.num_samples,
     )
-    return istft(masked)
+    return Waveform(inverse_stft(masked), mix.sample_rate)
 
 
 def audio_features(embedder, w):

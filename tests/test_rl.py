@@ -636,6 +636,33 @@ class TestBatchedRollout:
         for name in PARAMS:
             assert getattr(live, name).tobytes() == getattr(ref_live, name).tobytes()
 
+    def test_update_drops_each_cache_and_a_second_pass_runs_live(self,
+                                                                 toy_world):
+        # update drops each item's forward cache once its backward has run;
+        # a second pass over the same rollout then forwards the updated
+        # model, as a rollout that never carried a cache does, where a kept
+        # cache would be stale
+        items, embedder, model = toy_world
+        live = copy.deepcopy(model)
+        cfg = RlConfig(batch_size=4, mc_samples=2, steps=8)
+        ro = rollout(live, items[:4], cfg, np.random.default_rng(15), embedder,
+                     cfg.kappa_at(0))
+        assert all(c is not None for c in ro.caches)
+        update(live, AdamWState(), ro, cfg, 0)
+        assert ro.caches == [None] * 4
+        adv = normalize_advantages(ro.rewards.ravel(), cfg.grpo_eps)
+        adv = adv.reshape(ro.rewards.shape)
+        second = objective_and_grads(live, ro, adv, cfg)
+        ref = objective_and_grads(live, replace(ro, caches=[None] * 4), adv,
+                                  cfg)
+        assert second.ratio_mean != 1.0
+        for field in ("objective", "surrogate", "entropy", "ratio_mean",
+                      "frac_clipped"):
+            assert getattr(second, field) == getattr(ref, field), field
+        for name in PARAMS:
+            assert getattr(second.grads, name).tobytes() == \
+                getattr(ref.grads, name).tobytes(), name
+
     def test_rollout_has_no_side_effects(self, toy_world):
         # the model keeps its parameters and version, and the generator
         # moves by exactly one rng.beta call over every mask's bins

@@ -340,8 +340,10 @@ class TestKernelsMatchPlainFormulas:
         ref, features, hidden = plain_forward(model, log_mag, query)
         assert proposal.dtype == ref.dtype == dtype
         assert np.array_equal(proposal, ref)
-        # input-major storage, read as bins x inputs
-        assert cache.features.T.flags.c_contiguous
+        # the cache keeps the zero-padded grid, and the features rebuilt
+        # from it are the plain ones, bit for bit
+        c = model.context
+        assert cache.padded.shape == (513 + c - 1, 9 + c - 1)
         assert np.array_equal(cache.features, features)
         assert np.array_equal(cache.hidden, hidden)
         grads = backward(model, cache, upstream).as_dict()
@@ -350,6 +352,26 @@ class TestKernelsMatchPlainFormulas:
         for name in ("w1", "b1", "w2", "b2"):
             assert grads[name].dtype == dtype
             assert grads[name].shape == getattr(model, name).shape
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+    @pytest.mark.parametrize("t", [1, 9, 257])
+    def test_features_bitwise_at_several_row_lengths(self, t):
+        # one frame, a training crop's 9 and more than a slab's worth:
+        # forward, the features rebuilt from the cache and backward are
+        # the plain formulas' bits
+        model = init_model(np.random.default_rng(15), dtype=np.float32)
+        rng = np.random.default_rng(t)
+        log_mag = rng.uniform(0.0, 3.0, size=(40, t))
+        query = rng.standard_normal(model.query_dim)
+        upstream = rng.standard_normal((40, t))
+        proposal, cache = forward(model, log_mag, query)
+        ref, features, hidden = plain_forward(model, log_mag, query)
+        assert np.array_equal(proposal, ref)
+        assert np.array_equal(cache.features, features)
+        grads = backward(model, cache, upstream).as_dict()
+        ref_grads = plain_backward(model, features, hidden, ref, query,
+                                   upstream)
+        for name in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(grads[name], ref_grads[name]), name
 
     @pytest.mark.parametrize("dtype, rel", [(np.float64, 1e-12),
@@ -370,9 +392,10 @@ class TestKernelsMatchPlainFormulas:
                     <= rel * np.abs(want).max()), name
 
     def test_cache_holds_no_pre_activation(self):
-        # a 513 x 9 float32 crop: the cache's arrays hold the [patch,
-        # frequency, 1] features, the activation and the proposal, that is
-        # context^2 + 2 + hidden_width + 1 values a bin, plus the query
+        # a 513 x 9 float32 crop: the cache's arrays hold the zero-padded
+        # grid, the activation and the proposal, that is hidden_width + 1
+        # values a bin and (F + c - 1) x (T + c - 1) grid values, plus the
+        # query: 636 KB, where keeping the features took 1.1 MB
         model, log_mag, query, _ = training_crop(np.float32)
         _, cache = forward(model, log_mag, query)
         buffers = {}
@@ -380,10 +403,10 @@ class TestKernelsMatchPlainFormulas:
             if isinstance(value, np.ndarray):
                 base = value if value.base is None else value.base
                 buffers[id(base)] = base.nbytes
-        bins = log_mag.size
-        per_bin = model.context ** 2 + 2 + model.hidden_width + 1
-        assert sum(buffers.values()) <= (per_bin * bins
-                                         + model.query_dim) * 4
+        (f, t), c = log_mag.shape, model.context
+        values = ((f + c - 1) * (t + c - 1) + (model.hidden_width + 1) * f * t
+                  + model.query_dim)
+        assert sum(buffers.values()) <= values * 4 <= 650_000
 
 
 # both signs of every scale: underflow, the float32 and float64 exp
