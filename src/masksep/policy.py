@@ -9,12 +9,13 @@ so the mode sits exactly at P, kappa sets the concentration, and
 alpha + beta = 2 + kappa in every bin. Log-density, entropy and KL
 divergence are closed-form, as are the gradients dJ/dP of log-density and
 entropy that training needs; all reductions run in float64. The parameters
-carry their digamma, trigamma and log-normalizer tables, built once on
-first use and shared by every evaluation of the same policy.
+carry their digamma, trigamma and log-normalizer tables, all three built
+by one ``special.gamma_tables`` call on the first read of any of them and
+shared by every evaluation of the same policy.
 
 Inputs are checked once, where they enter: ``BetaPolicyParams`` checks P
 and kappa, so every table argument (alpha, beta, 2 + kappa) is finite and
->= 1 and the special functions check nothing; ``sample`` clamps masks into
+>= 1 and the table kernel checks nothing; ``sample`` clamps masks into
 [eps, 1 - eps] with the policy's shape, so ``log_prob_grad`` checks none.
 ``log_prob`` still rejects a mask outside (0, 1) or of another shape.
 """
@@ -25,9 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import digamma_trigamma, log_gamma
+from .special import gamma_tables
 
 SAMPLE_CLAMP = 1e-5
+KAPPA_MAX = 1e6  # the tables are tested to 1e6; log-gamma overflows near 1e30
 
 
 @dataclass(frozen=True)
@@ -38,12 +40,11 @@ class BetaPolicyParams:
     (alpha, beta, 2 + kappa) are built once into one float64 buffer of
     2n + 1 entries; ``alpha`` and ``beta`` are views of it. The digamma,
     trigamma and log-gamma tables that log-density, entropy, KL and the
-    gradients read are built on first use and cached on the instance, each
-    by one vectorized call over that buffer (digamma and trigamma by one
-    together); the results are bitwise those of separate calls, since the
-    kernels are elementwise. P outside
-    [0, 1] or NaN, and kappa < 0 or non-finite, are rejected here, the one
-    check the tables' arguments get."""
+    gradients read are built together on the first read of any of them,
+    by one vectorized call over that buffer, and cached on the instance;
+    the results are bitwise those of separate calls, since the kernel is
+    elementwise. P outside [0, 1] or NaN, and kappa outside [0, KAPPA_MAX]
+    or NaN, are rejected here, the one check the tables' arguments get."""
 
     proposal: np.ndarray
     kappa: float
@@ -59,8 +60,8 @@ class BetaPolicyParams:
         # min/max propagate NaN: the range check is the finiteness check
         if not (p.min() >= 0.0 and p.max() <= 1.0):
             raise ValueError("proposal entries must be finite and lie in [0, 1]")
-        if not (np.isfinite(kappa) and kappa >= 0.0):
-            raise ValueError("kappa must be finite and >= 0")
+        if not 0.0 <= kappa <= KAPPA_MAX:
+            raise ValueError(f"kappa must lie in [0, {KAPPA_MAX:.0f}]")
         n = p.size
         args = np.empty(2 * n + 1)
         # the operations, in order, of 1 + kappa P and 1 + kappa (1 - P)
@@ -87,28 +88,27 @@ class BetaPolicyParams:
         return (values[:n].reshape(self.shape),
                 values[n:-1].reshape(self.shape), values[-1])
 
-    def _polygamma(self, key):
-        """The digamma ("psi") or trigamma ("tri") table, both from one call."""
-        if key not in self._tables:
-            psi, tri = digamma_trigamma(self._args)
-            self._tables.update(psi=self._split(psi), tri=self._split(tri))
+    def _table(self, key):
+        """The "psi", "tri" or "log_norm" table; one call builds all three."""
+        if not self._tables:
+            psi, tri, lg = gamma_tables(self._args)
+            lg_a, lg_b, lg_ab = self._split(lg)
+            self._tables.update(psi=self._split(psi), tri=self._split(tri),
+                                log_norm=lg_a + lg_b - lg_ab)
         return self._tables[key]
 
     @property
     def psi(self):
-        return self._polygamma("psi")
+        return self._table("psi")
 
     @property
     def tri(self):
-        return self._polygamma("tri")
+        return self._table("tri")
 
     @property
     def log_norm(self):
         """Per-bin log B(alpha, beta)."""
-        if "log_norm" not in self._tables:
-            lg_a, lg_b, lg_ab = self._split(log_gamma(self._args))
-            self._tables["log_norm"] = lg_a + lg_b - lg_ab
-        return self._tables["log_norm"]
+        return self._table("log_norm")
 
 
 def params_from_proposal(p: np.ndarray, kappa: float) -> BetaPolicyParams:

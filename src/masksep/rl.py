@@ -33,9 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import POSITIVE, DivergenceError, check_fields
+from .errors import POSITIVE, DivergenceError, check_fields, check_value
 from .optim import AdamWState
 from .policy import (
+    KAPPA_MAX,
     SAMPLE_CLAMP,
     BetaPolicyParams,
     entropy,
@@ -65,7 +66,8 @@ RATIO_LOG_CLAMP = 20.0
 class RlConfig:
     """Training hyperparameters; config-file keys match field names. Each
     value is checked by errors.check_fields against its declared type and
-    its entry in BOUNDS; clip_norm 0 turns clipping off."""
+    its entry in BOUNDS, and the kappas by policy.KAPPA_MAX too; clip_norm 0
+    turns clipping off."""
 
     BOUNDS = {
         "clip_epsilon": "(0, 1)", "entropy_coef": 0, "grpo_eps": POSITIVE,
@@ -101,6 +103,8 @@ class RlConfig:
 
     def __post_init__(self):
         check_fields(self, self.BOUNDS)
+        for key in ("kappa_start", "kappa_end"):
+            check_value(key, getattr(self, key), 0.0, f"(0, {KAPPA_MAX:.0f}]")
 
     def kappa_at(self, step: int) -> float:
         return kappa_schedule(

@@ -192,14 +192,17 @@ def _frequency(f: int, dtype) -> np.ndarray:
 def _copy_patches(grid: np.ndarray, padded: np.ndarray, r0: int) -> None:
     """Write the patch rows of the (inputs, rows, T) ``grid`` view of
     input-major features, for the frequency rows from r0 on: row
-    di * c + dj is one contiguous copy of the zero-padded grid shifted by
-    the patch offset (di, dj)."""
+    di * c + dj is the zero-padded grid shifted by the patch offset
+    (di, dj). A strided copy pays per row, so the grid is copied once per
+    column shift dj, and each row shift di of that copy is one contiguous
+    run."""
     c = math.isqrt(grid.shape[0] - 2)
     _, rows, t = grid.shape
-    r1 = r0 + rows
-    for di in range(c):
-        for dj in range(c):
-            grid[di * c + dj] = padded[r0 + di : r1 + di, dj : dj + t]
+    shifted = np.empty((rows + c - 1, t), dtype=padded.dtype)
+    for dj in range(c):
+        shifted[...] = padded[r0 : r0 + rows + c - 1, dj : dj + t]
+        for di in range(c):
+            grid[di * c + dj] = shifted[di : di + rows]
 
 
 def _rebuild_features(padded: np.ndarray, grid_shape: tuple) -> np.ndarray:

@@ -10,8 +10,13 @@
 - The supervised warm start with every step's items drawn before the
   first step and every item's bin weights built before that. The package
   draws and weights as it goes and must match this bit for bit.
+- The separator's patch rows one patch offset at a time, each a strided
+  copy of the zero-padded grid. The package copies the grid once per
+  column shift and takes each row shift as a contiguous run, and must
+  match this bit for bit.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -174,3 +179,14 @@ def warm_start_upfront(model, train_items, cfg, rng):
             total = grads if total is None else total + grads
         apply_adamw_step(model, total, state, lr=cfg.warm_start_lr,
                          weight_decay=0.0, clip_norm=1.0)
+
+
+def copy_patches_per_offset(grid, padded, r0):
+    """separator._copy_patches offset by offset: patch row di * c + dj of
+    the (inputs, rows, T) grid, for the frequency rows from r0 on, is one
+    strided copy of the zero-padded grid shifted by (di, dj)."""
+    c = math.isqrt(grid.shape[0] - 2)
+    _, rows, t = grid.shape
+    for di in range(c):
+        for dj in range(c):
+            grid[di * c + dj] = padded[r0 + di : r0 + rows + di, dj : dj + t]

@@ -25,7 +25,6 @@ from masksep.policy import (
     log_prob_grad,
     params_from_proposal,
 )
-from masksep.special import log_gamma
 from masksep.spectral import StftConfig, Waveform, stft
 from oracles import bss_decompose, inverse_stft, si_sdr
 
@@ -33,15 +32,18 @@ APPENDIX_STFT = StftConfig(fft_size=1024, hop=256, window_size=1024)
 
 
 def beta_log_pdf(alpha, beta, m):
-    """Elementwise Beta log-density (no reduction), from the package's
-    log-gamma: the oracle criterion 1 integrates and samples."""
+    """Elementwise Beta log-density (no reduction), from scipy's
+    log-gamma, independent of the package's kernel: the oracle criterion 1
+    integrates and samples."""
+    from scipy.special import gammaln
+
     alpha = np.asarray(alpha, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     return (
         (alpha - 1.0) * np.log(m)
         + (beta - 1.0) * np.log1p(-m)
-        - (log_gamma(alpha) + log_gamma(beta) - log_gamma(alpha + beta))
+        - (gammaln(alpha) + gammaln(beta) - gammaln(alpha + beta))
     )
 
 

@@ -466,6 +466,10 @@ class TestTrainRl:
         ({"kappa_end": 0}, "config key 'kappa_end' must be a positive finite number, got 0"),
         (["--segment-samples", "-5"],
          "config key 'segment_samples' must be an integer >= 1, got -5"),
+        # beyond policy.KAPPA_MAX the log-gamma table would overflow
+        keyed({"kappa_end": 1e7},
+              "config key 'kappa_end' must be a number in (0, 1000000], "
+              "got 10000000.0"),
     ])
     def test_out_of_range_rl_key_is_named(self, small_dataset, tmp_path, capsys,
                                           bad, named):

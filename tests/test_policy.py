@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from masksep.policy import (
+    KAPPA_MAX,
     BetaPolicyParams,
     entropy,
     entropy_grad,
@@ -21,20 +22,22 @@ from masksep.policy import (
     params_from_proposal,
     sample,
 )
-from masksep.special import log_gamma
 from oracles import sample_mask
 
 
 def beta_log_pdf(alpha, beta, m):
-    """Elementwise Beta log-density (no reduction), from the package's
-    log-gamma: the oracle the policy's reduced log-probabilities face."""
+    """Elementwise Beta log-density (no reduction), from scipy's
+    log-gamma, independent of the package's kernel: the oracle the policy's
+    reduced log-probabilities face."""
+    from scipy.special import gammaln
+
     alpha = np.asarray(alpha, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     return (
         (alpha - 1.0) * np.log(m)
         + (beta - 1.0) * np.log1p(-m)
-        - (log_gamma(alpha) + log_gamma(beta) - log_gamma(alpha + beta))
+        - (gammaln(alpha) + gammaln(beta) - gammaln(alpha + beta))
     )
 
 
@@ -97,6 +100,17 @@ class TestParams:
     def test_validation(self, proposal, kappa):
         with pytest.raises(ValueError):
             BetaPolicyParams(np.array(proposal), kappa)
+
+    def test_kappa_is_bounded_where_the_tables_are_tested(self):
+        # beyond about 1e30 the log-gamma table overflows, and log_norm
+        # would become inf - inf; KAPPA_MAX stops well short of that
+        edge = BetaPolicyParams(np.array([0.0, 0.3, 1.0]), KAPPA_MAX)
+        for table in (*edge.psi, *edge.tri, edge.log_norm):
+            assert np.all(np.isfinite(table))
+        assert np.isfinite(entropy(edge))
+        for kappa in (np.nextafter(KAPPA_MAX, np.inf), 1e31):
+            with pytest.raises(ValueError, match=r"kappa must lie in \[0, 1000000\]"):
+                BetaPolicyParams(np.array([0.5]), kappa)
 
 
 class TestLogProb:
@@ -284,8 +298,10 @@ class TestGradients:
 
 class TestSharedTables:
     def test_shared_tables_match_standalone_ops_bitwise(self, monkeypatch):
+        from scipy.special import gammaln
+
         from masksep import policy
-        from masksep.special import digamma_trigamma
+        from masksep.special import gamma_tables
 
         rng = np.random.default_rng(13)
         params = params_from_proposal(rng.uniform(size=(7, 5)), 9.0)
@@ -300,48 +316,61 @@ class TestSharedTables:
             ]
 
         first = evaluate()
-        # the second pass reads the cached tables: no special function runs
-        for name in ("digamma_trigamma", "log_gamma"):
-            monkeypatch.setattr(policy, name, None)
+        # the second pass reads the cached tables: no kernel call runs
+        monkeypatch.setattr(policy, "gamma_tables", None)
         second = evaluate()
         monkeypatch.undo()
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
-        # the stacked tables reproduce separate special-function calls,
-        # with alpha + beta = 2 + kappa as one scalar
-        def log_beta(q):
-            return (log_gamma(q.alpha) + log_gamma(q.beta)
-                    - log_gamma(2.0 + q.kappa))
+        # the stacked tables reproduce separate kernel calls, with
+        # alpha + beta = 2 + kappa as one scalar
+        for q in (params, other):
+            for i, tables in enumerate((q.psi, q.tri)):
+                for table, x in zip(tables, (q.alpha, q.beta, 2.0 + q.kappa)):
+                    assert np.array_equal(table, gamma_tables(x)[i])
+            lg_a, lg_b, lg_ab = (gamma_tables(x)[2]
+                                 for x in (q.alpha, q.beta, 2.0 + q.kappa))
+            assert np.array_equal(q.log_norm, lg_a + lg_b - lg_ab)
 
-        def digamma(x):
-            return digamma_trigamma(x)[0]
+        # and KL is its closed form: bit for bit in the same operation order
+        # from the package's log-normalizers, and close to it from scipy's
+        # independent log-gamma
+        def closed_form(log_beta):
+            def digamma(x):
+                return gamma_tables(x)[0]
 
-        ap, bp, aq, bq = params.alpha, params.beta, other.alpha, other.beta
-        assert kl_divergence(params, other) == float(np.sum(
-            log_beta(other) - log_beta(params)
-            + (ap - aq) * digamma(ap) + (bp - bq) * digamma(bp)
-            + (other.kappa - params.kappa) * digamma(2.0 + params.kappa)
-        ))
-        for table, x in zip(params.tri, (ap, bp, 2.0 + params.kappa)):
-            assert np.array_equal(table, digamma_trigamma(x)[1])
+            ap, bp, aq, bq = params.alpha, params.beta, other.alpha, other.beta
+            return float(np.sum(
+                log_beta(other) - log_beta(params)
+                + (ap - aq) * digamma(ap) + (bp - bq) * digamma(bp)
+                + (other.kappa - params.kappa) * digamma(2.0 + params.kappa)
+            ))
+
+        kl = kl_divergence(params, other)
+        assert kl == closed_form(lambda q: q.log_norm)
+        assert kl == pytest.approx(closed_form(
+            lambda q: gammaln(q.alpha) + gammaln(q.beta) - gammaln(2.0 + q.kappa)
+        ), rel=1e-12, abs=1e-12)
 
     def test_tables_drop_the_alpha_plus_beta_column(self, monkeypatch):
-        # alpha + beta = 2 + kappa in every bin, so each table call of one
+        # alpha + beta = 2 + kappa in every bin, so the one table call of a
         # policy takes its F*T alphas, its F*T betas and one scalar, and
-        # digamma and trigamma come from one call whichever is read first
+        # builds digamma, trigamma and log-gamma whichever is read first
         from masksep import policy
 
         f, t = 9, 4
-        sizes = {}
-        for name in ("log_gamma", "digamma_trigamma"):
-            def counted(x, _fn=getattr(policy, name), _name=name):
-                sizes.setdefault(_name, []).append(np.size(x))
-                return _fn(x)
-            monkeypatch.setattr(policy, name, counted)
+        sizes = []
+
+        def counted(x, _fn=policy.gamma_tables):
+            sizes.append(np.size(x))
+            return _fn(x)
+
+        monkeypatch.setattr(policy, "gamma_tables", counted)
         rng = np.random.default_rng(14)
         mask = rng.uniform(0.05, 0.95, size=(f, t))
-        for first in (entropy_grad, lambda p: log_prob_grad(p, mask)):
+        for first in (entropy_grad, lambda p: log_prob_grad(p, mask),
+                      lambda p: log_prob(p, mask)):
             sizes.clear()
             params = params_from_proposal(rng.uniform(size=(f, t)), 9.0)
             first(params)
@@ -350,8 +379,7 @@ class TestSharedTables:
             log_prob_grad(params, mask)
             entropy_grad(params)
             kl_divergence(params, params)
-            assert sizes == {name: [2 * f * t + 1]
-                             for name in ("log_gamma", "digamma_trigamma")}
+            assert sizes == [2 * f * t + 1]
 
 
 class TestKappaSchedule:

@@ -18,6 +18,7 @@ from masksep.errors import NonFiniteGradientError
 from masksep.optim import AdamWState, adamw_step, clip_by_global_norm
 from masksep.separator import (
     ParamGrads,
+    _copy_patches,
     _slab_rows,
     _softplus,
     apply_adamw_step,
@@ -27,6 +28,7 @@ from masksep.separator import (
     load_model,
     save_model,
 )
+from oracles import copy_patches_per_offset
 
 
 def small_model(seed=0, context=3, hidden=8, query_dim=4):
@@ -354,11 +356,11 @@ class TestKernelsMatchPlainFormulas:
             assert grads[name].shape == getattr(model, name).shape
             assert np.array_equal(grads[name], ref_grads[name]), name
 
-    @pytest.mark.parametrize("t", [1, 9, 257])
+    @pytest.mark.parametrize("t", [1, 9, 256, 257])
     def test_features_bitwise_at_several_row_lengths(self, t):
-        # one frame, a training crop's 9 and more than a slab's worth:
-        # forward, the features rebuilt from the cache and backward are
-        # the plain formulas' bits
+        # one frame, a training crop's 9, a separated mixture's 256 and an
+        # odd count: forward, the features rebuilt from the cache and
+        # backward are the plain formulas' bits
         model = init_model(np.random.default_rng(15), dtype=np.float32)
         rng = np.random.default_rng(t)
         log_mag = rng.uniform(0.0, 3.0, size=(40, t))
@@ -407,6 +409,48 @@ class TestKernelsMatchPlainFormulas:
         values = ((f + c - 1) * (t + c - 1) + (model.hidden_width + 1) * f * t
                   + model.query_dim)
         assert sum(buffers.values()) <= values * 4 <= 650_000
+
+
+def patch_grids(f, t, rows, c=5, seed=0):
+    """A zero-padded f x t float32 grid and two NaN-filled (inputs, rows, t)
+    views laid out as forward()'s slab of ``rows`` frequency rows: a
+    column prefix of an (inputs, SLAB-capacity) feature matrix."""
+    rng = np.random.default_rng(seed)
+    half = c // 2
+    padded = np.zeros((f + 2 * half, t + 2 * half), dtype=np.float32)
+    padded[half : half + f, half : half + t] = rng.uniform(0.0, 3.0, (f, t))
+    cap = max(rows, _slab_rows(f, t)) * t
+    views = []
+    for _ in range(2):
+        features = np.full((c * c + 2, cap), np.nan, dtype=np.float32)
+        views.append(features[:, : rows * t].reshape(c * c + 2, rows, t))
+    return padded, views
+
+
+class TestCopyPatches:
+    @pytest.mark.parametrize("t", [1, 2, 9, 32, 256, 257])
+    def test_whole_grid_matches_per_offset_copy(self, t):
+        f, c = 40, 5
+        padded, (got, want) = patch_grids(f, t, f, c, seed=t)
+        _copy_patches(got, padded, 0)
+        copy_patches_per_offset(want, padded, 0)
+        assert not np.isnan(got[: c * c]).any()
+        assert got[: c * c].tobytes() == want[: c * c].tobytes()
+
+    @pytest.mark.parametrize("t", [256, 257])
+    def test_cache_free_slabs_match_per_offset_copy(self, t):
+        # every slab of a cache-free 513-row forward, the first at r0 = 0
+        # and the rest, the shorter last one included, at r0 > 0
+        f, c = 513, 5
+        slab = _slab_rows(f, t)
+        bounds = list(range(0, f - slab + 1, slab)) + [f]
+        assert len(bounds) > 3 and bounds[-1] - bounds[-2] != slab
+        for r0, r1 in zip(bounds, bounds[1:]):
+            padded, (got, want) = patch_grids(f, t, r1 - r0, c, seed=r0)
+            _copy_patches(got, padded, r0)
+            copy_patches_per_offset(want, padded, r0)
+            assert not np.isnan(got[: c * c]).any()
+            assert got[: c * c].tobytes() == want[: c * c].tobytes(), r0
 
 
 # both signs of every scale: underflow, the float32 and float64 exp

@@ -8,7 +8,7 @@ import pytest
 
 from masksep import special
 from masksep.policy import BetaPolicyParams
-from masksep.special import digamma_trigamma, log_gamma
+from masksep.special import gamma_tables
 
 # (x, lgamma(x), digamma(x), trigamma(x))
 REFERENCE = [
@@ -30,20 +30,24 @@ REFERENCE = [
 ]
 
 
+def digamma(x):
+    return gamma_tables(x)[0]
+
+
+def trigamma(x):
+    return gamma_tables(x)[1]
+
+
+def log_gamma(x):
+    return gamma_tables(x)[2]
+
+
 @pytest.mark.parametrize("x,ref_lg,ref_dg,ref_tg", REFERENCE)
 def test_log_gamma_reference(x, ref_lg, ref_dg, ref_tg):
     # float64 ulp of the value bounds what any implementation can reach,
     # so the absolute tolerance widens with magnitude
     tol = max(1e-12, 8 * np.spacing(abs(ref_lg)))
     assert abs(log_gamma(x) - ref_lg) <= tol
-
-
-def digamma(x):
-    return digamma_trigamma(x)[0]
-
-
-def trigamma(x):
-    return digamma_trigamma(x)[1]
 
 
 @pytest.mark.parametrize("x,ref_lg,ref_dg,ref_tg", REFERENCE)
@@ -58,8 +62,9 @@ def test_trigamma_reference(x, ref_lg, ref_dg, ref_tg):
 
 
 def test_log_gamma_dense_against_scipy():
-    # the Lanczos series alone, with no reflection, over the whole range
-    # the reference rows span, at test_log_gamma_reference's tolerance
+    # Stirling's series at x + 10 less ln prod(x + k), with no reflection,
+    # over the whole range the reference rows span, at
+    # test_log_gamma_reference's tolerance
     from scipy.special import gammaln
 
     x = np.exp(np.random.default_rng(11).uniform(np.log(1e-3), np.log(1e6),
@@ -76,7 +81,7 @@ def test_digamma_trigamma_dense_against_scipy():
 
     x = np.exp(np.random.default_rng(12).uniform(np.log(1e-3), np.log(1e6),
                                                   100_000))
-    dg, tg = digamma_trigamma(x)
+    dg, tg, _ = gamma_tables(x)
     ref_dg, ref_tg = psi(x), polygamma(1, x)
     assert np.all(np.abs(dg - ref_dg)
                   <= np.maximum(1e-12, 8 * np.spacing(np.abs(ref_dg))))
@@ -86,9 +91,8 @@ def test_digamma_trigamma_dense_against_scipy():
 def test_vectorized_matches_scalar():
     # a Python float gives 0-d results with the bits of the array call
     xs = np.array([x for x, *_ in REFERENCE])
-    assert np.allclose(log_gamma(xs), [log_gamma(x) for x in xs], rtol=0, atol=0)
-    whole = digamma_trigamma(xs)
-    alone = [digamma_trigamma(float(x)) for x in xs]
+    whole = gamma_tables(xs)
+    alone = [gamma_tables(float(x)) for x in xs]
     for i, table in enumerate(whole):
         assert all(np.ndim(a[i]) == 0 for a in alone)
         assert table.tobytes() == np.array([a[i] for a in alone]).tobytes()
@@ -108,15 +112,21 @@ def test_array_is_bitwise_elementwise(fn, size):
 
 
 def plain_log_gamma(x):
-    """The straightforward Lanczos series the in-place kernel must
+    """Stirling's series at x + cutoff, less the log of the recurrence's
+    product, as plain formulas: the log-gamma half the kernel must
     reproduce bit for bit."""
-    z = x - 1.0
-    series = np.full_like(z, special._LANCZOS_COEF[0])
-    for i in range(1, special._LANCZOS_COEF.size):
-        series = series + special._LANCZOS_COEF[i] / (z + i)
-    base = z + special._LANCZOS_G + 0.5
-    return (special._HALF_LOG_TWO_PI + (z + 0.5) * np.log(base) - base
-            + np.log(series))
+    y = x + special._RECURRENCE_CUTOFF
+    inv = 1.0 / y
+    inv2 = inv * inv
+    s = special._STIRLING[-1] * inv2
+    for c in special._STIRLING[-2:0:-1]:
+        s = (s + c) * inv2
+    lg = ((y - 0.5) * np.log(y) - y) + ((s + special._STIRLING[0]) * inv
+                                        + special._HALF_LOG_TWO_PI)
+    prod = x + (special._RECURRENCE_CUTOFF - 1)
+    for k in range(int(special._RECURRENCE_CUTOFF) - 2, -1, -1):
+        prod = prod * (x + k)
+    return lg - np.log(prod)
 
 
 def plain_digamma_trigamma(x):
@@ -144,11 +154,11 @@ def plain_digamma_trigamma(x):
 def test_kernels_match_plain_formulas_bitwise():
     x = np.exp(np.random.default_rng(3).uniform(np.log(1e-3), np.log(1e6),
                                                  20_000))
-    assert np.array_equal(log_gamma(x), plain_log_gamma(x))
-    psi, tri = digamma_trigamma(x)
+    psi, tri, lg = gamma_tables(x)
     plain_psi, plain_tri = plain_digamma_trigamma(x)
     assert psi.tobytes() == plain_psi.tobytes()
     assert tri.tobytes() == plain_tri.tobytes()
+    assert lg.tobytes() == plain_log_gamma(x).tobytes()
 
 
 def test_digamma_is_derivative_of_log_gamma():
@@ -177,17 +187,30 @@ def test_log_gamma_recurrence_identity():
 
 
 def log_beta(a, b):
-    """ln B(a, b) = lnGamma(a) + lnGamma(b) - lnGamma(a + b), elementwise."""
+    """ln B(a, b) from scipy's log-gamma, independent of the kernel."""
+    from scipy.special import gammaln
+
+    return gammaln(a) + gammaln(b) - gammaln(np.add(a, b))
+
+
+def kernel_log_beta(a, b):
+    """ln B(a, b) = lnGamma(a) + lnGamma(b) - lnGamma(a + b), elementwise,
+    from the kernel."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
 def test_log_beta_symmetry_and_known_value():
-    assert log_beta(5.5, 5.5) == pytest.approx(-7.1887846378380827, abs=1e-12)
-    assert log_beta(2.0, 7.0) == pytest.approx(log_beta(7.0, 2.0), abs=0)
+    assert kernel_log_beta(5.5, 5.5) == pytest.approx(-7.1887846378380827,
+                                                      abs=1e-12)
+    assert kernel_log_beta(2.0, 7.0) == pytest.approx(
+        kernel_log_beta(7.0, 2.0), abs=0)
     # B(1, 1) = 1
-    assert log_beta(1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
+    assert kernel_log_beta(1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
+    # and the independent oracle agrees over the policy's argument range
+    a, b = np.random.default_rng(10).uniform(1.0, 11.0, size=(2, 1000))
+    assert np.max(np.abs(kernel_log_beta(a, b) - log_beta(a, b))) <= 1e-12
 
 
 def test_domain_errors():
